@@ -26,6 +26,7 @@ from .errors import (
     MirrorCoolError,
     NumericalError,
     StabilityError,
+    TruncationError,
     UnstableBathError,
     UnsupportedPhaseError,
     ValidationError,
@@ -398,6 +399,9 @@ def cmd_fock(config: dict, args) -> int:
     block = dict(config.get("fock") or {})
     max_nbar = float(block.pop("max_nbar", 50.0))
     max_dim = int(block.pop("max_dim", 400))
+    dim = block.pop("dim", None)
+    if block:
+        raise ValidationError(sorted(block)[0], "unknown fock field")
     if bath.n_bar > max_nbar:
         raise ValidationError(
             "n_bar",
@@ -405,21 +409,29 @@ def cmd_fock(config: dict, args) -> int:
             f"{max_nbar:g}; this oracle is for desk-scale parameters",
         )
     needed = fock_mod.required_dim(bath.n_bar)
-    dim = int(block.pop("dim", needed))
+    grow = dim is None
+    dim = needed if grow else int(dim)
     if max(dim, needed) > max_dim:
         raise ValidationError(
             "dim", f"required dimension {max(dim, needed)} exceeds ceiling {max_dim}"
         )
-    cfg = fock_mod.FockConfig(
-        dim=dim,
-        dt=float(block.pop("dt", 1e-3)),
-        t_final=float(block.pop("t_final", 50.0 / max(bath.gamma, 1e-12))),
-        tol=float(block.pop("tol", 1e-7)),
-    )
-    if block:
-        raise ValidationError(sorted(block)[0], "unknown fock field")
-    gen = fock_mod.build_generator(bath, dim)
-    sol = fock_mod.evolve_to_steady(gen, cfg)
+    # required_dim counts only the thermal tail of n_bar; feedback heating
+    # and squeezing widen the solved state's, so a default dim grows until
+    # the tail guard holds
+    while True:
+        try:
+            sol = fock_mod.evolve_to_steady(
+                fock_mod.build_generator(bath, dim), fock_mod.FockConfig(dim=dim)
+            )
+            break
+        except TruncationError:
+            if not grow:
+                raise
+            if dim == max_dim:
+                raise ValidationError(
+                    "dim", f"tail guard not met at the ceiling {max_dim}"
+                ) from None
+            dim = min(dim + max(4, dim // 4), max_dim)
     if args.dump_rho:
         if not args.out:
             raise ValidationError("out", "--dump-rho needs --out for the binary file")
@@ -438,8 +450,8 @@ def cmd_fock(config: dict, args) -> int:
             "hermiticity_error": sol.hermiticity_error,
             "min_eigenvalue": sol.min_eigenvalue,
             "tail_population": sol.tail_population,
-            "t_steady": sol.t_steady,
-            "steps": sol.steps,
+            "residual": sol.residual,
+            "residual_bound": sol.residual_bound,
             "dim": dim,
         },
         args.out,
@@ -485,14 +497,20 @@ def cmd_sweep(config: dict, args) -> int:
                 phi=point.get("phi", bath.phi),
             )
             report = check_stability(bath_pt)
-            moments = lyapunov_moments(bath_pt, constants)
-            row_tail = [
-                bath_pt.gamma, moments.var_x, moments.var_p, moments.cov_xp_sym,
-                moments.t_eff, report.stable, report.lindblad_positive,
-                report.positivity_gap,
-            ]
-        except (UnstableBathError, StabilityError):
+        except UnstableBathError:
+            report = None
+        if report is None or not report.stable:
             row_tail = [math.nan] * 5 + [False, False, math.nan]
+        else:
+            try:
+                m = lyapunov_moments(bath_pt, constants)
+                moments = [m.var_x, m.var_p, m.cov_xp_sym, m.t_eff]
+            except StabilityError:
+                # stable drift, but the moments break the Heisenberg bound:
+                # the coefficient block is unphysical here, the report is not
+                moments = [math.nan] * 4
+            row_tail = [bath_pt.gamma, *moments, True, report.lindblad_positive,
+                        report.positivity_gap]
         rows.append(list(combo) + row_tail)
 
     if args.format == "json":

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import signal
 from scipy.linalg import expm, solve_continuous_lyapunov
 
 from .bath import EffectiveBath
@@ -31,6 +30,7 @@ from .steady_state import diffusion_matrix, drift_matrix, _require_phase, _requi
 __all__ = ["SimConfig", "TrajectoryEnsembleStats", "ComparisonReport", "simulate", "psd_vs_analytic"]
 
 _CHUNK = 64  # trajectories integrated together; results do not depend on it
+_WELCH_ROWS = 8  # trajectories per Welch call; bounds its FFT memory
 
 
 @dataclass(frozen=True)
@@ -130,6 +130,10 @@ def _simulate_linear(
     keep_trajectories: int = 0,
 ) -> TrajectoryEnsembleStats:
     """Core integrator over an arbitrary stable 2x2 drift/diffusion pair."""
+    # deferred: scipy.signal is the slowest import of the package and only
+    # the Monte Carlo verbs need it
+    from scipy import signal
+
     eigs = np.linalg.eigvals(A)
     if eigs.real.max() >= 0:
         raise StabilityError(f"drift eigenvalues not strictly stable: {eigs}")
@@ -187,10 +191,17 @@ def _simulate_linear(
         var_p_i[list(idx)] = np.mean(ps**2, axis=1)
         cov_i[list(idx)] = np.mean(xs * ps, axis=1)
 
-        f_two, p_two = signal.welch(
-            xs, fs=fs, window="hann", nperseg=cfg.welch_segment,
-            noverlap=noverlap, detrend=False, return_onesided=False, axis=-1,
-        )
+        # a few rows per welch call: its segment FFTs take several times the
+        # memory of the samples, and the rows are transformed independently
+        parts = [
+            signal.welch(
+                xs[j:j + _WELCH_ROWS], fs=fs, window="hann", nperseg=cfg.welch_segment,
+                noverlap=noverlap, detrend=False, return_onesided=False, axis=-1,
+            )
+            for j in range(0, k, _WELCH_ROWS)
+        ]
+        f_two = parts[0][0]
+        p_two = np.concatenate([p for _, p in parts])
         integ_i[list(idx)] = p_two.sum(axis=-1) * (fs / cfg.welch_segment)
         keep = f_two >= 0
         if psd_i is None:

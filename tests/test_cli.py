@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -7,6 +10,7 @@ import numpy as np
 import pytest
 
 from mirrorcool import bath_from_rates, closed_form_moments, optimize_gain, with_gain
+from mirrorcool import fock as fock_mod
 from mirrorcool.cli import main
 
 REFERENCE_CONFIG = resources.files("mirrorcool") / "configs" / "reference_setup.json"
@@ -16,6 +20,11 @@ DESK_BATH = {
         "omega_m": 62.8, "gamma_m": 1.0, "Gamma": 200.0, "eta": 1.0,
         "n_bar": 100.0, "g": 50.0, "phi": -math.pi / 2,
     }
+}
+
+FOCK_DESK_BATH = {
+    "bath": {"omega_m": 10.0, "gamma_m": 1.0, "Gamma": 40.0, "eta": 1.0,
+             "n_bar": 2.0, "g": 20.0, "phi": -math.pi / 2},
 }
 
 
@@ -183,11 +192,7 @@ def test_simulate_dump_trajectories(tmp_path):
 
 
 def test_fock_desk_run(tmp_path, capsys):
-    config = {
-        "bath": {"omega_m": 10.0, "gamma_m": 1.0, "Gamma": 40.0, "eta": 1.0,
-                 "n_bar": 2.0, "g": 20.0, "phi": -math.pi / 2},
-        "fock": {"dim": 66, "dt": 5e-4, "t_final": 10.0, "tol": 1e-8},
-    }
+    config = {**FOCK_DESK_BATH, "fock": {"dim": 66}}
     code = run(["fock", "--config", write_config(tmp_path, config)])
     out = json.loads(capsys.readouterr().out)
     assert code == 0
@@ -199,11 +204,7 @@ def test_fock_desk_run(tmp_path, capsys):
 
 
 def test_fock_density_matrix_dump(tmp_path):
-    config = {
-        "bath": {"omega_m": 10.0, "gamma_m": 1.0, "Gamma": 40.0, "eta": 1.0,
-                 "n_bar": 2.0, "g": 20.0, "phi": -math.pi / 2},
-        "fock": {"dim": 66, "dt": 5e-4, "t_final": 10.0, "tol": 1e-8},
-    }
+    config = {**FOCK_DESK_BATH, "fock": {"dim": 66}}
     out = tmp_path / "steady"
     code = run(["fock", "--config", write_config(tmp_path, config),
                 "--out", str(out), "--dump-rho"])
@@ -224,13 +225,51 @@ def test_fock_refuses_room_temperature(tmp_path, capsys):
     assert "ceiling" in err
 
 
-def test_fock_numerical_failure_exit_code(tmp_path):
-    config = {
-        "bath": {"omega_m": 10.0, "gamma_m": 1.0, "Gamma": 40.0, "eta": 1.0,
-                 "n_bar": 2.0, "g": 20.0, "phi": -math.pi / 2},
-        "fock": {"dim": 66, "dt": 5e-4, "t_final": 0.01, "tol": 1e-12},
-    }
+def test_fock_numerical_failure_exit_code(tmp_path, monkeypatch, capsys):
+    # a generator that does not preserve the trace leaves a residual on the
+    # <0|rho|0> row, which the solve drops
+    build = fock_mod.build_generator
+
+    def broken(bath, dim):
+        gen = build(bath, dim)
+        matrix = gen.matrix.tolil()
+        matrix[0, 0] *= 1 + 1e-6
+        return fock_mod.Generator(bath, dim, matrix.tocsr())
+
+    monkeypatch.setattr(fock_mod, "build_generator", broken)
+    config = {**FOCK_DESK_BATH, "fock": {"dim": 66}}
     assert run(["fock", "--config", write_config(tmp_path, config)]) == 4
+    assert "residual" in capsys.readouterr().err
+
+
+def test_fock_default_dim_grows_until_the_tail_guard_holds(tmp_path, capsys):
+    # required_dim(2) = 46 leaves a solved tail of 3e-9 on this bath
+    code = run(["fock", "--config", write_config(tmp_path, FOCK_DESK_BATH)])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert out["dim"] > 46
+    assert out["tail_population"] < 1e-10
+    assert out["residual"] <= out["residual_bound"]
+    exact = closed_form_moments(bath_from_rates(**FOCK_DESK_BATH["bath"]))
+    assert out["var_x"] == pytest.approx(exact.var_x, rel=1e-5)
+
+
+def test_fock_default_dim_refused_past_the_ceiling(tmp_path, capsys):
+    config = {**FOCK_DESK_BATH, "fock": {"max_dim": 50}}
+    assert run(["fock", "--config", write_config(tmp_path, config)]) == 2
+    assert "dim:" in capsys.readouterr().err
+
+
+def test_fock_explicit_dim_is_not_grown(tmp_path, capsys):
+    config = {**FOCK_DESK_BATH, "fock": {"dim": 46}}
+    assert run(["fock", "--config", write_config(tmp_path, config)]) == 4
+    assert "tail population" in capsys.readouterr().err
+
+
+def test_fock_stepper_keys_are_unknown(tmp_path, capsys):
+    config = {**FOCK_DESK_BATH, "fock": {"dim": 66, "dt": 5e-4}}
+    assert run(["fock", "--config", write_config(tmp_path, config)]) == 2
+    assert "dt:" in capsys.readouterr().err
 
 
 def test_sweep_deterministic_and_flags_instability(tmp_path):
@@ -253,6 +292,24 @@ def test_sweep_deterministic_and_flags_instability(tmp_path):
     stable_col = header.index("stable")
     flags = [l.split(",")[stable_col] for l in lines[1:]]
     assert flags.count("false") == 2
+
+
+def test_sweep_keeps_the_report_of_a_stable_unphysical_point(tmp_path, capsys):
+    # stable drift, but at n_bar = 0 the moments break the Heisenberg bound
+    config = {
+        "bath": {"omega_m": 10.0, "gamma_m": 1.0, "Gamma": 0.1, "eta": 1.0,
+                 "n_bar": 0.0, "g": 0.1, "phi": -math.pi / 2},
+        "sweep": {"g": [0.1]},
+    }
+    code = run(["sweep", "--config", write_config(tmp_path, config)])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0
+    row = dict(zip(out["header"], out["rows"][0]))
+    assert row["stable"] is True
+    assert row["lindblad_positive"] is False
+    assert row["positivity_gap"] == pytest.approx(-0.248, abs=5e-4)
+    assert row["gamma"] == pytest.approx(1.1)
+    assert all(math.isnan(row[k]) for k in ("var_x", "var_p", "cov_xp_sym", "t_eff"))
 
 
 def test_sweep_minimum_matches_optimizer(tmp_path, capsys):
@@ -321,3 +378,11 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
 
 def test_missing_config_file(tmp_path, capsys):
     assert run(["derive", "--config", str(tmp_path / "nope.json")]) == 2
+
+
+def test_cli_import_leaves_scipy_signal_out():
+    code = "import sys, mirrorcool.cli; print('scipy.signal' in sys.modules)"
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+    assert proc.stdout.strip() == "False"

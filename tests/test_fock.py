@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.sparse.linalg import expm_multiply
 
 from mirrorcool import (
@@ -16,7 +17,7 @@ from mirrorcool import (
     evolve_to_steady,
     lyapunov_moments,
 )
-from mirrorcool.fock import ladder, required_dim, thermal_rho
+from mirrorcool.fock import Generator, ladder, required_dim, thermal_rho
 from mirrorcool.steady_state import drift_matrix
 
 
@@ -153,9 +154,7 @@ def test_thermal_bath_fixed_point():
     # settles at <n> = n_bar - 1/2 (the leading Bose-Einstein expansion),
     # with the equipartition variances n_bar/2
     bath = desk_bath(g=0.0, Gamma=0.0, n_bar=2.0)
-    sol = evolve_to_steady(
-        build_generator(bath, 60), FockConfig(dim=60, dt=2e-3, t_final=60.0, tol=1e-9)
-    )
+    sol = evolve_to_steady(build_generator(bath, 60), FockConfig(dim=60))
     assert sol.mean_n == pytest.approx(1.5, abs=1e-6)
     assert sol.var_x == pytest.approx(1.0, abs=1e-6)
     assert sol.var_p == pytest.approx(1.0, abs=1e-6)
@@ -166,11 +165,10 @@ def test_thermal_bath_fixed_point():
 def test_feedback_steady_state_matches_closed_forms():
     bath = desk_bath()  # n_bar=2, Gamma=40, g=20: lindblad-positive regime
     exact = closed_form_moments(bath)
-    sol = evolve_to_steady(
-        build_generator(bath, 66), FockConfig(dim=66, dt=5e-4, t_final=10.0, tol=1e-8)
-    )
+    sol = evolve_to_steady(build_generator(bath, 66), FockConfig(dim=66))
     assert sol.var_x == pytest.approx(exact.var_x, rel=1e-5)
     assert sol.var_p == pytest.approx(exact.var_p, rel=1e-5)
+    assert sol.residual <= sol.residual_bound
     assert sol.trace_error < 1e-10
     assert sol.hermiticity_error < 1e-12
     assert sol.tail_population < 1e-10
@@ -181,51 +179,96 @@ def test_feedback_steady_state_matches_closed_forms():
 
 def test_truncation_convergence():
     bath = desk_bath()
-    cfg = dict(dt=5e-4, t_final=10.0, tol=1e-9)
-    a = evolve_to_steady(build_generator(bath, 74), FockConfig(dim=74, **cfg))
-    b = evolve_to_steady(build_generator(bath, 94), FockConfig(dim=94, **cfg))
+    a = evolve_to_steady(build_generator(bath, 74), FockConfig(dim=74))
+    b = evolve_to_steady(build_generator(bath, 94), FockConfig(dim=94))
     assert a.var_x == pytest.approx(b.var_x, abs=1e-8)
     assert a.var_p == pytest.approx(b.var_p, abs=1e-8)
+    # at dim 94 the truncation error is below 1e-12 of the variances
+    exact = closed_form_moments(bath)
+    assert b.var_x == pytest.approx(exact.var_x, rel=1e-10)
+    assert b.var_p == pytest.approx(exact.var_p, rel=1e-10)
 
 
 def test_initial_state_independence():
+    # the transient from the ground state relaxes onto the solved state;
+    # populations decay at gamma = 21, so by t = 1 about 1e-10 is left
     bath = desk_bath()
     gen = build_generator(bath, 66)
-    cfg = FockConfig(dim=66, dt=5e-4, t_final=10.0, tol=1e-9)
-    from_thermal = evolve_to_steady(gen, cfg)
+    sol = evolve_to_steady(gen, FockConfig(dim=66))
     ground = np.zeros((66, 66), complex)
     ground[0, 0] = 1.0
-    from_ground = evolve_to_steady(gen, cfg, rho0=ground)
-    assert from_ground.var_x == pytest.approx(from_thermal.var_x, abs=1e-6)
-    assert from_ground.var_p == pytest.approx(from_thermal.var_p, abs=1e-6)
+    v = expm_multiply(gen.matrix, ground.ravel())  # rho(t = 1)
+    np.testing.assert_allclose(v.reshape(66, 66), sol.rho, rtol=0, atol=1e-8)
+    mean_a, mean_a2, mean_n = gen.moments(v)
+    var_x = (2 * mean_n.real + 1 + 2 * mean_a2.real) / 4 - mean_a.real**2
+    assert var_x == pytest.approx(sol.var_x, abs=1e-8)
 
 
 def test_tail_guard_rejects_small_truncation():
     bath = desk_bath(n_bar=3.0)
     with pytest.raises(TruncationError):
-        evolve_to_steady(
-            build_generator(bath, 40), FockConfig(dim=40, dt=5e-4, t_final=5.0)
-        )
+        evolve_to_steady(build_generator(bath, 40), FockConfig(dim=40))
 
 
-def test_no_steady_state_within_horizon():
-    bath = desk_bath()
-    with pytest.raises(NumericalError):
-        evolve_to_steady(
-            build_generator(bath, 66),
-            FockConfig(dim=66, dt=5e-4, t_final=0.02, tol=1e-12),
-        )
+def perturbed(gen, row, col, factor):
+    """The generator with one matrix entry scaled by ``factor``."""
+    matrix = gen.matrix.tolil()
+    matrix[row, col] = matrix[row, col] * factor
+    return Generator(gen.bath, gen.dim, matrix.tocsr())
+
+
+def test_singular_or_nonfinite_solve_raises():
+    gen = build_generator(desk_bath(), 30)
+    with pytest.raises(NumericalError, match="singular or non-finite"):
+        evolve_to_steady(perturbed(gen, 5, 5, math.nan), FockConfig(dim=30))
+    # no equation left on the <0|rho|1> coherence: the system is singular
+    matrix = gen.matrix.tolil()
+    matrix[:, 1] = 0
+    with pytest.raises(NumericalError, match="singular or non-finite"):
+        evolve_to_steady(Generator(gen.bath, 30, matrix.tocsr()), FockConfig(dim=30))
+
+
+def test_residual_over_bound_raises():
+    # the solve drops the <0|rho|0> row, which only a trace-preserving
+    # generator implies; perturbing it leaves the residual on that row
+    gen = build_generator(desk_bath(), 66)
+    with pytest.raises(NumericalError, match="residual"):
+        evolve_to_steady(perturbed(gen, 0, 0, 1 + 1e-6), FockConfig(dim=66))
+
+
+def test_trace_check_rejects_a_misnormalized_solve(monkeypatch):
+    import mirrorcool.fock as fock
+
+    solve = fock.spsolve
+    monkeypatch.setattr(fock, "spsolve", lambda A, b: 1.001 * solve(A, b))
+    with pytest.raises(NumericalError, match="trace error"):
+        evolve_to_steady(build_generator(desk_bath(), 66), FockConfig(dim=66))
+
+
+def test_hermiticity_check_rejects_a_non_hermitian_generator():
+    # [n, rho] is trace-preserving but maps Hermitian to anti-Hermitian
+    gen = build_generator(desk_bath(), 66)
+    num = sparse.diags(np.arange(66.0))
+    eye = sparse.identity(66)
+    skew = sparse.kron(num, eye) - sparse.kron(eye, num)
+    bad = Generator(gen.bath, 66, (gen.matrix + 1e-3 * skew).tocsr())
+    with pytest.raises(NumericalError, match="hermiticity"):
+        evolve_to_steady(bad, FockConfig(dim=66))
+
+
+def test_negative_eigenvalue_warning_outside_the_positive_region():
+    # n_bar = 0, g = Gamma = 0.1: stable but not completely positive (gap
+    # about -0.248), so the steady state is not a density matrix
+    bath = bath_from_rates(omega_m=10.0, gamma_m=1.0, Gamma=0.1, eta=1.0,
+                           n_bar=0.0, g=0.1, phi=-math.pi / 2)
+    with pytest.warns(UserWarning, match="expected physics"):
+        sol = evolve_to_steady(build_generator(bath, 30), FockConfig(dim=30))
+    assert sol.min_eigenvalue < -1e-8
 
 
 def test_config_validation():
     with pytest.raises(ValidationError):
-        FockConfig(dim=3, dt=1e-3, t_final=1.0)
-    with pytest.raises(ValidationError):
-        FockConfig(dim=10, dt=0.0, t_final=1.0)
-    with pytest.raises(ValidationError):
-        FockConfig(dim=10, dt=1e-3, t_final=-1.0)
-    with pytest.raises(ValidationError):
-        FockConfig(dim=10, dt=1e-3, t_final=1.0, tol=0.0)
+        FockConfig(dim=3)
     gen = build_generator(desk_bath(), 16)
     with pytest.raises(ValidationError):
-        evolve_to_steady(gen, FockConfig(dim=20, dt=1e-3, t_final=1.0))
+        evolve_to_steady(gen, FockConfig(dim=20))
