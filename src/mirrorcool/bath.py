@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import UnstableBathError, ValidationError
+from .errors import InvalidSetupError, UnstableBathError, ValidationError
 from .params import DerivedCoupling, PhysicalSetup
 
 __all__ = [
@@ -124,7 +124,21 @@ def bath_from_rates(
 
     Same coefficient block as :func:`build_bath` but without the cavity
     derivation; used for desk-scale parameter sets and CLI overrides.
+
+    Raises
+    ------
+    ValidationError
+        if an input is non-finite or violates its constraints.
+    UnstableBathError
+        if gamma = gamma_m - g*sin(phi) <= 0.
+    InvalidSetupError
+        if the coefficient block, omega_m**2 or (gamma_m + g)**2 overflows.
     """
+    inputs = dict(omega_m=omega_m, gamma_m=gamma_m, Gamma=Gamma, eta=eta,
+                  n_bar=n_bar, g=g, phi=phi)
+    for name, value in inputs.items():
+        if not math.isfinite(value):
+            raise ValidationError(name, "must be finite")
     if not omega_m > 0:
         raise ValidationError("omega_m", "must be strictly positive")
     if not gamma_m >= 0:
@@ -148,10 +162,20 @@ def bath_from_rates(
     if not gamma > 0:
         raise UnstableBathError(gamma)
 
-    # g = 0 makes the feedback-noise term vanish identically (no 0/0 at Gamma = 0)
-    fb_noise = g**2 / (4 * eta * Gamma) if g > 0 else 0.0
-    N = (gamma_m * (n_bar - 0.5) + Gamma / 4 + fb_noise + 0.5 * g * sin_phi) / gamma
-    M = -(gamma_m * n_bar + Gamma / 4 - fb_noise - 0.5j * g * cos_phi) / gamma
+    try:
+        # g = 0 makes the feedback-noise term vanish identically (no 0/0 at Gamma = 0)
+        fb_noise = g**2 / (4 * eta * Gamma) if g > 0 else 0.0
+        N = (gamma_m * (n_bar - 0.5) + Gamma / 4 + fb_noise + 0.5 * g * sin_phi) / gamma
+        M = -(gamma_m * n_bar + Gamma / 4 - fb_noise - 0.5j * g * cos_phi) / gamma
+        # the moments, margins and spectra square omega_m and gamma_m + g
+        squares = (omega_m**2, (gamma_m + g) ** 2)
+        finite = all(map(math.isfinite, (gamma, N, M.real, M.imag, *squares)))
+    except OverflowError as exc:
+        raise InvalidSetupError(f"bath coefficients overflowed: {exc}") from exc
+    if not finite:
+        raise InvalidSetupError(
+            f"non-finite bath coefficients: gamma={gamma!r}, N={N!r}, M={M!r}"
+        )
 
     return EffectiveBath(
         gamma=gamma,

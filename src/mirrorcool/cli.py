@@ -15,6 +15,7 @@ import itertools
 import json
 import math
 import sys
+import typing
 from pathlib import Path
 from typing import Any
 
@@ -23,6 +24,7 @@ import numpy as np
 from . import fock as fock_mod
 from .bath import EffectiveBath, bath_from_rates, build_bath, check_stability, with_gain
 from .errors import (
+    InvalidSetupError,
     MirrorCoolError,
     NumericalError,
     StabilityError,
@@ -42,15 +44,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_INSTABILITY = 3
 EXIT_NUMERICAL = 4
-
-_SETUP_FIELDS = {f.name for f in dataclasses.fields(PhysicalSetup)}
-_SETUP_REQUIRED = {
-    f.name
-    for f in dataclasses.fields(PhysicalSetup)
-    if f.default is dataclasses.MISSING
-}
-_BATH_FIELDS = {"omega_m", "gamma_m", "Gamma", "eta", "n_bar", "g", "phi"}
-
 
 # ---------------------------------------------------------------------------
 # serialization helpers
@@ -107,27 +100,77 @@ def _csv_cell(v: Any) -> str:
 def _load_config(path: str) -> dict:
     try:
         raw = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError("config", f"cannot read {path}: {exc}") from exc
     try:
         config = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also over-long integers, deep nesting
         raise ValidationError("config", f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(config, dict):
         raise ValidationError("config", "top-level document must be an object")
     return config
 
 
-def _constants(config: dict) -> PhysicalConstants:
-    block = config.get("unsafe_constants")
-    if block is None:
-        return PhysicalConstants()
+def _value(name: str, value: Any, kind: type) -> Any:
+    """One config value as a finite float, an integral int or a list of floats."""
+    if kind is list:
+        if not isinstance(value, list) or not value:
+            raise ValidationError(name, f"expected a nonempty list of numbers, got {value!r}")
+        return [_value(name, v, float) for v in value]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(name, f"expected a number, got {value!r}")
+    if kind is int:
+        # a JSON integer stays exact; a float must be integral
+        if isinstance(value, float) and not value.is_integer():
+            raise ValidationError(name, f"expected an integer, got {value!r}")
+        return int(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValidationError(name, f"expected a finite number, got {value!r}")
+    return number
+
+
+def _block(config: dict, name: str, kinds: dict[str, type], required: set[str]) -> dict:
+    """Typed fields of the ``name`` block: refuses a non-object, missing, unknown."""
+    block = config.get(name)
     if not isinstance(block, dict):
-        raise ValidationError("unsafe_constants", "must be an object")
-    unknown = set(block) - {"hbar", "k_B", "c"}
+        raise ValidationError(name, "missing or not an object")
+    missing = required - set(block)
+    if missing:
+        raise ValidationError(sorted(missing)[0], f"missing {name} field")
+    unknown = set(block) - set(kinds)
     if unknown:
-        raise ValidationError("unsafe_constants", f"unknown keys {sorted(unknown)}")
-    return PhysicalConstants(**{k: float(v) for k, v in block.items()})
+        raise ValidationError(sorted(unknown)[0], f"unknown {name} field")
+    return {k: _value(k, v, kinds[k]) for k, v in block.items()}
+
+
+def _fields(cls) -> tuple[dict[str, type], set[str]]:
+    """Field kinds and required names of a config dataclass."""
+    hints = typing.get_type_hints(cls)
+    fields = dataclasses.fields(cls)
+    return ({f.name: hints[f.name] for f in fields},
+            {f.name for f in fields if f.default is dataclasses.MISSING})
+
+
+_SWEEP_AXES = ("g", "phi", "Gamma", "eta", "T")
+_BATH_KEYS = ("omega_m", "gamma_m", "Gamma", "eta", "n_bar", "g", "phi")
+
+_SETUP = _fields(PhysicalSetup)
+_CONSTANTS = _fields(PhysicalConstants)
+_SIM = _fields(SimConfig)
+_BATH = (dict.fromkeys(_BATH_KEYS, float), set(_BATH_KEYS))
+_GRID = ({"omega_min": float, "omega_max": float, "n_points": int}, set())
+_FOCK = ({"dim": int, "max_nbar": float, "max_dim": int}, set())
+_SWEEP = (dict.fromkeys(_SWEEP_AXES, list), set())
+
+
+def _constants(config: dict) -> PhysicalConstants:
+    if config.get("unsafe_constants") is None:
+        return PhysicalConstants()
+    return PhysicalConstants(**_block(config, "unsafe_constants", *_CONSTANTS))
 
 
 def _resolve_bath(config: dict) -> tuple[EffectiveBath, dict]:
@@ -140,51 +183,28 @@ def _resolve_bath(config: dict) -> tuple[EffectiveBath, dict]:
         )
     constants = _constants(config)
     if has_setup:
-        setup = _setup_from(config["setup"])
+        setup = PhysicalSetup(**_block(config, "setup", *_SETUP))
         coupling = derive_coupling(setup, constants)
         bath = build_bath(coupling, setup)
         return bath, {"setup": setup, "coupling": coupling, "constants": constants}
-    block = config["bath"]
-    if not isinstance(block, dict):
-        raise ValidationError("bath", "must be an object")
-    missing = _BATH_FIELDS - set(block)
-    if missing:
-        raise ValidationError(sorted(missing)[0], "missing bath field")
-    unknown = set(block) - _BATH_FIELDS
-    if unknown:
-        raise ValidationError(sorted(unknown)[0], "unknown bath field")
-    bath = bath_from_rates(**{k: _number(k, block[k]) for k in _BATH_FIELDS})
+    bath = bath_from_rates(**_block(config, "bath", *_BATH))
     return bath, {"constants": constants}
 
 
-def _number(name: str, value: Any) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(name, f"expected a number, got {value!r}")
-    return float(value)
-
-
-def _setup_from(block: Any) -> PhysicalSetup:
-    if not isinstance(block, dict):
-        raise ValidationError("setup", "must be an object")
-    missing = _SETUP_REQUIRED - set(block)
-    if missing:
-        raise ValidationError(sorted(missing)[0], "missing setup field")
-    unknown = set(block) - _SETUP_FIELDS
-    if unknown:
-        raise ValidationError(sorted(unknown)[0], "unknown setup field")
-    return PhysicalSetup(**{k: _number(k, v) for k, v in block.items()})
-
-
 def _grid(config: dict, bath: EffectiveBath) -> np.ndarray:
-    block = config.get("grid")
-    if block is None:
+    if config.get("grid") is None:
         return default_grid(bath)
-    omega_min = float(block.get("omega_min", -5 * (bath.omega_m + bath.g)))
-    omega_max = float(block.get("omega_max", 5 * (bath.omega_m + bath.g)))
-    n_points = int(block.get("n_points", 4096))
+    block = _block(config, "grid", *_GRID)
+    span = 5 * (bath.omega_m + bath.g)
+    omega_min = block.get("omega_min", -span)
+    omega_max = block.get("omega_max", span)
+    n_points = block.get("n_points", 4096)
     if n_points < 2 or not omega_max > omega_min:
         raise ValidationError("grid", "need omega_max > omega_min and n_points >= 2")
-    return np.linspace(omega_min, omega_max, n_points)
+    try:
+        return np.linspace(omega_min, omega_max, n_points)
+    except (ValueError, IndexError, MemoryError) as exc:
+        raise ValidationError("n_points", f"cannot allocate the grid: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +223,7 @@ def cmd_derive(config: dict, args) -> int:
     except UnstableBathError as exc:
         # reporting is not an error: emit the margins even where the bath
         # coefficients themselves are ill-defined (gamma <= 0)
-        setup = _setup_from(config["setup"])
+        setup = PhysicalSetup(**_block(config, "setup", *_SETUP))
         coupling = derive_coupling(setup, _constants(config))
         sin_phi = math.sin(setup.phi)
         report = {
@@ -232,7 +252,8 @@ def cmd_variance(config: dict, args) -> int:
     if abs(bath.phi + math.pi / 2) < 1e-9:
         report["closed_form"] = closed_form_moments(bath, constants)
     report["lyapunov"] = lyapunov_moments(bath, constants)
-    if bath.g > 0 and "closed_form" in report:
+    # the high-gain form divides by gamma_m*g^2
+    if bath.gamma_m * bath.g**2 > 0 and "closed_form" in report:
         report["high_gain"] = high_gain_moments(bath, constants)
     if args.format == "csv":
         header = ["method", "var_x", "var_p", "cov_xp_sym", "t_eff"]
@@ -251,15 +272,18 @@ def cmd_spectrum(config: dict, args) -> int:
     constants = ctx["constants"]
 
     if args.fig1 or args.g_list is not None:
-        g_values = (
-            [float(x) for x in args.g_list.split(",")]
-            if args.g_list
-            else [0.0, 1.0, 10.0, 100.0, 1000.0]
-        )
+        g_values = [0.0, 1.0, 10.0, 100.0, 1000.0]
+        if args.g_list is not None:
+            try:
+                g_values = _value("g_list", [float(x) for x in args.g_list.split(",")], list)
+            except ValueError:  # a piece that is not a number
+                raise ValidationError(
+                    "g_list", f"expected comma-separated numbers, got {args.g_list!r}"
+                ) from None
         grid = (
-            _grid(config, bath)
-            if "grid" in config
-            else np.linspace(0.0, 8 * bath.omega_m, 2048)
+            np.linspace(0.0, 8 * bath.omega_m, 2048)
+            if config.get("grid") is None
+            else _grid(config, bath)
         )
         var_x_g0 = closed_form_moments(with_gain(bath, 0.0), constants).var_x
         columns, sum_rules = {}, {}
@@ -301,12 +325,9 @@ def cmd_spectrum(config: dict, args) -> int:
     integral, var_x, rel = sum_rule_check(bath)
     if args.format == "csv":
         comments = [f"sum_rule: integral={integral!r} var_x={var_x!r} rel_err={rel:.3e}"]
-        if args.out:
-            series.to_csv(args.out, comments)
-        else:
-            _write_csv(None, ["omega", "S"],
-                       [[w, s] for w, s in zip(series.omega_grid, series.values)],
-                       comments)
+        _write_csv(args.out, ["omega", "S"],
+                   [[w, s] for w, s in zip(series.omega_grid, series.values)],
+                   comments)
     else:
         _emit(
             {
@@ -321,28 +342,10 @@ def cmd_spectrum(config: dict, args) -> int:
 
 
 def _sim_config(config: dict, args) -> SimConfig:
-    block = config.get("sim")
-    if not isinstance(block, dict):
-        raise ValidationError("sim", "simulate/compare need a 'sim' config block")
-    known = {"dt", "t_relax", "t_sample", "n_traj", "seed", "welch_segment", "welch_overlap"}
-    unknown = set(block) - known
-    if unknown:
-        raise ValidationError(sorted(unknown)[0], "unknown sim field")
-    merged = dict(block)
+    block = _block(config, "sim", *_SIM)
     if args.seed is not None:
-        merged["seed"] = args.seed
-    try:
-        return SimConfig(
-            dt=float(merged["dt"]),
-            t_relax=float(merged["t_relax"]),
-            t_sample=float(merged["t_sample"]),
-            n_traj=int(merged["n_traj"]),
-            seed=int(merged.get("seed", 0)),
-            welch_segment=int(merged.get("welch_segment", 4096)),
-            welch_overlap=float(merged.get("welch_overlap", 0.5)),
-        )
-    except KeyError as exc:
-        raise ValidationError(str(exc.args[0]), "missing sim field") from exc
+        block["seed"] = args.seed
+    return SimConfig(**block)
 
 
 def _stats_payload(stats) -> dict:
@@ -396,12 +399,9 @@ def cmd_simulate(config: dict, args) -> int:
 
 def cmd_fock(config: dict, args) -> int:
     bath, _ = _resolve_bath(config)
-    block = dict(config.get("fock") or {})
-    max_nbar = float(block.pop("max_nbar", 50.0))
-    max_dim = int(block.pop("max_dim", 400))
-    dim = block.pop("dim", None)
-    if block:
-        raise ValidationError(sorted(block)[0], "unknown fock field")
+    block = {} if config.get("fock") is None else _block(config, "fock", *_FOCK)
+    max_nbar = block.get("max_nbar", 50.0)
+    max_dim = block.get("max_dim", 400)
     if bath.n_bar > max_nbar:
         raise ValidationError(
             "n_bar",
@@ -409,8 +409,8 @@ def cmd_fock(config: dict, args) -> int:
             f"{max_nbar:g}; this oracle is for desk-scale parameters",
         )
     needed = fock_mod.required_dim(bath.n_bar)
-    grow = dim is None
-    dim = needed if grow else int(dim)
+    grow = "dim" not in block
+    dim = block.get("dim", needed)
     if max(dim, needed) > max_dim:
         raise ValidationError(
             "dim", f"required dimension {max(dim, needed)} exceeds ceiling {max_dim}"
@@ -459,21 +459,15 @@ def cmd_fock(config: dict, args) -> int:
     return EXIT_OK
 
 
-_SWEEP_AXES = ("g", "phi", "Gamma", "eta", "T")
-
-
 def cmd_sweep(config: dict, args) -> int:
     bath, ctx = _resolve_bath(config)
     constants = ctx["constants"]
-    block = config.get("sweep")
-    if not isinstance(block, dict) or not block:
+    block = _block(config, "sweep", *_SWEEP)
+    if not block:
         raise ValidationError("sweep", "need a nonempty 'sweep' block")
-    unknown = set(block) - set(_SWEEP_AXES)
-    if unknown:
-        raise ValidationError(sorted(unknown)[0], "unknown sweep axis")
-    axes = [(name, [float(v) for v in block[name]]) for name in _SWEEP_AXES if name in block]
-    if any(len(values) == 0 for _, values in axes):
-        raise ValidationError("sweep", "sweep axes must be nonempty lists")
+    axes = [(name, block[name]) for name in _SWEEP_AXES if name in block]
+    if "T" in block and not constants.hbar * bath.omega_m > 0:
+        raise InvalidSetupError("hbar*omega_m underflows: the T axis has no n_bar")
 
     header = (
         [name for name, _ in axes]

@@ -103,9 +103,9 @@ def thermal_rho(n_bar: float, dim: int) -> np.ndarray:
 
 def required_dim(n_bar: float, tail: float = TAIL_GUARD) -> int:
     """Smallest truncation whose thermal tail population stays below ``tail``."""
-    if n_bar <= 0:
+    ratio = math.exp(-1.0 / n_bar) if n_bar > 0 else 0.0
+    if ratio == 0.0:  # exp underflows for n_bar below about 1.4e-3
         return 4
-    ratio = math.exp(-1.0 / n_bar)
     # (1-r) r^(d-1) <= tail
     d = 1 + math.log(tail / (1 - ratio)) / math.log(ratio)
     return max(4, math.ceil(d))

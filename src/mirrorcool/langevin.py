@@ -46,7 +46,7 @@ class SimConfig:
     t_relax: float
     t_sample: float
     n_traj: int
-    seed: int
+    seed: int = 0
     welch_segment: int = 4096
     welch_overlap: float = 0.5
 

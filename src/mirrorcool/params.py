@@ -7,13 +7,19 @@ entered in Hz and converted exactly once, here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from scipy import constants as _codata
 
 from .errors import InvalidSetupError, ValidationError
 
 __all__ = ["PhysicalConstants", "PhysicalSetup", "DerivedCoupling", "derive_coupling"]
+
+
+def _require_finite(instance) -> None:
+    for f in fields(instance):
+        if not math.isfinite(getattr(instance, f.name)):
+            raise ValidationError(f.name, "must be finite")
 
 
 @dataclass(frozen=True)
@@ -25,6 +31,7 @@ class PhysicalConstants:
     c: float = _codata.c        # m/s
 
     def __post_init__(self):
+        _require_finite(self)
         for name in ("hbar", "k_B", "c"):
             if not getattr(self, name) > 0:
                 raise ValidationError(name, "must be strictly positive")
@@ -64,6 +71,7 @@ class PhysicalSetup:
     Delta: float = 0.0
 
     def __post_init__(self):
+        _require_finite(self)
         for name in ("m", "nu_m", "L", "nu_0", "T"):
             if not getattr(self, name) > 0:
                 raise ValidationError(name, "must be strictly positive")
@@ -78,10 +86,6 @@ class PhysicalSetup:
             raise ValidationError("eta", "must lie in (0, 1]")
         if not 0 < self.T_r <= 1:
             raise ValidationError("T_r", "must lie in (0, 1]")
-        if not math.isfinite(self.phi):
-            raise ValidationError("phi", "must be finite")
-        if not math.isfinite(self.Delta):
-            raise ValidationError("Delta", "must be finite")
 
 
 @dataclass(frozen=True)

@@ -8,10 +8,8 @@ by independent adaptive quadrature.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy import integrate
@@ -38,29 +36,16 @@ class SpectrumSeries:
     params_snapshot: EffectiveBath
 
     def __post_init__(self):
+        if not np.isfinite(self.values).all():
+            raise NumericalError(
+                "non-finite spectrum value: the grid or the bath overflows "
+                "the evaluation"
+            )
         if self.values.min(initial=np.inf) < 0:
             raise NumericalError(
                 "negative spectrum value: S_g is a symmetrized spectrum and "
                 "must be nonnegative; this is an evaluation defect"
             )
-
-    def to_csv(self, path: str | Path, header_comments: list[str] | None = None) -> None:
-        """Write (omega, S) columns; '.' decimal separator, no locale."""
-        lines = [f"# {c}" for c in (header_comments or [])]
-        lines.append("omega,S")
-        lines += [
-            f"{float(w)!r},{float(s)!r}"
-            for w, s in zip(self.omega_grid, self.values)
-        ]
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-    def to_json(self, path: str | Path) -> None:
-        payload = {
-            "normalization": self.normalization,
-            "omega": self.omega_grid.tolist(),
-            "S": self.values.tolist(),
-        }
-        Path(path).write_text(json.dumps(payload, indent=1), encoding="utf-8")
 
 
 def default_grid(bath: EffectiveBath, n_points: int = 4096) -> np.ndarray:

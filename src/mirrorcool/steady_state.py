@@ -80,7 +80,9 @@ def _t_eff(bath: EffectiveBath, constants: PhysicalConstants) -> float:
     # bath temperature reconstructed from n_bar = k_B*T/(hbar*omega_m)
     T = bath.n_bar * constants.hbar * bath.omega_m / constants.k_B
     if bath.g > 0:
-        return T * bath.omega_m**2 / bath.g**2
+        # T*(omega_m/g)^2 leaves the float range as g -> 0, where g**2 underflows
+        g2 = bath.g**2
+        return T * bath.omega_m**2 / g2 if g2 > 0 else math.inf
     return T
 
 
@@ -165,8 +167,10 @@ def high_gain_moments(
     """
     _require_phase(bath)
     _require_stable(bath)
-    if not bath.g > 0:
-        raise ValidationError("g", "high-gain approximation requires g > 0")
+    if not bath.g**2 > 0:
+        raise ValidationError("g", "high-gain approximation requires g > 0 (g**2 > 0)")
+    if not bath.gamma_m * bath.g**2 > 0:
+        raise ValidationError("gamma_m", "high-gain approximation divides by gamma_m*g^2")
 
     g, gm, om = bath.g, bath.gamma_m, bath.omega_m
     # thermal term k_B*T_eff/(2 hbar omega_m) = (n_bar/2) * omega_m^2/g^2

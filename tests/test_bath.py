@@ -206,6 +206,12 @@ def test_zero_gain_zero_gamma_allowed():
         (dict(eta=2.0), "eta"),
         (dict(n_bar=-1.0), "n_bar"),
         (dict(g=-1.0), "g"),
+        (dict(omega_m=math.inf), "omega_m"),
+        (dict(gamma_m=math.inf), "gamma_m"),
+        (dict(Gamma=math.inf), "Gamma"),
+        (dict(n_bar=math.inf), "n_bar"),
+        (dict(g=math.inf), "g"),
+        (dict(phi=-math.inf), "phi"),
     ],
 )
 def test_rate_validation_names_field(kwargs, field):

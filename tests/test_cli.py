@@ -1,3 +1,6 @@
+import contextlib
+import copy
+import io
 import json
 import math
 import os
@@ -8,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mirrorcool import bath_from_rates, closed_form_moments, optimize_gain, with_gain
 from mirrorcool import fock as fock_mod
@@ -386,3 +391,154 @@ def test_cli_import_leaves_scipy_signal_out():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
     assert proc.stdout.strip() == "False"
+
+
+SIM = {"dt": 1.25e-3, "t_relax": 0.5, "t_sample": 4.0, "n_traj": 8, "seed": 5,
+       "welch_segment": 1024}
+SETUP = json.loads(REFERENCE_CONFIG.read_text())["setup"]
+
+
+def with_bath(**fields):
+    return {"bath": {**DESK_BATH["bath"], **fields}}
+
+
+def refused(field):
+    return 2, f"validation error: {field}:"
+
+
+def failed(message):
+    return 4, f"numerical failure: {message}"
+
+
+# (verb, config, extra argv, exit code, start of the error line)
+MALFORMED = {
+    "n_points_string": ("spectrum", {**DESK_BATH, "grid": {"n_points": "abc"}}, [],
+                        *refused("n_points")),
+    "n_points_fraction": ("spectrum", {**DESK_BATH, "grid": {"n_points": 100.5}}, [],
+                          *refused("n_points")),
+    "n_points_huge": ("spectrum", {**DESK_BATH, "grid": {"n_points": 1e300}}, [],
+                      *refused("n_points")),
+    "grid_list": ("spectrum", {**DESK_BATH, "grid": [1, 2]}, [], *refused("grid")),
+    "sweep_scalar": ("sweep", {**DESK_BATH, "sweep": {"g": 5}}, [], *refused("g")),
+    "sweep_string": ("sweep", {**DESK_BATH, "sweep": {"g": ["a"]}}, [], *refused("g")),
+    "sweep_inf": ("sweep", {**DESK_BATH, "sweep": {"g": [1e400]}}, [], *refused("g")),
+    # k_B*T/(hbar*omega_m) overflows the occupation
+    "sweep_T_overflow": ("sweep", {**DESK_BATH, "sweep": {"T": [1e300]}}, [], *refused("n_bar")),
+    "g_list_words": ("spectrum", DESK_BATH, ["--g-list", "a,b"], *refused("g_list")),
+    "g_list_empty": ("spectrum", DESK_BATH, ["--g-list", ""], *refused("g_list")),
+    "g_list_inf": ("spectrum", DESK_BATH, ["--g-list", "1e400"], *refused("g_list")),
+    "sim_dt_string": ("simulate", {**DESK_BATH, "sim": {**SIM, "dt": "x"}}, [], *refused("dt")),
+    "sim_n_traj_fraction": ("simulate", {**DESK_BATH, "sim": {**SIM, "n_traj": 4.5}}, [],
+                            *refused("n_traj")),
+    "sim_seed_bool": ("simulate", {**DESK_BATH, "sim": {**SIM, "seed": True}}, [],
+                      *refused("seed")),
+    "fock_list": ("fock", {**FOCK_DESK_BATH, "fock": [1]}, [], *refused("fock")),
+    "fock_dim_string": ("fock", {**FOCK_DESK_BATH, "fock": {"dim": "x"}}, [], *refused("dim")),
+    "fock_dim_fraction": ("fock", {**FOCK_DESK_BATH, "fock": {"dim": 66.7}}, [],
+                          *refused("dim")),
+    "fock_max_dim_string": ("fock", {**FOCK_DESK_BATH, "fock": {"max_dim": "x"}}, [],
+                            *refused("max_dim")),
+    "hbar_string": ("derive", {"setup": SETUP, "unsafe_constants": {"hbar": "x"}}, [],
+                    *refused("hbar")),
+    "hbar_inf": ("derive", {"setup": SETUP, "unsafe_constants": {"hbar": 1e400}}, [],
+                 *refused("hbar")),
+    "Gamma_inf": ("variance", with_bath(Gamma=1e400), [], *refused("Gamma")),
+    "n_bar_big_integer": ("variance", with_bath(n_bar=10**400), [], *refused("n_bar")),
+    "phi_inf": ("variance", with_bath(phi=1e400), [], *refused("phi")),
+    # finite inputs whose coefficients or spectrum leave the float range
+    "bath_g_overflow": ("variance", with_bath(g=1e200), [], *failed("bath coefficients")),
+    "omega_m_overflow": ("variance", with_bath(omega_m=1e200), [],
+                         *failed("bath coefficients")),
+    "setup_g_overflow": ("variance", {"setup": {**SETUP, "g": 1e200}}, [],
+                         *failed("bath coefficients")),
+    "sweep_g_overflow": ("sweep", {**DESK_BATH, "sweep": {"g": [1e200]}}, [],
+                         *failed("bath coefficients")),
+    "grid_span_overflow": ("spectrum",
+                           {**DESK_BATH, "grid": {"omega_min": -1e308, "omega_max": 1e308}},
+                           [], *failed("non-finite spectrum")),
+    "sweep_T_underflow": ("sweep", {**with_bath(omega_m=1e-300), "sweep": {"T": [1.0]}}, [],
+                          *failed("hbar*omega_m underflows")),
+}
+
+
+@pytest.mark.parametrize("verb,config,argv,code,text", MALFORMED.values(), ids=MALFORMED)
+def test_malformed_input_is_refused(tmp_path, capsys, verb, config, argv, code, text):
+    assert run([verb, "--config", write_config(tmp_path, config), *argv]) == code
+    err = capsys.readouterr().err
+    assert text in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("raw", [
+    b"\xff\xfe{}",                                     # not UTF-8
+    b'{"bath": {"n_bar": 1' + b"0" * 5000 + b"}}",      # past int-to-str digit limit
+    b"[" * 100000 + b"]" * 100000,                      # nested past the recursion limit
+], ids=["encoding", "long_integer", "deep_nesting"])
+def test_undecodable_config_is_refused(tmp_path, capsys, raw):
+    path = tmp_path / "config.json"
+    path.write_bytes(raw)
+    assert run(["variance", "--config", str(path)]) == 2
+    assert "config:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fields", [dict(gamma_m=0.0), dict(g=1e-201)],
+                         ids=["undamped", "g_squared_underflows"])
+def test_variance_omits_high_gain_outside_its_domain(tmp_path, capsys, fields):
+    code = run(["variance", "--config", write_config(tmp_path, with_bath(**fields))])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert set(out) == {"closed_form", "lyapunov"}
+    assert out["lyapunov"]["var_x"] == pytest.approx(out["closed_form"]["var_x"], rel=1e-9)
+
+
+# small valid configs; each fuzz draw replaces one value or block in one
+FUZZ_CONFIGS = {
+    "derive": {"setup": dict(SETUP, g=100.0)},
+    "variance": {**FOCK_DESK_BATH, "unsafe_constants": {"hbar": 1.0, "k_B": 1.0, "c": 1.0}},
+    "spectrum": {**FOCK_DESK_BATH, "grid": {"omega_min": -50.0, "omega_max": 50.0,
+                                            "n_points": 64}},
+    "sweep": {**FOCK_DESK_BATH, "sweep": {"g": [0.0, 5.0], "phi": [-math.pi / 2], "T": [1.0]}},
+    "fock": {"bath": {**FOCK_DESK_BATH["bath"], "Gamma": 20.0, "n_bar": 0.5, "g": 10.0},
+             "fock": {"dim": 30, "max_nbar": 1.0, "max_dim": 40}},
+}
+
+# finite draws stay inside +-100 so that no draw asks for a large grid or
+# truncation; the listed extremes are refused before any allocation
+JSON_LIKE = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=4),
+    st.lists(st.floats(-100, 100), max_size=3),
+    st.dictionaries(st.text(max_size=4), st.floats(-100, 100), max_size=2),
+    st.floats(-100, 100), st.integers(-100, 100),
+    st.sampled_from([math.nan, math.inf, -math.inf, 1e300, -1e300, 1e-300, 0.5,
+                     2**64, 10**400]),
+)
+
+
+def _paths(node, path=()):
+    """Paths to every value below the root of a JSON document."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return []
+    return [p for key, child in items for p in [path + (key,), *_paths(child, path + (key,))]]
+
+
+@settings(derandomize=True, deadline=None, max_examples=800)
+@given(data=st.data())
+def test_fuzzed_config_exits_with_a_documented_code(tmp_path_factory, data):
+    verb = data.draw(st.sampled_from(sorted(FUZZ_CONFIGS)))
+    config = copy.deepcopy(FUZZ_CONFIGS[verb])
+    *parents, key = data.draw(st.sampled_from(_paths(config)))
+    node = config
+    for step in parents:
+        node = node[step]
+    node[key] = data.draw(JSON_LIKE)
+    path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main([verb, "--config", str(path)])
+    assert code in {0, 2, 3, 4}
+    assert "Traceback" not in err.getvalue()

@@ -52,7 +52,8 @@ def test_thermal_rho_mean_and_trace():
 
 
 def test_required_dim_bounds_thermal_tail():
-    for n_bar in (0.5, 2.0, 5.0):
+    # exp(-1/n_bar) underflows to 0 below n_bar ~ 1.4e-3
+    for n_bar in (1e-3, 0.5, 2.0, 5.0):
         dim = required_dim(n_bar)
         assert thermal_rho(n_bar, dim)[dim - 1, dim - 1].real * (
             1 + 1e-12

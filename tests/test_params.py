@@ -8,6 +8,7 @@ from mirrorcool import (
     PhysicalConstants,
     PhysicalSetup,
     ValidationError,
+    build_bath,
     derive_coupling,
 )
 
@@ -114,6 +115,8 @@ def test_detuning_rotates_steady_amplitude():
         ("m", 0.0), ("m", -1.0), ("nu_m", 0.0), ("L", -4.0), ("nu_0", 0.0),
         ("T", 0.0), ("P_in", -1.0), ("gamma_m", -0.5), ("g", -2.0),
         ("eta", 0.0), ("eta", 1.5), ("T_r", 0.0), ("T_r", 1.2),
+        ("m", math.inf), ("T", math.inf), ("P_in", math.inf), ("g", math.inf),
+        ("phi", math.nan), ("Delta", -math.inf),
     ],
 )
 def test_validation_names_offending_field(field, value):
@@ -126,6 +129,10 @@ def test_validation_names_offending_field(field, value):
 def test_overflowing_setup_raises_invalid_setup():
     with pytest.raises(InvalidSetupError):
         derive_coupling(reference_setup(P_in=1e308, nu_0=1e-300))
+    # g**2 of the feedback noise overflows in the bath coefficient block
+    setup = reference_setup(g=1e200)
+    with pytest.raises(InvalidSetupError):
+        build_bath(derive_coupling(setup), setup)
 
 
 def test_unit_constants_override():

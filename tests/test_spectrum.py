@@ -202,3 +202,10 @@ def test_negative_series_construction_rejected():
             normalization="raw",
             params_snapshot=b,
         )
+    with pytest.raises(NumericalError):
+        SpectrumSeries(
+            omega_grid=np.array([0.0, 1.0]),
+            values=np.array([1.0, np.nan]),
+            normalization="raw",
+            params_snapshot=b,
+        )

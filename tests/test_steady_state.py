@@ -173,6 +173,15 @@ def test_high_gain_not_valid_at_g1000():
 def test_high_gain_requires_positive_gain():
     with pytest.raises(ValidationError):
         high_gain_moments(desk_bath(g=0.0))
+    # the back-action term divides by gamma_m*g^2: an undamped mirror, or a
+    # gain whose square underflows, is outside the form's domain
+    for g, gamma_m in ((20.0, 0.0), (1e-20, 1e-300)):
+        with pytest.raises(ValidationError) as err:
+            high_gain_moments(desk_bath(g=g, gamma_m=gamma_m))
+        assert err.value.field == "gamma_m"
+    with pytest.raises(ValidationError) as err:
+        high_gain_moments(desk_bath(g=1e-201))
+    assert err.value.field == "g"
 
 
 def test_optimize_gain_degenerate_range():
