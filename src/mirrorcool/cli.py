@@ -36,7 +36,7 @@ from .errors import (
 from .langevin import SimConfig, psd_vs_analytic, simulate
 from .params import PhysicalConstants, PhysicalSetup, derive_coupling
 from .spectrum import default_grid, eval_spectrum, fig1_scale, sum_rule_check
-from .steady_state import closed_form_moments, high_gain_moments, lyapunov_moments
+from .steady_state import _PHASE_TOL, closed_form_moments, high_gain_moments, lyapunov_moments
 
 __all__ = ["main"]
 
@@ -249,7 +249,7 @@ def cmd_variance(config: dict, args) -> int:
     # the closed forms exist only at phi = -pi/2; the Lyapunov route
     # covers every stable phase
     report = {}
-    if abs(bath.phi + math.pi / 2) < 1e-9:
+    if abs(bath.phi + math.pi / 2) <= _PHASE_TOL:
         report["closed_form"] = closed_form_moments(bath, constants)
     report["lyapunov"] = lyapunov_moments(bath, constants)
     # the high-gain form divides by gamma_m*g^2
@@ -280,6 +280,10 @@ def cmd_spectrum(config: dict, args) -> int:
                 raise ValidationError(
                     "g_list", f"expected comma-separated numbers, got {args.g_list!r}"
                 ) from None
+            if len({f"{g:g}" for g in g_values}) < len(g_values):
+                raise ValidationError(
+                    "g_list", f"gains equal to 6 digits would share a column: {args.g_list!r}"
+                )
         grid = (
             np.linspace(0.0, 8 * bath.omega_m, 2048)
             if config.get("grid") is None
@@ -520,11 +524,7 @@ def cmd_compare(config: dict, args) -> int:
     cfg = _sim_config(config, args)
     stats = simulate(bath, cfg)
     closed = closed_form_moments(bath, constants)
-
-    pad = 2 * math.pi / (cfg.welch_segment * cfg.dt)
-    grid = np.linspace(0.0, stats.psd_omega.max() + pad, 4096)
-    series = eval_spectrum(bath, grid)
-    psd_report = psd_vs_analytic(stats, series)
+    psd_report = psd_vs_analytic(stats)
 
     def z(hat, stderr, ref):
         return (hat - ref) / stderr if stderr > 0 else math.inf

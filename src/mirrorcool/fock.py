@@ -26,7 +26,7 @@ from scipy import sparse
 from scipy.sparse.linalg import MatrixRankWarning, spsolve
 
 from .bath import EffectiveBath, check_stability
-from .errors import NumericalError, TruncationError, ValidationError
+from .errors import NumericalError, StabilityError, TruncationError, ValidationError
 
 __all__ = [
     "FockConfig",
@@ -200,7 +200,7 @@ def evolve_to_steady(generator: Generator, cfg: FockConfig) -> FockSolution:
         raise ValidationError("dim", "config dimension does not match generator")
     report = check_stability(generator.bath)
     if not report.stable:
-        raise NumericalError("no steady state exists: parameters are unstable")
+        raise StabilityError("no steady state exists: parameters are unstable")
 
     L = generator.matrix
     n = dim * dim

@@ -20,12 +20,14 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import expm, solve_continuous_lyapunov
+from scipy.linalg import expm
 
 from .bath import EffectiveBath
 from .errors import NoiseModelError, StabilityError, ValidationError
-from .spectrum import SpectrumSeries
-from .steady_state import diffusion_matrix, drift_matrix, _require_phase, _require_stable
+from .spectrum import eval_spectrum
+from .steady_state import (
+    diffusion_matrix, drift_matrix, _require_phase, _require_stable, _steady_covariance,
+)
 
 __all__ = ["SimConfig", "TrajectoryEnsembleStats", "ComparisonReport", "simulate", "psd_vs_analytic"]
 
@@ -102,14 +104,13 @@ def _sqrt_psd(mat: np.ndarray, what: str) -> np.ndarray:
     return vecs @ np.diag(np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
 
 
-def _exact_step(A: np.ndarray, C: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
+def _exact_step(A: np.ndarray, sigma: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """One-step propagator and noise square root for dZ = A Z dt + noise.
 
-    Q(dt) = Sigma_inf - E Sigma_inf E^T with E = exp(A dt) is the exact
-    covariance accumulated over one step (valid for stable A).
+    Q(dt) = sigma - E sigma E^T with E = exp(A dt) and the steady
+    covariance ``sigma`` is the exact covariance accumulated over one step.
     """
     E = expm(A * dt)
-    sigma = solve_continuous_lyapunov(A, -C)
     Q = sigma - E @ sigma @ E.T
     return E, _sqrt_psd(Q, "per-step noise covariance")
 
@@ -147,8 +148,9 @@ def _simulate_linear(
         )
     n_steps = n_relax + n_samp
 
+    sigma = _steady_covariance(A, C)
     if method == "exact":
-        E, B = _exact_step(A, C, cfg.dt)
+        E, B = _exact_step(A, sigma, cfg.dt)
     elif method == "euler":
         E = np.eye(2) + A * cfg.dt
         B = _sqrt_psd(C, "input noise covariance") * math.sqrt(cfg.dt)
@@ -171,11 +173,11 @@ def _simulate_linear(
     ET, BT = E.T, B.T
 
     for start in range(0, cfg.n_traj, _CHUNK):
-        idx = range(start, min(start + _CHUNK, cfg.n_traj))
-        k = len(idx)
+        stop = min(start + _CHUNK, cfg.n_traj)
+        k = stop - start
         noise = np.empty((k, n_steps, 2))
-        for j, traj in enumerate(idx):
-            noise[j] = _traj_rng(cfg.seed, traj).standard_normal((n_steps, 2)) @ BT
+        for j in range(k):
+            noise[j] = _traj_rng(cfg.seed, start + j).standard_normal((n_steps, 2)) @ BT
 
         Z = np.zeros((k, 2))
         xs = np.empty((k, n_samp))
@@ -187,9 +189,9 @@ def _simulate_linear(
                 ps[:, step - n_relax] = Z[:, 1]
 
         # raw second moments about zero: the fluctuation process is zero-mean
-        var_x_i[list(idx)] = np.mean(xs**2, axis=1)
-        var_p_i[list(idx)] = np.mean(ps**2, axis=1)
-        cov_i[list(idx)] = np.mean(xs * ps, axis=1)
+        var_x_i[start:stop] = np.mean(xs**2, axis=1)
+        var_p_i[start:stop] = np.mean(ps**2, axis=1)
+        cov_i[start:stop] = np.mean(xs * ps, axis=1)
 
         # a few rows per welch call: its segment FFTs take several times the
         # memory of the samples, and the rows are transformed independently
@@ -202,14 +204,13 @@ def _simulate_linear(
         ]
         f_two = parts[0][0]
         p_two = np.concatenate([p for _, p in parts])
-        integ_i[list(idx)] = p_two.sum(axis=-1) * (fs / cfg.welch_segment)
+        integ_i[start:stop] = p_two.sum(axis=-1) * (fs / cfg.welch_segment)
+        # two-sided Welch bins come in FFT order: the f >= 0 ones ascend
         keep = f_two >= 0
         if psd_i is None:
             freqs = f_two[keep]
-            order = np.argsort(freqs)
-            freqs = freqs[order]
             psd_i = np.empty((cfg.n_traj, freqs.size))
-        psd_i[list(idx)] = p_two[:, keep][:, order]
+        psd_i[start:stop] = p_two[:, keep]
 
         if raw is not None and start < keep_trajectories:
             take = min(keep_trajectories - start, k)
@@ -220,7 +221,6 @@ def _simulate_linear(
     n = cfg.n_traj
     sqrt_n = math.sqrt(n)
 
-    sigma = solve_continuous_lyapunov(A, -C)
     # integrated autocorrelation time of X from the analytic drift
     tau_int = float((-np.linalg.inv(A) @ sigma)[0, 0] / sigma[0, 0])
     n_effective = n * cfg.t_sample / max(2 * tau_int, cfg.dt)
@@ -297,31 +297,21 @@ class ComparisonReport:
 
 def psd_vs_analytic(
     stats: TrajectoryEnsembleStats,
-    series: SpectrumSeries,
     rel_tol_peak: float = 0.10,
     peak_fraction: float = 0.5,
 ) -> ComparisonReport:
-    """Compare a Welch estimate against an analytic spectrum.
+    """Compare a Welch estimate against ``eval_spectrum`` at its own bins.
 
-    The analytic curve is resampled onto the PSD bins by linear
-    interpolation; the PSD grid must be covered by the analytic grid.
+    The bath is ``stats.params_snapshot``, set by :func:`simulate`.
     Pass/fail is decided on the peak region (bins above ``peak_fraction``
     of the analytic maximum) at ``rel_tol_peak`` relative deviation; the
     z-scores are reported for diagnosis (Welch bins are mildly correlated,
     so the chi-square is indicative, not exact).
     """
-    if (
-        stats.params_snapshot is not None
-        and series.params_snapshot != stats.params_snapshot
-    ):
-        raise ValidationError("series", "parameter snapshots do not match")
-    lo, hi = series.omega_grid.min(), series.omega_grid.max()
-    if stats.psd_omega.min() < lo - 1e-9 or stats.psd_omega.max() > hi + 1e-9:
-        raise ValidationError(
-            "series", "analytic grid does not cover the PSD bins (grid mismatch)"
-        )
+    if stats.params_snapshot is None:
+        raise ValidationError("stats", "no bath snapshot: compare the result of simulate()")
 
-    s_ref = np.interp(stats.psd_omega, series.omega_grid, series.values)
+    s_ref = eval_spectrum(stats.params_snapshot, stats.psd_omega).values
     stderr = np.where(stats.psd_stderr > 0, stats.psd_stderr, np.inf)
     z = (stats.psd_values - s_ref) / stderr
 

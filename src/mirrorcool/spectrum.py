@@ -58,35 +58,38 @@ def default_grid(bath: EffectiveBath, n_points: int = 4096) -> np.ndarray:
     return np.linspace(-span, span, n_points)
 
 
-def _xi_sq(bath: EffectiveBath, omega: np.ndarray) -> np.ndarray:
-    # |(i w + g)(i w + gamma_m) + omega_m^2|^2 in expanded form
-    b = bath.omega_m**2 + bath.gamma_m * bath.g
-    a = bath.gamma_m + bath.g
-    w2 = omega**2
-    return (b - w2) ** 2 + w2 * a**2
-
-
-def eval_spectrum(bath: EffectiveBath, omega_grid: np.ndarray) -> SpectrumSeries:
-    """Pointwise spectrum of X at phi = -pi/2.
+def _x_spectrum(bath: EffectiveBath):
+    """S_X(w) of ``bath`` at phi = -pi/2, for a float or an array of w.
 
     The numerator gamma/4*[(gamma_m^2+w^2+omega_m^2)(2N+1)
     + (gamma_m^2+w^2-omega_m^2)*2ReM] is evaluated in the regrouped form
     (gamma_m^2+w^2)*c_xx + omega_m^2*c_pp with the cancellation-free
-    noise intensities, which is the same expression and stays nonnegative
-    in floating point.
+    noise intensities, which stays nonnegative in floating point; the
+    denominator is |(i w + g)(i w + gamma_m) + omega_m^2|^2 expanded.
     """
+    c_x, c_p = bath.noise_xx, bath.noise_pp
+    gm2, om2 = bath.gamma_m**2, bath.omega_m**2
+    a2 = (bath.gamma_m + bath.g) ** 2
+    b = bath.omega_m**2 + bath.gamma_m * bath.g
+
+    def spectrum(w):
+        w2 = w**2
+        return (c_x * (gm2 + w2) + c_p * om2) / ((b - w2) ** 2 + w2 * a2)
+
+    return spectrum
+
+
+def eval_spectrum(bath: EffectiveBath, omega_grid: np.ndarray) -> SpectrumSeries:
+    """Pointwise spectrum of X at phi = -pi/2 (see :func:`_x_spectrum`)."""
     _require_phase(bath)
     _require_stable(bath)
     omega_grid = np.asarray(omega_grid, dtype=float)
     if omega_grid.size == 0:
         raise ValidationError("omega_grid", "empty frequency grid")
 
-    numerator = bath.noise_xx * (bath.gamma_m**2 + omega_grid**2) + (
-        bath.noise_pp * bath.omega_m**2
-    )
     return SpectrumSeries(
         omega_grid=omega_grid,
-        values=numerator / _xi_sq(bath, omega_grid),
+        values=_x_spectrum(bath)(omega_grid),
         normalization="raw",
         params_snapshot=bath,
     )
@@ -120,16 +123,11 @@ def sum_rule_check(bath: EffectiveBath) -> tuple[float, float, float]:
     b = bath.omega_m**2 + bath.gamma_m * bath.g
     c_x, c_p = bath.noise_xx, bath.noise_pp
 
-    def integrand(w: float) -> float:
-        return (c_x * (bath.gamma_m**2 + w * w) + c_p * bath.omega_m**2) / (
-            (b - w * w) ** 2 + w * w * a * a
-        )
-
     cut = 100.0 * max(a, math.sqrt(b), bath.omega_m)
     resonance = math.sqrt(max(b - a * a / 2, 0.0))
     points = sorted({p for p in (resonance, bath.omega_m) if 0 < p < cut})
     body, err = integrate.quad(
-        integrand, 0.0, cut, points=points or None, limit=400,
+        _x_spectrum(bath), 0.0, cut, points=points or None, limit=400,
         epsabs=0.0, epsrel=1e-11,
     )
     if not math.isfinite(body):

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import optimize
-from scipy.linalg import solve_continuous_lyapunov
 
 from .bath import EffectiveBath, check_stability, with_gain
 from .errors import StabilityBoundaryError, StabilityError, UnsupportedPhaseError, ValidationError
@@ -117,14 +116,26 @@ def diffusion_matrix(bath: EffectiveBath) -> np.ndarray:
     )
 
 
+def _steady_covariance(A: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """Symmetric S = [[x, z], [z, y]] solving A*S + S*A^T + C = 0, C symmetric.
+
+    Three real equations in (x, y, z), with determinant 4*trace(A)*det(A):
+    regular for every stable drift.
+    """
+    (a, b), (c, d) = A
+    system = np.array([[2 * a, 0.0, 2 * b], [0.0, 2 * d, 2 * c], [c, b, a + d]])
+    x, y, z = np.linalg.solve(system, -np.array([C[0, 0], C[1, 1], C[0, 1]]))
+    return np.array([[x, z], [z, y]])
+
+
 def closed_form_moments(
     bath: EffectiveBath, constants: PhysicalConstants = PhysicalConstants()
 ) -> SteadyMoments:
     """Exact steady-state variances at phi = -pi/2.
 
-    ``var_x`` and ``var_p`` are the closed-form expressions; the
-    symmetrized cross moment has no printed closed form and is filled
-    from the (algebraically equivalent) Lyapunov solution.
+    ``var_x`` and ``var_p`` are the printed closed-form expressions; the
+    symmetrized cross moment, which has no printed form, is the closed-form
+    solution of the same covariance equation, sharing no Lyapunov code.
     """
     _require_phase(bath)
     _require_stable(bath)
@@ -201,7 +212,7 @@ def lyapunov_moments(
     tr = A[0, 0] + A[1, 1]
     det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
     # boundary detection is tolerance-aware: the Lyapunov system is
-    # singular there and scipy would silently perturb the coefficients
+    # singular there, and near-singular just inside it
     tr_tol = 1e-12 * (abs(A[0, 0]) + abs(A[1, 1]))
     det_tol = 1e-12 * (abs(A[0, 0] * A[1, 1]) + abs(A[0, 1] * A[1, 0]))
     if tr >= -tr_tol or det <= det_tol:
@@ -211,11 +222,11 @@ def lyapunov_moments(
             f"stability boundary: trace(A)={tr:g}, det(A)={det:g}"
         )
 
-    sigma = solve_continuous_lyapunov(A, -diffusion_matrix(bath))
+    (var_x, cov), (_, var_p) = _steady_covariance(A, diffusion_matrix(bath)).tolist()
     return SteadyMoments(
-        var_x=sigma[0, 0],
-        var_p=sigma[1, 1],
-        cov_xp_sym=0.5 * (sigma[0, 1] + sigma[1, 0]),
+        var_x=var_x,
+        var_p=var_p,
+        cov_xp_sym=cov,
         t_eff=_t_eff(bath, constants),
         method="lyapunov",
     )

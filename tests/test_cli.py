@@ -110,6 +110,16 @@ def test_variance_instability_exit_code(tmp_path, capsys):
     assert code == 3
 
 
+def test_fock_instability_exit_code(tmp_path, capsys):
+    # the unstable bath above at an occupation within the Fock ceiling
+    config = {"bath": {"omega_m": 1.0, "gamma_m": 10.0, "Gamma": 50.0,
+                       "eta": 1.0, "n_bar": 2.0, "g": 5.0,
+                       "phi": math.pi / 2}}
+    assert run(["variance", "--config", write_config(tmp_path, config)]) == 3
+    assert run(["fock", "--config", write_config(tmp_path, config)]) == 3
+    assert "instability: no steady state exists" in capsys.readouterr().err
+
+
 def test_spectrum_single_series(tmp_path, capsys):
     config = {**DESK_BATH, "grid": {"omega_min": -300.0, "omega_max": 300.0,
                                     "n_points": 401}}
@@ -427,6 +437,9 @@ MALFORMED = {
     "g_list_words": ("spectrum", DESK_BATH, ["--g-list", "a,b"], *refused("g_list")),
     "g_list_empty": ("spectrum", DESK_BATH, ["--g-list", ""], *refused("g_list")),
     "g_list_inf": ("spectrum", DESK_BATH, ["--g-list", "1e400"], *refused("g_list")),
+    # S_g{g:g} column labels would collide
+    "g_list_same_label": ("spectrum", DESK_BATH, ["--g-list", "1,1.0000001,1"],
+                          *refused("g_list")),
     "sim_dt_string": ("simulate", {**DESK_BATH, "sim": {**SIM, "dt": "x"}}, [], *refused("dt")),
     "sim_n_traj_fraction": ("simulate", {**DESK_BATH, "sim": {**SIM, "n_traj": 4.5}}, [],
                             *refused("n_traj")),

@@ -10,6 +10,8 @@ from mirrorcool import (
     ValidationError,
     bath_from_rates,
     closed_form_moments,
+    diffusion_matrix,
+    drift_matrix,
     eval_spectrum,
     psd_vs_analytic,
     simulate,
@@ -107,8 +109,7 @@ def test_ou_psd_matches_lorentzian():
 def test_welch_psd_matches_analytic_spectrum_peak():
     bath = desk_bath()
     stats = simulate(bath, quick_cfg(n_traj=160, t_sample=16.0, welch_segment=2048))
-    grid = np.linspace(0.0, stats.psd_omega.max() * 1.05, 4096)
-    report = psd_vs_analytic(stats, eval_spectrum(bath, grid))
+    report = psd_vs_analytic(stats)
     assert report.passed
     assert report.peak_rel_dev < 0.10
 
@@ -125,7 +126,7 @@ def test_self_comparison_is_exact():
         psd_var_integral=1.0, psd_var_integral_stderr=0.1,
         n_effective=1.0, n_traj=2, params_snapshot=bath,
     )
-    report = psd_vs_analytic(stats, series)
+    report = psd_vs_analytic(stats)
     assert report.peak_rel_dev == 0.0
     assert report.max_abs_z == 0.0
 
@@ -164,21 +165,14 @@ def test_wrong_phase_rejected():
         simulate(bath, quick_cfg())
 
 
-def test_grid_mismatch_rejected():
+def test_stats_without_bath_snapshot_rejected():
+    # a bare drift/diffusion run carries no bath to evaluate the spectrum of
     bath = desk_bath()
-    stats = simulate(bath, quick_cfg(n_traj=8, t_sample=4.0))
-    narrow = eval_spectrum(bath, np.linspace(0.0, 10.0, 64))
-    with pytest.raises(ValidationError):
-        psd_vs_analytic(stats, narrow)
-
-
-def test_snapshot_mismatch_rejected():
-    bath = desk_bath()
-    other = desk_bath(g=25.0)
-    stats = simulate(bath, quick_cfg(n_traj=8, t_sample=4.0))
-    grid = np.linspace(0.0, stats.psd_omega.max() * 1.05, 256)
-    with pytest.raises(ValidationError):
-        psd_vs_analytic(stats, eval_spectrum(other, grid))
+    cfg = quick_cfg(n_traj=8, t_sample=4.0)
+    stats = _simulate_linear(drift_matrix(bath), diffusion_matrix(bath), cfg)
+    with pytest.raises(ValidationError) as err:
+        psd_vs_analytic(stats)
+    assert err.value.field == "stats"
 
 
 def test_raw_trajectory_dump():

@@ -1,0 +1,59 @@
+"""The closed forms and the oracles that check them share no code.
+
+A static check over the package source: each route to the steady state
+may call helpers of its own module, but never the code of a route it is
+compared against.
+"""
+
+import ast
+from pathlib import Path
+
+import mirrorcool
+
+SRC = Path(mirrorcool.__file__).parent
+
+
+def _tree(module: str) -> ast.Module:
+    return ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+
+
+def _references(module: str, function: str) -> set[str]:
+    """Names and attributes used by ``function`` and the module functions it reaches."""
+    defs = {n.name: n for n in _tree(module).body if isinstance(n, ast.FunctionDef)}
+    seen, todo, names = set(), [function], set()
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        for node in ast.walk(defs[name]):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+        todo.extend(names & set(defs))
+    return names
+
+
+def test_closed_forms_use_no_oracle_code():
+    oracle = {"drift_matrix", "diffusion_matrix", "_steady_covariance", "lyapunov_moments",
+              "_x_spectrum"}
+    for function in ("closed_form_moments", "high_gain_moments"):
+        assert not _references("steady_state", function) & oracle, function
+
+
+def test_spectrum_evaluator_uses_no_closed_form():
+    assert "closed_form_moments" not in _references("spectrum", "_x_spectrum")
+
+
+def test_fock_imports_only_bath_and_errors():
+    imported = set()
+    for node in ast.walk(_tree("fock")):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            # "from . import x" names the module x
+            imported.update([node.module] if node.module else [a.name for a in node.names])
+        elif isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "mirrorcool":
+            imported.add(node.module)
+        elif isinstance(node, ast.Import):
+            imported.update(a.name for a in node.names if a.name.split(".")[0] == "mirrorcool")
+    assert imported == {"bath", "errors"}

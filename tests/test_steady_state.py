@@ -118,6 +118,14 @@ def test_closed_form_equals_lyapunov_over_random_draws(rng):
         assert cf.cov_xp_sym == pytest.approx(ly.cov_xp_sym, abs=1e-10 * scale)
         assert cf.var_x * cf.var_p >= 1.0 / 16.0
     assert worst < 1e-10
+    # extreme rate ratios, where a general-purpose Lyapunov solver perturbed
+    # the coefficients and returned a negative variance
+    for b in (desk_bath(g=50.0, omega_m=1e20), desk_bath(g=1e-20, gamma_m=1e-300)):
+        cf = closed_form_moments(b)
+        ly = lyapunov_moments(b)
+        assert ly.var_x == pytest.approx(cf.var_x, rel=1e-12)
+        assert ly.var_p == pytest.approx(cf.var_p, rel=1e-12)
+        assert ly.cov_xp_sym == pytest.approx(cf.cov_xp_sym, abs=1e-12 * max(cf.var_x, cf.var_p))
 
 
 def test_cooling_derivative_negative_at_zero_gain():
