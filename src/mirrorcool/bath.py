@@ -224,11 +224,18 @@ def _positivity_gap(bath: EffectiveBath) -> float:
     return -0.25 + (g / bath.gamma) ** 2 * boost
 
 
+def _stability_margins(omega_m: float, gamma_m: float, g: float,
+                       phi: float) -> tuple[float, float]:
+    """The damping and spring margins; both positive means a stable drift."""
+    sin_phi = math.sin(phi)
+    return gamma_m - g * sin_phi, omega_m**2 - gamma_m * g * sin_phi
+
+
 def check_stability(bath: EffectiveBath) -> StabilityReport:
     """Evaluate the stability margins and the Lindblad positivity gap."""
-    sin_phi = math.sin(bath.phi)
-    margin_damping = bath.gamma_m - bath.g * sin_phi
-    margin_spring = bath.omega_m**2 - bath.gamma_m * bath.g * sin_phi
+    margin_damping, margin_spring = _stability_margins(
+        bath.omega_m, bath.gamma_m, bath.g, bath.phi
+    )
     gap = _positivity_gap(bath)
     return StabilityReport(
         stable=margin_damping > 0 and margin_spring > 0,

@@ -22,7 +22,14 @@ from typing import Any
 import numpy as np
 
 from . import fock as fock_mod
-from .bath import EffectiveBath, bath_from_rates, build_bath, check_stability, with_gain
+from .bath import (
+    EffectiveBath,
+    _stability_margins,
+    bath_from_rates,
+    build_bath,
+    check_stability,
+    with_gain,
+)
 from .errors import (
     InvalidSetupError,
     MirrorCoolError,
@@ -34,7 +41,7 @@ from .errors import (
     ValidationError,
 )
 from .langevin import SimConfig, psd_vs_analytic, simulate
-from .params import PhysicalConstants, PhysicalSetup, derive_coupling
+from .params import DerivedCoupling, PhysicalConstants, PhysicalSetup, derive_coupling
 from .spectrum import default_grid, eval_spectrum, fig1_scale, sum_rule_check
 from .steady_state import _PHASE_TOL, closed_form_moments, high_gain_moments, lyapunov_moments
 
@@ -65,23 +72,21 @@ def _plain(value: Any) -> Any:
     return value
 
 
-def _emit(payload: dict, out: str | None) -> None:
-    text = json.dumps(_plain(payload), indent=1)
-    if out:
-        Path(out).write_text(text + "\n", encoding="utf-8")
+def _write(out: str | None, doc: dict, fmt: str = "json") -> None:
+    """Write ``doc`` to the file ``out``, or to stdout, as JSON or CSV.
+
+    A CSV document is a table: ``header``, ``rows`` and optional
+    ``comments``, which lead the file as ``#`` lines.
+    """
+    if fmt == "json":
+        text = json.dumps(_plain(doc), indent=1) + "\n"
     else:
-        print(text)
-
-
-def _write_csv(path_or_none: str | None, header: list[str], rows: list[list],
-               comments: list[str] | None = None) -> None:
-    lines = [f"# {c}" for c in (comments or [])]
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_csv_cell(v) for v in row))
-    text = "\n".join(lines) + "\n"
-    if path_or_none:
-        Path(path_or_none).write_text(text, encoding="utf-8")
+        lines = [f"# {c}" for c in doc.get("comments", ())]
+        lines.append(",".join(doc["header"]))
+        lines += [",".join(map(_csv_cell, row)) for row in doc["rows"]]
+        text = "\n".join(lines) + "\n"
+    if out:
+        Path(out).write_text(text, encoding="utf-8")
     else:
         print(text, end="")
 
@@ -173,22 +178,35 @@ def _constants(config: dict) -> PhysicalConstants:
     return PhysicalConstants(**_block(config, "unsafe_constants", *_CONSTANTS))
 
 
-def _resolve_bath(config: dict) -> tuple[EffectiveBath, dict]:
-    """Build the effective bath from exactly one of setup / bath override."""
+def _inputs(
+    config: dict,
+) -> tuple[PhysicalConstants, PhysicalSetup | None, DerivedCoupling | None]:
+    """The constants, plus the setup and its coupling when ``setup`` is given."""
     has_setup = "setup" in config
-    has_bath = "bath" in config
-    if has_setup == has_bath:
+    if has_setup == ("bath" in config):
         raise ValidationError(
             "config", "exactly one of 'setup' and 'bath' must be present"
         )
     constants = _constants(config)
-    if has_setup:
-        setup = PhysicalSetup(**_block(config, "setup", *_SETUP))
-        coupling = derive_coupling(setup, constants)
-        bath = build_bath(coupling, setup)
-        return bath, {"setup": setup, "coupling": coupling, "constants": constants}
-    bath = bath_from_rates(**_block(config, "bath", *_BATH))
-    return bath, {"constants": constants}
+    if not has_setup:
+        return constants, None, None
+    setup = PhysicalSetup(**_block(config, "setup", *_SETUP))
+    return constants, setup, derive_coupling(setup, constants)
+
+
+def _resolve_bath(config: dict) -> tuple[EffectiveBath, PhysicalConstants]:
+    """Build the effective bath from exactly one of setup / bath override."""
+    constants, setup, coupling = _inputs(config)
+    if setup is None:
+        return bath_from_rates(**_block(config, "bath", *_BATH)), constants
+    return build_bath(coupling, setup), constants
+
+
+def _scalar_fields(result) -> dict:
+    """The number-valued fields of a result dataclass, in declaration order."""
+    kinds, _ = _fields(type(result))
+    return {name: getattr(result, name) for name, kind in kinds.items()
+            if kind in (int, float, complex)}
 
 
 def _grid(config: dict, bath: EffectiveBath) -> np.ndarray:
@@ -210,42 +228,35 @@ def _grid(config: dict, bath: EffectiveBath) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # commands
 
-def cmd_derive(config: dict, args) -> int:
+def cmd_derive(config: dict, args) -> dict:
     if "setup" not in config:
         raise ValidationError("setup", "derive requires a physical setup block")
+    _, setup, coupling = _inputs(config)
     try:
-        bath, ctx = _resolve_bath(config)
-        report = {
-            "coupling": ctx["coupling"],
-            "bath": bath,
-            "stability": check_stability(bath),
-        }
+        bath = build_bath(coupling, setup)
     except UnstableBathError as exc:
         # reporting is not an error: emit the margins even where the bath
         # coefficients themselves are ill-defined (gamma <= 0)
-        setup = PhysicalSetup(**_block(config, "setup", *_SETUP))
-        coupling = derive_coupling(setup, _constants(config))
-        sin_phi = math.sin(setup.phi)
-        report = {
+        damping, spring = _stability_margins(
+            coupling.omega_m, setup.gamma_m, setup.g, setup.phi
+        )
+        return {
             "coupling": coupling,
             "bath": None,
             "bath_error": str(exc),
             "stability": {
                 "stable": False,
                 "lindblad_positive": False,
-                "margin_damping": setup.gamma_m - setup.g * sin_phi,
-                "margin_spring": coupling.omega_m**2
-                - setup.gamma_m * setup.g * sin_phi,
+                "margin_damping": damping,
+                "margin_spring": spring,
                 "positivity_gap": math.nan,
             },
         }
-    _emit(report, args.out)
-    return EXIT_OK
+    return {"coupling": coupling, "bath": bath, "stability": check_stability(bath)}
 
 
-def cmd_variance(config: dict, args) -> int:
-    bath, ctx = _resolve_bath(config)
-    constants = ctx["constants"]
+def cmd_variance(config: dict, args) -> dict:
+    bath, constants = _resolve_bath(config)
     # the closed forms exist only at phi = -pi/2; the Lyapunov route
     # covers every stable phase
     report = {}
@@ -256,20 +267,16 @@ def cmd_variance(config: dict, args) -> int:
     if bath.gamma_m * bath.g**2 > 0 and "closed_form" in report:
         report["high_gain"] = high_gain_moments(bath, constants)
     if args.format == "csv":
-        header = ["method", "var_x", "var_p", "cov_xp_sym", "t_eff"]
-        rows = [
-            [name, m.var_x, m.var_p, m.cov_xp_sym, m.t_eff]
-            for name, m in report.items()
-        ]
-        _write_csv(args.out, header, rows)
-    else:
-        _emit(report, args.out)
-    return EXIT_OK
+        return {
+            "header": ["method", "var_x", "var_p", "cov_xp_sym", "t_eff"],
+            "rows": [[name, m.var_x, m.var_p, m.cov_xp_sym, m.t_eff]
+                     for name, m in report.items()],
+        }
+    return report
 
 
-def cmd_spectrum(config: dict, args) -> int:
-    bath, ctx = _resolve_bath(config)
-    constants = ctx["constants"]
+def cmd_spectrum(config: dict, args) -> dict:
+    bath, constants = _resolve_bath(config)
 
     if args.fig1 or args.g_list is not None:
         g_values = [0.0, 1.0, 10.0, 100.0, 1000.0]
@@ -302,47 +309,36 @@ def cmd_spectrum(config: dict, args) -> int:
                 "integral": integral, "var_x": var_x, "rel_err": rel,
             }
         if args.format == "csv":
-            header = ["omega"] + list(columns)
-            rows = [
-                [grid[i]] + [columns[c][i] for c in columns]
-                for i in range(grid.size)
-            ]
-            comments = [
-                f"sum_rule {k}: integral={v['integral']!r} var_x={v['var_x']!r} "
-                f"rel_err={v['rel_err']:.3e}"
-                for k, v in sum_rules.items()
-            ]
-            _write_csv(args.out, header, rows, comments)
-        else:
-            _emit(
-                {
-                    "omega": grid,
-                    "series": columns,
-                    "normalization": "fig1_scaled" if args.fig1 else "raw",
-                    "sum_rule": sum_rules,
-                },
-                args.out,
-            )
-        return EXIT_OK
+            return {
+                "header": ["omega", *columns],
+                "rows": zip(grid, *columns.values()),
+                "comments": [
+                    f"sum_rule {k}: integral={v['integral']!r} var_x={v['var_x']!r} "
+                    f"rel_err={v['rel_err']:.3e}"
+                    for k, v in sum_rules.items()
+                ],
+            }
+        return {
+            "omega": grid,
+            "series": columns,
+            "normalization": "fig1_scaled" if args.fig1 else "raw",
+            "sum_rule": sum_rules,
+        }
 
     series = eval_spectrum(bath, _grid(config, bath))
     integral, var_x, rel = sum_rule_check(bath)
     if args.format == "csv":
-        comments = [f"sum_rule: integral={integral!r} var_x={var_x!r} rel_err={rel:.3e}"]
-        _write_csv(args.out, ["omega", "S"],
-                   [[w, s] for w, s in zip(series.omega_grid, series.values)],
-                   comments)
-    else:
-        _emit(
-            {
-                "omega": series.omega_grid,
-                "S": series.values,
-                "normalization": series.normalization,
-                "sum_rule": {"integral": integral, "var_x": var_x, "rel_err": rel},
-            },
-            args.out,
-        )
-    return EXIT_OK
+        return {
+            "header": ["omega", "S"],
+            "rows": zip(series.omega_grid, series.values),
+            "comments": [f"sum_rule: integral={integral!r} var_x={var_x!r} rel_err={rel:.3e}"],
+        }
+    return {
+        "omega": series.omega_grid,
+        "S": series.values,
+        "normalization": series.normalization,
+        "sum_rule": {"integral": integral, "var_x": var_x, "rel_err": rel},
+    }
 
 
 def _sim_config(config: dict, args) -> SimConfig:
@@ -352,56 +348,29 @@ def _sim_config(config: dict, args) -> SimConfig:
     return SimConfig(**block)
 
 
-def _stats_payload(stats) -> dict:
-    return {
-        "var_x_hat": stats.var_x_hat,
-        "var_x_stderr": stats.var_x_stderr,
-        "var_p_hat": stats.var_p_hat,
-        "var_p_stderr": stats.var_p_stderr,
-        "cov_xp_hat": stats.cov_xp_hat,
-        "cov_xp_stderr": stats.cov_xp_stderr,
-        "psd_var_integral": stats.psd_var_integral,
-        "psd_var_integral_stderr": stats.psd_var_integral_stderr,
-        "n_effective": stats.n_effective,
-        "n_traj": stats.n_traj,
-    }
-
-
-def cmd_simulate(config: dict, args) -> int:
+def cmd_simulate(config: dict, args) -> dict | None:
+    if args.dump_traj < 0:
+        raise ValidationError("dump_traj", f"must be nonnegative, got {args.dump_traj}")
+    if args.dump_traj and not args.out:
+        raise ValidationError("out", "--dump-traj needs --out for the npz file")
     bath, _ = _resolve_bath(config)
-    cfg = _sim_config(config, args)
-    stats = simulate(bath, cfg, keep_trajectories=args.dump_traj)
+    stats = simulate(bath, _sim_config(config, args), keep_trajectories=args.dump_traj)
+    payload = _scalar_fields(stats)
+    psd = {"omega": stats.psd_omega, "S": stats.psd_values, "stderr": stats.psd_stderr}
+    if not args.out:
+        return {**payload, "psd": psd}
 
-    if args.out:
-        base = Path(args.out)
-        _emit(_stats_payload(stats), str(base) + ".stats.json")
-        _write_csv(
-            str(base) + ".psd.csv",
-            ["omega", "S", "stderr"],
-            [
-                [w, s, e]
-                for w, s, e in zip(stats.psd_omega, stats.psd_values, stats.psd_stderr)
-            ],
-        )
-        if stats.raw_trajectories is not None:
-            np.savez_compressed(
-                str(base) + ".traj.npz",
-                t=stats.raw_trajectories["t"],
-                x=stats.raw_trajectories["x"],
-                p=stats.raw_trajectories["p"],
-            )
-    else:
-        payload = _stats_payload(stats)
-        payload["psd"] = {
-            "omega": stats.psd_omega,
-            "S": stats.psd_values,
-            "stderr": stats.psd_stderr,
-        }
-        _emit(payload, None)
-    return EXIT_OK
+    base = str(args.out)
+    _write(base + ".stats.json", payload)
+    _write(base + ".psd.csv", {"header": list(psd), "rows": zip(*psd.values())}, "csv")
+    if stats.raw_trajectories is not None:
+        np.savez_compressed(base + ".traj.npz", **stats.raw_trajectories)
+    return None
 
 
-def cmd_fock(config: dict, args) -> int:
+def cmd_fock(config: dict, args) -> dict:
+    if args.dump_rho and not args.out:
+        raise ValidationError("out", "--dump-rho needs --out for the binary file")
     bath, _ = _resolve_bath(config)
     block = {} if config.get("fock") is None else _block(config, "fock", *_FOCK)
     max_nbar = block.get("max_nbar", 50.0)
@@ -437,35 +406,15 @@ def cmd_fock(config: dict, args) -> int:
                 ) from None
             dim = min(dim + max(4, dim // 4), max_dim)
     if args.dump_rho:
-        if not args.out:
-            raise ValidationError("out", "--dump-rho needs --out for the binary file")
         # row-major complex128: interleaved (re, im) float64 pairs
         Path(str(args.out) + ".rho.bin").write_bytes(
             np.ascontiguousarray(sol.rho, dtype=np.complex128).tobytes()
         )
-    _emit(
-        {
-            "mean_a": sol.mean_a,
-            "mean_a2": sol.mean_a2,
-            "mean_n": sol.mean_n,
-            "var_x": sol.var_x,
-            "var_p": sol.var_p,
-            "trace_error": sol.trace_error,
-            "hermiticity_error": sol.hermiticity_error,
-            "min_eigenvalue": sol.min_eigenvalue,
-            "tail_population": sol.tail_population,
-            "residual": sol.residual,
-            "residual_bound": sol.residual_bound,
-            "dim": dim,
-        },
-        args.out,
-    )
-    return EXIT_OK
+    return {**_scalar_fields(sol), "dim": dim}
 
 
-def cmd_sweep(config: dict, args) -> int:
-    bath, ctx = _resolve_bath(config)
-    constants = ctx["constants"]
+def cmd_sweep(config: dict, args) -> dict:
+    bath, constants = _resolve_bath(config)
     block = _block(config, "sweep", *_SWEEP)
     if not block:
         raise ValidationError("sweep", "need a nonempty 'sweep' block")
@@ -510,26 +459,19 @@ def cmd_sweep(config: dict, args) -> int:
             row_tail = [bath_pt.gamma, *moments, True, report.lindblad_positive,
                         report.positivity_gap]
         rows.append(list(combo) + row_tail)
-
-    if args.format == "json":
-        _emit({"header": header, "rows": rows}, args.out)
-    else:
-        _write_csv(args.out, header, rows)
-    return EXIT_OK
+    return {"header": header, "rows": rows}
 
 
-def cmd_compare(config: dict, args) -> int:
-    bath, ctx = _resolve_bath(config)
-    constants = ctx["constants"]
-    cfg = _sim_config(config, args)
-    stats = simulate(bath, cfg)
+def cmd_compare(config: dict, args) -> dict:
+    bath, constants = _resolve_bath(config)
+    stats = simulate(bath, _sim_config(config, args))
     closed = closed_form_moments(bath, constants)
     psd_report = psd_vs_analytic(stats)
 
     def z(hat, stderr, ref):
         return (hat - ref) / stderr if stderr > 0 else math.inf
 
-    payload = {
+    return {
         "moments": {
             "var_x": {"simulated": stats.var_x_hat, "analytic": closed.var_x,
                       "z": z(stats.var_x_hat, stats.var_x_stderr, closed.var_x)},
@@ -545,11 +487,35 @@ def cmd_compare(config: dict, args) -> int:
             "passed": psd_report.passed,
         },
     }
-    _emit(payload, args.out)
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
+
+# the flags a verb may take besides --config and --out
+_OPTIONS = {
+    "--format": dict(choices=("csv", "json")),
+    "--seed": dict(type=int, default=None, help="override sim seed"),
+    "--fig1": dict(action="store_true", help="emit the scaled multi-gain dataset"),
+    "--g-list": dict(default=None, help="comma-separated gains for the dataset"),
+    "--dump-traj": dict(type=int, default=0,
+                        help="dump this many raw trajectories (npz; needs --out)"),
+    "--dump-rho": dict(action="store_true",
+                       help="dump the steady density matrix "
+                       "(row-major complex128 binary; needs --out)"),
+}
+
+# each verb returns the document main writes to --out (stdout by default),
+# or None when it has written its own files
+_COMMANDS = {
+    "derive": (cmd_derive, ()),
+    "variance": (cmd_variance, ("--format",)),
+    "spectrum": (cmd_spectrum, ("--format", "--fig1", "--g-list")),
+    "simulate": (cmd_simulate, ("--seed", "--dump-traj")),
+    "fock": (cmd_fock, ("--dump-rho",)),
+    "sweep": (cmd_sweep, ("--format",)),
+    "compare": (cmd_compare, ("--seed",)),
+}
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -558,40 +524,24 @@ def _build_parser() -> argparse.ArgumentParser:
         "analytics, Monte Carlo, and number-basis oracles.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in _COMMANDS.items():
-        p = sub.add_parser(name, help=fn.__doc__)
+    for name, (fn, flags) in _COMMANDS.items():
+        p = sub.add_parser(name)
+        p.set_defaults(run=fn, format="json")
         p.add_argument("--config", required=True, help="path to the JSON config")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default="json")
-        p.add_argument("--seed", type=int, default=None, help="override sim seed")
-        p.add_argument("--fig1", action="store_true",
-                       help="spectrum: emit the scaled multi-gain dataset")
-        p.add_argument("--g-list", default=None,
-                       help="spectrum: comma-separated gains for the dataset")
-        p.add_argument("--dump-traj", type=int, default=0,
-                       help="simulate: dump this many raw trajectories (npz)")
-        p.add_argument("--dump-rho", action="store_true",
-                       help="fock: dump the steady density matrix "
-                       "(row-major complex128 binary)")
+        for flag in flags:
+            p.add_argument(flag, **_OPTIONS[flag])
     return parser
-
-
-_COMMANDS = {
-    "derive": cmd_derive,
-    "variance": cmd_variance,
-    "spectrum": cmd_spectrum,
-    "simulate": cmd_simulate,
-    "fock": cmd_fock,
-    "sweep": cmd_sweep,
-    "compare": cmd_compare,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         config = _load_config(args.config)
-        return _COMMANDS[args.command](config, args)
+        doc = args.run(config, args)
+        if doc is not None:
+            _write(args.out, doc, args.format)
+        return EXIT_OK
     except (ValidationError, UnsupportedPhaseError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -252,7 +252,6 @@ def _simulate_linear(
 def simulate(
     bath: EffectiveBath,
     cfg: SimConfig,
-    method: str = "exact",
     keep_trajectories: int = 0,
 ) -> TrajectoryEnsembleStats:
     """Estimate steady-state moments and the X spectrum by Monte Carlo.
@@ -279,7 +278,7 @@ def simulate(
             "t_relax", f"must be at least 10/gamma_slow = {10.0 / gamma_slow:g} s"
         )
 
-    stats = _simulate_linear(A, C, cfg, method=method, keep_trajectories=keep_trajectories)
+    stats = _simulate_linear(A, C, cfg, keep_trajectories=keep_trajectories)
     return replace(stats, params_snapshot=bath)
 
 

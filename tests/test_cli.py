@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from importlib import resources
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 from mirrorcool import bath_from_rates, closed_form_moments, optimize_gain, with_gain
 from mirrorcool import fock as fock_mod
-from mirrorcool.cli import main
+from mirrorcool.cli import _COMMANDS, _build_parser, main
 
 REFERENCE_CONFIG = resources.files("mirrorcool") / "configs" / "reference_setup.json"
 
@@ -62,6 +63,8 @@ def test_derive_reports_instability_with_exit_zero(tmp_path, capsys):
     assert code == 0
     assert out["stability"]["stable"] is False
     assert out["stability"]["margin_damping"] == pytest.approx(-1.0)
+    omega_m, gamma_m = out["coupling"]["omega_m"], config["setup"]["gamma_m"]
+    assert out["stability"]["margin_spring"] == omega_m**2 - gamma_m * 2.0 * math.sin(math.pi / 2)
     assert out["bath"] is None
 
 
@@ -445,6 +448,13 @@ MALFORMED = {
                             *refused("n_traj")),
     "sim_seed_bool": ("simulate", {**DESK_BATH, "sim": {**SIM, "seed": True}}, [],
                       *refused("seed")),
+    # a dump flag that would write nothing
+    "dump_traj_without_out": ("simulate", {**DESK_BATH, "sim": SIM}, ["--dump-traj", "4"],
+                              *refused("out")),
+    "dump_traj_negative": ("simulate", {**DESK_BATH, "sim": SIM}, ["--dump-traj", "-1"],
+                           *refused("dump_traj")),
+    "dump_rho_without_out": ("fock", {**FOCK_DESK_BATH, "fock": {"dim": 66}}, ["--dump-rho"],
+                             *refused("out")),
     "fock_list": ("fock", {**FOCK_DESK_BATH, "fock": [1]}, [], *refused("fock")),
     "fock_dim_string": ("fock", {**FOCK_DESK_BATH, "fock": {"dim": "x"}}, [], *refused("dim")),
     "fock_dim_fraction": ("fock", {**FOCK_DESK_BATH, "fock": {"dim": 66.7}}, [],
@@ -555,3 +565,37 @@ def test_fuzzed_config_exits_with_a_documented_code(tmp_path_factory, data):
         code = main([verb, "--config", str(path)])
     assert code in {0, 2, 3, 4}
     assert "Traceback" not in err.getvalue()
+
+
+# each config runs with exit 0 when the flag is left out, so the refusal
+# comes from the flag alone
+FOREIGN_FLAGS = {
+    "derive_format": ("derive", FUZZ_CONFIGS["derive"], ["--format", "csv"]),
+    "variance_seed": ("variance", DESK_BATH, ["--seed", "1"]),
+    "fock_g_list": ("fock", FUZZ_CONFIGS["fock"], ["--g-list", "1"]),
+    "sweep_dump_rho": ("sweep", FUZZ_CONFIGS["sweep"], ["--dump-rho"]),
+    "compare_dump_traj": ("compare", {**DESK_BATH, "sim": SIM}, ["--dump-traj", "2"]),
+}
+
+
+@pytest.mark.parametrize("verb,config,argv", FOREIGN_FLAGS.values(), ids=FOREIGN_FLAGS)
+def test_flag_of_another_verb_is_refused(tmp_path, capsys, verb, config, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([verb, "--config", write_config(tmp_path, config), *argv])
+    assert exc.value.code == 2
+    assert argv[0] in capsys.readouterr().err
+
+
+def test_readme_cli_examples_parse():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = [shlex.split(line)[1:] for line in block.splitlines()
+                if line.startswith("mirrorcool ")]
+    assert {argv[0] for argv in examples} == set(_COMMANDS)
+    parser = _build_parser()
+    for argv in examples:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README example does not parse: mirrorcool {shlex.join(argv)}")
