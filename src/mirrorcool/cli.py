@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import io
 import itertools
 import json
 import math
@@ -86,9 +87,17 @@ def _write(out: str | None, doc: dict, fmt: str = "json") -> None:
         lines += [",".join(map(_csv_cell, row)) for row in doc["rows"]]
         text = "\n".join(lines) + "\n"
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        _save(out, text.encode("utf-8"))
     else:
         print(text, end="")
+
+
+def _save(path: str, data: bytes) -> None:
+    """Write ``data`` to ``path``; a path that cannot be written is a bad --out."""
+    try:
+        Path(path).write_bytes(data)
+    except OSError as exc:
+        raise ValidationError("out", f"cannot write {path}: {exc}") from exc
 
 
 def _csv_cell(v: Any) -> str:
@@ -364,7 +373,9 @@ def cmd_simulate(config: dict, args) -> dict | None:
     _write(base + ".stats.json", payload)
     _write(base + ".psd.csv", {"header": list(psd), "rows": zip(*psd.values())}, "csv")
     if stats.raw_trajectories is not None:
-        np.savez_compressed(base + ".traj.npz", **stats.raw_trajectories)
+        npz = io.BytesIO()
+        np.savez_compressed(npz, **stats.raw_trajectories)
+        _save(base + ".traj.npz", npz.getvalue())
     return None
 
 
@@ -407,9 +418,8 @@ def cmd_fock(config: dict, args) -> dict:
             dim = min(dim + max(4, dim // 4), max_dim)
     if args.dump_rho:
         # row-major complex128: interleaved (re, im) float64 pairs
-        Path(str(args.out) + ".rho.bin").write_bytes(
-            np.ascontiguousarray(sol.rho, dtype=np.complex128).tobytes()
-        )
+        _save(str(args.out) + ".rho.bin",
+              np.ascontiguousarray(sol.rho, dtype=np.complex128).tobytes())
     return {**_scalar_fields(sol), "dim": dim}
 
 

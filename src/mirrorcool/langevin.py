@@ -3,10 +3,18 @@
 Integrates the classical counterpart of the quadrature Langevin equations
 with correlated white noise given by the symmetrized input correlations.
 The integration scheme is exact in distribution for this linear system:
-the one-step propagator is the matrix exponential of the drift and the
+the one-step propagator E is the matrix exponential of the drift and the
 one-step noise covariance is the exact integrated Lyapunov increment, so
 results carry no time-step bias. A plain Euler-Maruyama stepper is kept
 solely as a cross-check mode.
+
+Either stepper is the 2x2 recursion Z_n = E Z_{n-1} + w_n. By
+Cayley-Hamilton each quadrature obeys the scalar order-2 recursion
+Z_n - tr(E) Z_{n-1} + det(E) Z_{n-2} = w_n + (E - tr(E) I) w_{n-1}, so
+one ``scipy.signal.lfilter`` call per quadrature runs every time step
+of a chunk of trajectories; ``lfilter`` is all this module takes from
+``scipy.signal``. The spectrum is a numpy Welch estimate (periodic Hann
+window, mean of segment periodograms).
 
 Only the symmetric part of the input correlations is simulated; the
 antisymmetric i/4 cross term is a commutator artifact that no pair of
@@ -20,6 +28,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import expm
 
 from .bath import EffectiveBath
@@ -33,6 +42,7 @@ __all__ = ["SimConfig", "TrajectoryEnsembleStats", "ComparisonReport", "simulate
 
 _CHUNK = 64  # trajectories integrated together; results do not depend on it
 _WELCH_ROWS = 8  # trajectories per Welch call; bounds its FFT memory
+_ALIAS_IMAGES = 200  # images k*2pi/dt on each side in the sampled-process spectrum
 
 
 @dataclass(frozen=True)
@@ -90,6 +100,7 @@ class TrajectoryEnsembleStats:
     psd_var_integral_stderr: float
     n_effective: float
     n_traj: int
+    dt: float                    # sample interval of the trajectories
     params_snapshot: EffectiveBath | None = None
     raw_trajectories: dict | None = field(default=None, repr=False)
 
@@ -121,6 +132,40 @@ def _traj_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(
         np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
     )
+
+
+def _forcing(
+    E: np.ndarray, B: np.ndarray, seed: int, start: int, k: int, n_steps: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-quadrature forcing w_n + (E - tr(E) I) w_{n-1} of trajectories start..start+k-1.
+
+    w = B xi with xi drawn per trajectory; w_{-1} = 0, so the filter
+    starts from Z = 0 before the first step.
+    """
+    MT = (E - np.trace(E) * np.eye(2)).T
+    BT = B.T
+    fx = np.empty((k, n_steps))
+    fp = np.empty((k, n_steps))
+    for j in range(k):
+        w = _traj_rng(seed, start + j).standard_normal((n_steps, 2)) @ BT
+        w[1:] += w[:-1] @ MT
+        fx[j] = w[:, 0]
+        fp[j] = w[:, 1]
+    return fx, fp
+
+
+def _welch(x: np.ndarray, fs: float, nperseg: int, noverlap: int) -> np.ndarray:
+    """Hann-window Welch density of each row of ``x`` at the rfft bins 0..nperseg//2.
+
+    The two-sided density (scipy's ``welch`` with ``window="hann"``,
+    ``detrend=False``, ``return_onesided=False``) of a real series is even
+    in f, so these bins hold all of it: bin k stands for +-k*fs/nperseg.
+    """
+    win = np.hanning(nperseg + 1)[:-1]  # periodic Hann
+    segments = sliding_window_view(x, nperseg, axis=-1)[..., ::nperseg - noverlap, :]
+    spec = np.fft.rfft(segments * win, axis=-1)
+    power = spec.real**2 + spec.imag**2
+    return power.mean(axis=-2) / (fs * np.dot(win, win))
 
 
 def _simulate_linear(
@@ -156,68 +201,57 @@ def _simulate_linear(
         B = _sqrt_psd(C, "input noise covariance") * math.sqrt(cfg.dt)
     else:
         raise ValidationError("method", f"unknown integrator {method!r}")
+    # the characteristic polynomial of E: denominator of each quadrature's filter
+    char_poly = [1.0, -np.trace(E), E[0, 0] * E[1, 1] - E[0, 1] * E[1, 0]]
 
     fs = 1.0 / cfg.dt
     noverlap = int(cfg.welch_overlap * cfg.welch_segment)
+    # rfft bins below Nyquist; an even segment also has the Nyquist bin,
+    # which the two-sided density holds once
+    half = (cfg.welch_segment + 1) // 2
+    freqs = np.fft.rfftfreq(cfg.welch_segment, 1.0 / fs)[:half]
 
     var_x_i = np.empty(cfg.n_traj)
     var_p_i = np.empty(cfg.n_traj)
     cov_i = np.empty(cfg.n_traj)
     integ_i = np.empty(cfg.n_traj)
-    psd_i: np.ndarray | None = None
-    freqs: np.ndarray | None = None
+    psd_i = np.empty((cfg.n_traj, half))
     raw: dict | None = None
     if keep_trajectories > 0:
         raw = {"t": cfg.dt * np.arange(n_samp), "x": [], "p": []}
 
-    ET, BT = E.T, B.T
-
     for start in range(0, cfg.n_traj, _CHUNK):
         stop = min(start + _CHUNK, cfg.n_traj)
         k = stop - start
-        noise = np.empty((k, n_steps, 2))
-        for j in range(k):
-            noise[j] = _traj_rng(cfg.seed, start + j).standard_normal((n_steps, 2)) @ BT
-
-        Z = np.zeros((k, 2))
-        xs = np.empty((k, n_samp))
-        ps = np.empty((k, n_samp))
-        for step in range(n_steps):
-            Z = Z @ ET + noise[:, step, :]
-            if step >= n_relax:
-                xs[:, step - n_relax] = Z[:, 0]
-                ps[:, step - n_relax] = Z[:, 1]
+        fx, fp = _forcing(E, B, cfg.seed, start, k, n_steps)
+        # each forcing buffer goes as soon as its filter output exists
+        x = signal.lfilter([1.0], char_poly, fx, axis=1)
+        del fx
+        p = signal.lfilter([1.0], char_poly, fp, axis=1)
+        del fp
+        xs, ps = x[:, n_relax:], p[:, n_relax:]
 
         # raw second moments about zero: the fluctuation process is zero-mean
-        var_x_i[start:stop] = np.mean(xs**2, axis=1)
-        var_p_i[start:stop] = np.mean(ps**2, axis=1)
-        cov_i[start:stop] = np.mean(xs * ps, axis=1)
+        var_x_i[start:stop] = np.einsum("ij,ij->i", xs, xs) / n_samp
+        var_p_i[start:stop] = np.einsum("ij,ij->i", ps, ps) / n_samp
+        cov_i[start:stop] = np.einsum("ij,ij->i", xs, ps) / n_samp
 
-        # a few rows per welch call: its segment FFTs take several times the
+        # a few rows per Welch call: its segment FFTs take several times the
         # memory of the samples, and the rows are transformed independently
-        parts = [
-            signal.welch(
-                xs[j:j + _WELCH_ROWS], fs=fs, window="hann", nperseg=cfg.welch_segment,
-                noverlap=noverlap, detrend=False, return_onesided=False, axis=-1,
-            )
+        p_one = np.concatenate([
+            _welch(xs[j:j + _WELCH_ROWS], fs, cfg.welch_segment, noverlap)
             for j in range(0, k, _WELCH_ROWS)
-        ]
-        f_two = parts[0][0]
-        p_two = np.concatenate([p for _, p in parts])
-        integ_i[start:stop] = p_two.sum(axis=-1) * (fs / cfg.welch_segment)
-        # two-sided Welch bins come in FFT order: the f >= 0 ones ascend
-        keep = f_two >= 0
-        if psd_i is None:
-            freqs = f_two[keep]
-            psd_i = np.empty((cfg.n_traj, freqs.size))
-        psd_i[start:stop] = p_two[:, keep]
+        ])
+        # sum over the two-sided bins: 0 and Nyquist once, the others at +-f
+        two_sided = p_one[:, 0] + 2 * p_one[:, 1:half].sum(axis=1) + p_one[:, half:].sum(axis=1)
+        integ_i[start:stop] = two_sided * (fs / cfg.welch_segment)
+        psd_i[start:stop] = p_one[:, :half]
 
         if raw is not None and start < keep_trajectories:
             take = min(keep_trajectories - start, k)
             raw["x"].extend(xs[:take])
             raw["p"].extend(ps[:take])
 
-    assert psd_i is not None and freqs is not None
     n = cfg.n_traj
     sqrt_n = math.sqrt(n)
 
@@ -245,6 +279,7 @@ def _simulate_linear(
         psd_var_integral_stderr=float(np.std(integ_i, ddof=1) / sqrt_n),
         n_effective=n_effective,
         n_traj=n,
+        dt=cfg.dt,
         raw_trajectories=raw,
     )
 
@@ -294,14 +329,30 @@ class ComparisonReport:
     passed: bool
 
 
+def _sampled_spectrum(bath: EffectiveBath, omega: np.ndarray, dt: float) -> np.ndarray:
+    """Spectrum of X sampled every ``dt``: S(omega) plus its images S(omega + k*2pi/dt).
+
+    The images fold power from above the Nyquist frequency into the
+    Welch bins. Those past ``_ALIAS_IMAGES`` on each side are left out:
+    with S ~ c_xx/omega^2 at high frequency they add about
+    c_xx*dt^2/(4*pi^2*_ALIAS_IMAGES) per side.
+    """
+    k = np.arange(-_ALIAS_IMAGES, _ALIAS_IMAGES + 1)[:, None]
+    images = (omega + k * (2 * math.pi / dt)).ravel()
+    return eval_spectrum(bath, images).values.reshape(k.size, -1).sum(axis=0)
+
+
 def psd_vs_analytic(
     stats: TrajectoryEnsembleStats,
     rel_tol_peak: float = 0.10,
     peak_fraction: float = 0.5,
 ) -> ComparisonReport:
-    """Compare a Welch estimate against ``eval_spectrum`` at its own bins.
+    """Compare a Welch estimate against the sampled-process spectrum at its own bins.
 
-    The bath is ``stats.params_snapshot``, set by :func:`simulate`.
+    The bath is ``stats.params_snapshot``, set by :func:`simulate`. The
+    reference is ``eval_spectrum`` with its aliases at the sample
+    interval ``stats.dt`` folded in (:func:`_sampled_spectrum`), the
+    spectrum the Welch estimate converges to.
     Pass/fail is decided on the peak region (bins above ``peak_fraction``
     of the analytic maximum) at ``rel_tol_peak`` relative deviation; the
     z-scores are reported for diagnosis (Welch bins are mildly correlated,
@@ -310,7 +361,7 @@ def psd_vs_analytic(
     if stats.params_snapshot is None:
         raise ValidationError("stats", "no bath snapshot: compare the result of simulate()")
 
-    s_ref = eval_spectrum(stats.params_snapshot, stats.psd_omega).values
+    s_ref = _sampled_spectrum(stats.params_snapshot, stats.psd_omega, stats.dt)
     stderr = np.where(stats.psd_stderr > 0, stats.psd_stderr, np.inf)
     z = (stats.psd_values - s_ref) / stderr
 

@@ -208,6 +208,18 @@ def test_simulate_dump_trajectories(tmp_path):
         assert raw["x"].shape[0] == 2
         assert raw["t"].size == raw["x"].shape[1]
 
+    # every trajectory dumped: its rows are the ones the moments came from
+    code = run(["simulate", "--config", write_config(tmp_path, config),
+                "--out", str(out), "--dump-traj", "8"])
+    assert code == 0
+    stats = json.loads(Path(str(out) + ".stats.json").read_text())
+    with np.load(str(out) + ".traj.npz") as raw:
+        x, p = raw["x"], raw["p"]
+    n_samp = int(round(4.0 / 1.25e-3))
+    assert x.shape == (8, n_samp)
+    for key, a, b in (("var_x_hat", x, x), ("var_p_hat", p, p), ("cov_xp_hat", x, p)):
+        assert stats[key] == pytest.approx(np.mean(np.sum(a * b, axis=1) / n_samp), rel=1e-13)
+
 
 def test_fock_desk_run(tmp_path, capsys):
     config = {**FOCK_DESK_BATH, "fock": {"dim": 66}}
@@ -233,6 +245,31 @@ def test_fock_density_matrix_dump(tmp_path):
     moments = json.loads(Path(str(out)).read_text())
     num = np.diag(np.arange(66))
     assert np.trace(num @ rho).real == pytest.approx(moments["mean_n"], abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "verb,config,argv,blocked",
+    [
+        ("variance", DESK_BATH, [], None),
+        ("simulate", {**DESK_BATH, "sim": {"dt": 1.25e-3, "t_relax": 0.5, "t_sample": 2.0,
+                                           "n_traj": 2, "welch_segment": 1024}},
+         ["--dump-traj", "1"], ".traj.npz"),
+        ("fock", {**FOCK_DESK_BATH, "fock": {"dim": 66}}, ["--dump-rho"], ".rho.bin"),
+    ],
+    ids=["document", "dump_traj", "dump_rho"],
+)
+def test_unwritable_output_is_refused(tmp_path, capsys, verb, config, argv, blocked):
+    if blocked is None:
+        out = tmp_path / "no_such_dir" / "result"
+    else:
+        # a directory where the dump file should go; the other outputs are writable
+        out = tmp_path / "result"
+        (tmp_path / ("result" + blocked)).mkdir()
+    code = run([verb, "--config", write_config(tmp_path, config), "--out", str(out), *argv])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("validation error: out:")
+    assert "Traceback" not in err
 
 
 def test_fock_refuses_room_temperature(tmp_path, capsys):
@@ -399,7 +436,8 @@ def test_missing_config_file(tmp_path, capsys):
 
 
 def test_cli_import_leaves_scipy_signal_out():
-    code = "import sys, mirrorcool.cli; print('scipy.signal' in sys.modules)"
+    code = ("import sys, mirrorcool.cli, mirrorcool.langevin; "
+            "print('scipy.signal' in sys.modules)")
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)

@@ -1,7 +1,9 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+import scipy.signal
 
 from mirrorcool import (
     NoiseModelError,
@@ -16,8 +18,12 @@ from mirrorcool import (
     psd_vs_analytic,
     simulate,
 )
+from mirrorcool import langevin
 from mirrorcool.errors import UnsupportedPhaseError
-from mirrorcool.langevin import _simulate_linear
+from mirrorcool.langevin import (
+    _exact_step, _sampled_spectrum, _simulate_linear, _sqrt_psd, _traj_rng, _welch,
+)
+from mirrorcool.steady_state import _steady_covariance
 
 
 def desk_bath(g=50.0, Gamma=200.0, n_bar=100.0, omega_m=62.8, phi=-math.pi / 2):
@@ -117,18 +123,36 @@ def test_welch_psd_matches_analytic_spectrum_peak():
 def test_self_comparison_is_exact():
     bath = desk_bath()
     grid = np.linspace(0.0, 400.0, 512)
-    series = eval_spectrum(bath, grid)
+    dt = 1.25e-3
+    values = _sampled_spectrum(bath, grid, dt)
     stats = TrajectoryEnsembleStats(
         var_x_hat=1.0, var_x_stderr=0.1, var_p_hat=1.0, var_p_stderr=0.1,
         cov_xp_hat=0.0, cov_xp_stderr=0.1,
-        psd_omega=grid, psd_values=series.values.copy(),
+        psd_omega=grid, psd_values=values,
         psd_stderr=np.ones_like(grid),
         psd_var_integral=1.0, psd_var_integral_stderr=0.1,
-        n_effective=1.0, n_traj=2, params_snapshot=bath,
+        n_effective=1.0, n_traj=2, dt=dt, params_snapshot=bath,
     )
     report = psd_vs_analytic(stats)
     assert report.peak_rel_dev == 0.0
     assert report.max_abs_z == 0.0
+    # the images only add power
+    direct = eval_spectrum(bath, grid).values
+    assert np.all(values >= direct)
+
+
+def test_z_scores_are_calibrated_against_the_sampled_spectrum():
+    # the continuous-time spectrum alone gave chi2_per_bin ~ 400 here and a
+    # mean z^2 ~ 1500 over the top eighth of the bins, where aliases dominate
+    bath = bath_from_rates(omega_m=10.0, gamma_m=1.0, Gamma=40.0, eta=1.0,
+                           n_bar=3.0, g=20.0, phi=-math.pi / 2)
+    cfg = SimConfig(dt=4e-3, t_relax=2.0, t_sample=300.0, n_traj=32, seed=5,
+                    welch_segment=1024)
+    report = psd_vs_analytic(simulate(bath, cfg))
+    z2 = report.z_scores**2
+    assert report.chi2_per_bin < 2
+    assert np.mean(z2[-(z2.size // 8):]) < 2
+    assert report.passed
 
 
 def test_indefinite_noise_covariance_is_refused():
@@ -173,6 +197,112 @@ def test_stats_without_bath_snapshot_rejected():
     with pytest.raises(ValidationError) as err:
         psd_vs_analytic(stats)
     assert err.value.field == "stats"
+
+
+@pytest.mark.parametrize("nperseg", [256, 255])
+@pytest.mark.parametrize("overlap", [0.0, 0.3, 0.5])
+@pytest.mark.parametrize("rows", [1, 8])
+def test_welch_matches_scipy(nperseg, overlap, rows):
+    # scipy's two-sided Welch is the oracle: its f >= 0 bins, plus the
+    # -fs/2 bin of an even segment, are the rfft bins
+    x = np.random.default_rng(nperseg + rows).standard_normal((rows, 3001))
+    fs, noverlap = 50.0, int(overlap * nperseg)
+    f, want = scipy.signal.welch(x, fs=fs, window="hann", nperseg=nperseg, noverlap=noverlap,
+                                 detrend=False, return_onesided=False, axis=-1)
+    got = _welch(x, fs, nperseg, noverlap)
+    half = (nperseg + 1) // 2
+    assert got.shape == (rows, nperseg // 2 + 1)
+    np.testing.assert_allclose(got[:, :half], want[:, f >= 0], rtol=1e-12, atol=0)
+    if nperseg % 2 == 0:
+        np.testing.assert_allclose(got[:, half], want[:, f == -fs / 2][:, 0], rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("segment", [512, 511])
+def test_psd_integral_is_the_windowed_mean_square(segment):
+    # Parseval: the two-sided Welch sum times fs/segment is each segment's
+    # Hann-weighted mean square, averaged over segments and trajectories
+    cfg = quick_cfg(n_traj=5, t_sample=2.0, welch_segment=segment, welch_overlap=0.3)
+    stats = simulate(desk_bath(), cfg, keep_trajectories=5)
+    win = 0.5 - 0.5 * np.cos(2 * np.pi * np.arange(segment) / segment)
+    step = segment - int(0.3 * segment)
+    x = stats.raw_trajectories["x"]
+    starts = range(0, x.shape[1] - segment + 1, step)
+    ms = [np.mean([np.sum((row[s:s + segment] * win) ** 2) for s in starts]) for row in x]
+    assert stats.psd_var_integral == pytest.approx(np.mean(ms) / np.sum(win**2), rel=1e-12)
+
+
+def _stepped_rows(A, C, cfg, method, n_traj):
+    # the per-step recursion Z_n = E Z_{n-1} + w_n on the integrator's draws
+    if method == "exact":
+        E, B = _exact_step(A, _steady_covariance(A, C), cfg.dt)
+    else:
+        E, B = np.eye(2) + A * cfg.dt, _sqrt_psd(C, "C") * math.sqrt(cfg.dt)
+    n_relax = int(round(cfg.t_relax / cfg.dt))
+    n_steps = n_relax + int(round(cfg.t_sample / cfg.dt))
+    noise = np.stack([_traj_rng(cfg.seed, j).standard_normal((n_steps, 2)) @ B.T
+                      for j in range(n_traj)])
+    Z = np.zeros((n_traj, 2))
+    rows = np.empty((n_traj, n_steps, 2))
+    for step in range(n_steps):
+        Z = Z @ E.T + noise[:, step]
+        rows[:, step] = Z
+    return rows[:, n_relax:, 0], rows[:, n_relax:, 1]
+
+
+def _bath_pair(**rates):
+    bath = bath_from_rates(**{"eta": 1.0, "phi": -math.pi / 2, **rates})
+    return drift_matrix(bath), diffusion_matrix(bath)
+
+
+@pytest.mark.parametrize(
+    "A,C,dt,method",
+    [
+        # acceptance criterion 4
+        (*_bath_pair(omega_m=62.8, gamma_m=1.0, Gamma=200.0, n_bar=100.0, g=50.0),
+         1.25e-3, "exact"),
+        # overdamped: real drift eigenvalues
+        (*_bath_pair(omega_m=1.0, gamma_m=1.0, Gamma=40.0, n_bar=3.0, g=50.0), 1e-3, "exact"),
+        # high Q: filter poles within 1e-5 of the unit circle
+        (*_bath_pair(omega_m=10.0, gamma_m=1e-3, Gamma=1e-3, n_bar=3.0, g=0.01), 1e-3, "exact"),
+        (np.array([[-5.0, 0.0], [0.0, -3.0]]), np.array([[2.0, 0.0], [0.0, 1.0]]), 0.03, "euler"),
+    ],
+    ids=["criterion4", "overdamped", "high_q", "euler"],
+)
+def test_filter_matches_the_per_step_recursion(A, C, dt, method):
+    cfg = SimConfig(dt=dt, t_relax=400 * dt, t_sample=6000 * dt, n_traj=3, seed=21,
+                    welch_segment=512)
+    stats = _simulate_linear(A, C, cfg, method=method, keep_trajectories=3)
+    want_x, want_p = _stepped_rows(A, C, cfg, method, 3)
+    for got, want in ((stats.raw_trajectories["x"], want_x), (stats.raw_trajectories["p"], want_p)):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-8 * np.max(np.abs(want))
+
+
+def test_results_do_not_depend_on_the_chunk_size(monkeypatch):
+    bath = desk_bath()
+    cfg = quick_cfg(n_traj=12, t_sample=3.0, welch_segment=512)
+    monkeypatch.setattr(langevin, "_CHUNK", 64)
+    whole = simulate(bath, cfg, keep_trajectories=7)
+    monkeypatch.setattr(langevin, "_CHUNK", 5)
+    chunked = simulate(bath, cfg, keep_trajectories=7)
+    for f in dataclasses.fields(whole):
+        a, b = getattr(whole, f.name), getattr(chunked, f.name)
+        if f.name == "raw_trajectories":
+            assert a.keys() == b.keys()
+            assert all(np.array_equal(a[k], b[k]) for k in a), f.name
+        elif isinstance(a, np.ndarray):
+            assert np.array_equal(a, b), f.name
+        else:
+            assert a == b, f.name
+
+
+def test_simulate_does_not_call_scipy_welch(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("scipy.signal.welch called")
+
+    monkeypatch.setattr(scipy.signal, "welch", refuse)
+    stats = simulate(desk_bath(), quick_cfg(n_traj=4, t_sample=2.0, welch_segment=512))
+    assert stats.psd_values.shape == stats.psd_omega.shape
 
 
 def test_raw_trajectory_dump():
