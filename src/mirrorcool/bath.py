@@ -14,7 +14,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidSetupError, UnstableBathError, ValidationError
+from .errors import (
+    InvalidSetupError, StabilityBoundaryError, StabilityError, UnstableBathError, ValidationError,
+)
 from .params import DerivedCoupling, PhysicalSetup
 
 __all__ = [
@@ -23,8 +25,11 @@ __all__ = [
     "build_bath",
     "bath_from_rates",
     "check_stability",
+    "require_stable",
     "with_gain",
 ]
+
+_BAND = 1e-12  # relative band within which a stability margin counts as zero
 
 
 @dataclass(frozen=True)
@@ -78,7 +83,7 @@ class EffectiveBath:
 class StabilityReport:
     """Stability margins and Lindblad-positivity diagnosis of a bath."""
 
-    stable: bool
+    stable: bool            # both margins above their boundary band
     lindblad_positive: bool
     margin_damping: float   # gamma_m - g*sin(phi) (1/s)
     margin_spring: float    # omega_m^2 - gamma_m*g*sin(phi) (1/s^2)
@@ -225,20 +230,42 @@ def _positivity_gap(bath: EffectiveBath) -> float:
 
 
 def _stability_margins(omega_m: float, gamma_m: float, g: float,
-                       phi: float) -> tuple[float, float]:
-    """The damping and spring margins; both positive means a stable drift."""
+                       phi: float) -> tuple[float, float, str]:
+    """The damping and spring margins, -trace(A) and det(A), and their verdict.
+
+    Within 1e-12 of the magnitudes of its two terms a margin is rounding
+    noise: the drift is "stable" with both margins above that band, on
+    the "boundary" with neither below minus it, and "unstable" otherwise.
+    """
     sin_phi = math.sin(phi)
-    return gamma_m - g * sin_phi, omega_m**2 - gamma_m * g * sin_phi
+    damping, spring = gamma_m - g * sin_phi, omega_m**2 - gamma_m * g * sin_phi
+    band_damping = _BAND * (abs(g * sin_phi) + gamma_m)
+    band_spring = _BAND * (abs(gamma_m * g * sin_phi) + omega_m**2)
+    if damping > band_damping and spring > band_spring:
+        return damping, spring, "stable"
+    if damping >= -band_damping and spring >= -band_spring:
+        return damping, spring, "boundary"
+    return damping, spring, "unstable"
+
+
+def require_stable(bath: EffectiveBath) -> None:
+    """Raise StabilityBoundaryError on the stability boundary, StabilityError beyond it."""
+    damping, spring, verdict = _stability_margins(bath.omega_m, bath.gamma_m, bath.g, bath.phi)
+    if verdict != "stable":
+        error, drift = ((StabilityBoundaryError, "drift on the stability boundary")
+                        if verdict == "boundary" else (StabilityError, "unstable drift"))
+        raise error(f"no steady state exists: {drift} "
+                    f"(margin_damping={damping:g}, margin_spring={spring:g})")
 
 
 def check_stability(bath: EffectiveBath) -> StabilityReport:
     """Evaluate the stability margins and the Lindblad positivity gap."""
-    margin_damping, margin_spring = _stability_margins(
+    margin_damping, margin_spring, verdict = _stability_margins(
         bath.omega_m, bath.gamma_m, bath.g, bath.phi
     )
     gap = _positivity_gap(bath)
     return StabilityReport(
-        stable=margin_damping > 0 and margin_spring > 0,
+        stable=verdict == "stable",
         lindblad_positive=gap > 0,
         margin_damping=margin_damping,
         margin_spring=margin_spring,

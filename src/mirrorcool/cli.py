@@ -219,17 +219,19 @@ def _scalar_fields(result) -> dict:
 
 
 def _grid(config: dict, bath: EffectiveBath) -> np.ndarray:
+    default = default_grid(bath)
     if config.get("grid") is None:
-        return default_grid(bath)
+        return default
     block = _block(config, "grid", *_GRID)
-    span = 5 * (bath.omega_m + bath.g)
-    omega_min = block.get("omega_min", -span)
-    omega_max = block.get("omega_max", span)
-    n_points = block.get("n_points", 4096)
+    omega_min = block.get("omega_min", default[0])
+    omega_max = block.get("omega_max", default[-1])
+    n_points = block.get("n_points", default.size)
     if n_points < 2 or not omega_max > omega_min:
         raise ValidationError("grid", "need omega_max > omega_min and n_points >= 2")
     try:
-        return np.linspace(omega_min, omega_max, n_points)
+        # SpectrumSeries refuses the spectrum of points beyond the float range
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.linspace(omega_min, omega_max, n_points)
     except (ValueError, IndexError, MemoryError) as exc:
         raise ValidationError("n_points", f"cannot allocate the grid: {exc}") from None
 
@@ -246,7 +248,7 @@ def cmd_derive(config: dict, args) -> dict:
     except UnstableBathError as exc:
         # reporting is not an error: emit the margins even where the bath
         # coefficients themselves are ill-defined (gamma <= 0)
-        damping, spring = _stability_margins(
+        damping, spring, _ = _stability_margins(
             coupling.omega_m, setup.gamma_m, setup.g, setup.phi
         )
         return {

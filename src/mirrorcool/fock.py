@@ -25,8 +25,8 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import MatrixRankWarning, spsolve
 
-from .bath import EffectiveBath, check_stability
-from .errors import NumericalError, StabilityError, TruncationError, ValidationError
+from .bath import EffectiveBath, check_stability, require_stable
+from .errors import NumericalError, TruncationError, ValidationError
 
 __all__ = [
     "FockConfig",
@@ -198,9 +198,7 @@ def evolve_to_steady(generator: Generator, cfg: FockConfig) -> FockSolution:
     dim = generator.dim
     if cfg.dim != dim:
         raise ValidationError("dim", "config dimension does not match generator")
-    report = check_stability(generator.bath)
-    if not report.stable:
-        raise StabilityError("no steady state exists: parameters are unstable")
+    require_stable(generator.bath)
 
     L = generator.matrix
     n = dim * dim
@@ -252,7 +250,7 @@ def evolve_to_steady(generator: Generator, cfg: FockConfig) -> FockSolution:
 
     min_eig = float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0])
     if min_eig < -1e-8:
-        if report.lindblad_positive:
+        if check_stability(generator.bath).lindblad_positive:
             warnings.warn(
                 f"negative eigenvalue {min_eig:g} despite Lindblad-positive "
                 "coefficients; inspect truncation/solve",

@@ -5,10 +5,9 @@ with correlated white noise given by the symmetrized input correlations.
 The integration scheme is exact in distribution for this linear system:
 the one-step propagator E is the matrix exponential of the drift and the
 one-step noise covariance is the exact integrated Lyapunov increment, so
-results carry no time-step bias. A plain Euler-Maruyama stepper is kept
-solely as a cross-check mode.
+results carry no time-step bias.
 
-Either stepper is the 2x2 recursion Z_n = E Z_{n-1} + w_n. By
+The stepper is the 2x2 recursion Z_n = E Z_{n-1} + w_n. By
 Cayley-Hamilton each quadrature obeys the scalar order-2 recursion
 Z_n - tr(E) Z_{n-1} + det(E) Z_{n-2} = w_n + (E - tr(E) I) w_{n-1}, so
 one ``scipy.signal.lfilter`` call per quadrature runs every time step
@@ -31,18 +30,18 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import expm
 
-from .bath import EffectiveBath
+from .bath import EffectiveBath, require_stable
 from .errors import NoiseModelError, StabilityError, ValidationError
 from .spectrum import eval_spectrum
-from .steady_state import (
-    diffusion_matrix, drift_matrix, _require_phase, _require_stable, _steady_covariance,
-)
+from .steady_state import diffusion_matrix, drift_matrix, _require_phase, _steady_covariance
 
 __all__ = ["SimConfig", "TrajectoryEnsembleStats", "ComparisonReport", "simulate", "psd_vs_analytic"]
 
 _CHUNK = 64  # trajectories integrated together; results do not depend on it
 _WELCH_ROWS = 8  # trajectories per Welch call; bounds its FFT memory
 _ALIAS_IMAGES = 200  # images k*2pi/dt on each side in the sampled-process spectrum
+_PEAK_FRACTION = 0.5  # peak region: bins at or above this fraction of the reference maximum
+_PEAK_REL_TOL = 0.10  # largest relative deviation in the peak region that passes
 
 
 @dataclass(frozen=True)
@@ -172,7 +171,6 @@ def _simulate_linear(
     A: np.ndarray,
     C: np.ndarray,
     cfg: SimConfig,
-    method: str = "exact",
     keep_trajectories: int = 0,
 ) -> TrajectoryEnsembleStats:
     """Core integrator over an arbitrary stable 2x2 drift/diffusion pair."""
@@ -194,13 +192,7 @@ def _simulate_linear(
     n_steps = n_relax + n_samp
 
     sigma = _steady_covariance(A, C)
-    if method == "exact":
-        E, B = _exact_step(A, sigma, cfg.dt)
-    elif method == "euler":
-        E = np.eye(2) + A * cfg.dt
-        B = _sqrt_psd(C, "input noise covariance") * math.sqrt(cfg.dt)
-    else:
-        raise ValidationError("method", f"unknown integrator {method!r}")
+    E, B = _exact_step(A, sigma, cfg.dt)
     # the characteristic polynomial of E: denominator of each quadrature's filter
     char_poly = [1.0, -np.trace(E), E[0, 0] * E[1, 1] - E[0, 1] * E[1, 0]]
 
@@ -297,7 +289,7 @@ def simulate(
     the sum rule, S(omega) at omega = 2*pi*f.
     """
     _require_phase(bath)
-    _require_stable(bath)
+    require_stable(bath)
 
     A = drift_matrix(bath)
     C = diffusion_matrix(bath)
@@ -324,9 +316,8 @@ class ComparisonReport:
     z_scores: np.ndarray
     chi2_per_bin: float
     max_abs_z: float
-    peak_rel_dev: float       # max |psd-S|/S where S >= peak_fraction*max(S)
-    peak_fraction: float
-    passed: bool
+    peak_rel_dev: float       # max |psd-S|/S where S >= _PEAK_FRACTION*max(S)
+    passed: bool              # peak_rel_dev < _PEAK_REL_TOL
 
 
 def _sampled_spectrum(bath: EffectiveBath, omega: np.ndarray, dt: float) -> np.ndarray:
@@ -342,21 +333,18 @@ def _sampled_spectrum(bath: EffectiveBath, omega: np.ndarray, dt: float) -> np.n
     return eval_spectrum(bath, images).values.reshape(k.size, -1).sum(axis=0)
 
 
-def psd_vs_analytic(
-    stats: TrajectoryEnsembleStats,
-    rel_tol_peak: float = 0.10,
-    peak_fraction: float = 0.5,
-) -> ComparisonReport:
+def psd_vs_analytic(stats: TrajectoryEnsembleStats) -> ComparisonReport:
     """Compare a Welch estimate against the sampled-process spectrum at its own bins.
 
     The bath is ``stats.params_snapshot``, set by :func:`simulate`. The
     reference is ``eval_spectrum`` with its aliases at the sample
     interval ``stats.dt`` folded in (:func:`_sampled_spectrum`), the
     spectrum the Welch estimate converges to.
-    Pass/fail is decided on the peak region (bins above ``peak_fraction``
-    of the analytic maximum) at ``rel_tol_peak`` relative deviation; the
-    z-scores are reported for diagnosis (Welch bins are mildly correlated,
-    so the chi-square is indicative, not exact).
+    Pass/fail is decided on the peak region (bins at or above
+    ``_PEAK_FRACTION`` of the reference maximum) at ``_PEAK_REL_TOL``
+    relative deviation; the z-scores are reported for diagnosis (Welch
+    bins are mildly correlated, so the chi-square is indicative, not
+    exact).
     """
     if stats.params_snapshot is None:
         raise ValidationError("stats", "no bath snapshot: compare the result of simulate()")
@@ -365,7 +353,7 @@ def psd_vs_analytic(
     stderr = np.where(stats.psd_stderr > 0, stats.psd_stderr, np.inf)
     z = (stats.psd_values - s_ref) / stderr
 
-    mask = s_ref >= peak_fraction * s_ref.max()
+    mask = s_ref >= _PEAK_FRACTION * s_ref.max()
     peak_rel_dev = float(np.max(np.abs(stats.psd_values[mask] - s_ref[mask]) / s_ref[mask]))
 
     return ComparisonReport(
@@ -373,6 +361,5 @@ def psd_vs_analytic(
         chi2_per_bin=float(np.mean(z**2)),
         max_abs_z=float(np.max(np.abs(z))),
         peak_rel_dev=peak_rel_dev,
-        peak_fraction=peak_fraction,
-        passed=peak_rel_dev < rel_tol_peak,
+        passed=peak_rel_dev < _PEAK_REL_TOL,
     )

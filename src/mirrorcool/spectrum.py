@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
-from .bath import EffectiveBath
+from .bath import EffectiveBath, require_stable
 from .errors import NumericalError, ValidationError
-from .steady_state import closed_form_moments, _require_phase, _require_stable
+from .steady_state import closed_form_moments, _require_phase
 
 __all__ = ["SpectrumSeries", "default_grid", "eval_spectrum", "fig1_scale", "sum_rule_check"]
 
@@ -82,14 +82,17 @@ def _x_spectrum(bath: EffectiveBath):
 def eval_spectrum(bath: EffectiveBath, omega_grid: np.ndarray) -> SpectrumSeries:
     """Pointwise spectrum of X at phi = -pi/2 (see :func:`_x_spectrum`)."""
     _require_phase(bath)
-    _require_stable(bath)
+    require_stable(bath)
     omega_grid = np.asarray(omega_grid, dtype=float)
     if omega_grid.size == 0:
         raise ValidationError("omega_grid", "empty frequency grid")
 
+    # SpectrumSeries refuses the non-finite values of an overflowing grid or bath
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = _x_spectrum(bath)(omega_grid)
     return SpectrumSeries(
         omega_grid=omega_grid,
-        values=_x_spectrum(bath)(omega_grid),
+        values=values,
         normalization="raw",
         params_snapshot=bath,
     )
@@ -117,7 +120,7 @@ def sum_rule_check(bath: EffectiveBath) -> tuple[float, float, float]:
     (integral, var_x, relative error).
     """
     _require_phase(bath)
-    _require_stable(bath)
+    require_stable(bath)
 
     a = bath.gamma_m + bath.g
     b = bath.omega_m**2 + bath.gamma_m * bath.g

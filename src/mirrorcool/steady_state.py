@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import optimize
 
-from .bath import EffectiveBath, check_stability, with_gain
-from .errors import StabilityBoundaryError, StabilityError, UnsupportedPhaseError, ValidationError
+from .bath import EffectiveBath, require_stable, with_gain
+from .errors import StabilityError, UnsupportedPhaseError, ValidationError
 from .params import PhysicalConstants
 
 __all__ = [
@@ -63,15 +63,6 @@ def _require_phase(bath: EffectiveBath) -> None:
         raise UnsupportedPhaseError(
             f"closed forms hold only at phi = -pi/2 (got phi = {bath.phi:g}); "
             "use lyapunov_moments for other phases"
-        )
-
-
-def _require_stable(bath: EffectiveBath) -> None:
-    report = check_stability(bath)
-    if not report.stable:
-        raise StabilityError(
-            f"unstable parameters: margin_damping={report.margin_damping:g}, "
-            f"margin_spring={report.margin_spring:g}"
         )
 
 
@@ -138,7 +129,7 @@ def closed_form_moments(
     solution of the same covariance equation, sharing no Lyapunov code.
     """
     _require_phase(bath)
-    _require_stable(bath)
+    require_stable(bath)
 
     g, gm, om = bath.g, bath.gamma_m, bath.omega_m
     c_x, c_p = bath.noise_xx, bath.noise_pp
@@ -177,7 +168,7 @@ def high_gain_moments(
     its counterpart by at most gamma_m/g relative.
     """
     _require_phase(bath)
-    _require_stable(bath)
+    require_stable(bath)
     if not bath.g**2 > 0:
         raise ValidationError("g", "high-gain approximation requires g > 0 (g**2 > 0)")
     if not bath.gamma_m * bath.g**2 > 0:
@@ -205,23 +196,11 @@ def lyapunov_moments(
 ) -> SteadyMoments:
     """Steady covariance from A*S + S*A^T + C = 0 (independent oracle).
 
-    Works at any phase for which the drift is stable; errors exactly on
-    the stability boundary, where the Lyapunov system is singular.
+    Works at any phase for which the drift is stable; on the stability
+    boundary, where the Lyapunov system is singular, it refuses the bath.
     """
+    require_stable(bath)
     A = drift_matrix(bath)
-    tr = A[0, 0] + A[1, 1]
-    det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
-    # boundary detection is tolerance-aware: the Lyapunov system is
-    # singular there, and near-singular just inside it
-    tr_tol = 1e-12 * (abs(A[0, 0]) + abs(A[1, 1]))
-    det_tol = 1e-12 * (abs(A[0, 0] * A[1, 1]) + abs(A[0, 1] * A[1, 0]))
-    if tr >= -tr_tol or det <= det_tol:
-        if tr > tr_tol or det < -det_tol:
-            raise StabilityError(f"unstable drift: trace(A)={tr:g}, det(A)={det:g}")
-        raise StabilityBoundaryError(
-            f"stability boundary: trace(A)={tr:g}, det(A)={det:g}"
-        )
-
     (var_x, cov), (_, var_p) = _steady_covariance(A, diffusion_matrix(bath)).tolist()
     return SteadyMoments(
         var_x=var_x,
@@ -235,7 +214,6 @@ def lyapunov_moments(
 def optimize_gain(
     bath_template: EffectiveBath,
     g_range: tuple[float, float],
-    constants: PhysicalConstants = PhysicalConstants(),
 ) -> tuple[float, float]:
     """Gain minimizing the position variance over ``g_range`` at phi = -pi/2.
 
@@ -251,7 +229,7 @@ def optimize_gain(
         raise ValidationError("g_range", "positive gains need Gamma > 0")
 
     def var_x(g: float) -> float:
-        return closed_form_moments(with_gain(bath_template, g), constants).var_x
+        return closed_form_moments(with_gain(bath_template, g)).var_x
 
     if g_lo == g_hi:
         return g_lo, var_x(g_lo)

@@ -12,6 +12,16 @@ REFERENCE_SETUP = dict(
     T_r=0.02, P_in=10.0, T=300.0, eta=1.0,
 )
 
+# baths within rounding of the stability boundary, at phi = +pi/2: the
+# spring margin omega_m^2 - gamma_m*g rounds to 7.1e-15 instead of 0, and
+# the damping margin gamma_m - g is 1e-14 of gamma_m
+BOUNDARY_BATHS = {
+    "spring": dict(omega_m=math.sqrt(50.0), gamma_m=10.0, Gamma=50.0, eta=1.0,
+                   n_bar=20.0, g=5.0, phi=math.pi / 2),
+    "damping": dict(omega_m=62.8, gamma_m=1.0, Gamma=200.0, eta=1.0,
+                    n_bar=100.0, g=1.0 - 1e-14, phi=math.pi / 2),
+}
+
 
 def reference_setup(**overrides) -> PhysicalSetup:
     return PhysicalSetup(**{**REFERENCE_SETUP, **overrides})

@@ -108,7 +108,7 @@ def test_criterion_4_monte_carlo_agreement():
     t0 = time.perf_counter()
     stats = simulate(bath, cfg)
     exact = closed_form_moments(bath)
-    psd = psd_vs_analytic(stats, rel_tol_peak=0.10)
+    psd = psd_vs_analytic(stats)
     elapsed = time.perf_counter() - t0
 
     z_x = abs(stats.var_x_hat - exact.var_x) / stats.var_x_stderr

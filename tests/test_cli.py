@@ -19,6 +19,8 @@ from mirrorcool import bath_from_rates, closed_form_moments, optimize_gain, with
 from mirrorcool import fock as fock_mod
 from mirrorcool.cli import _COMMANDS, _build_parser, main
 
+from conftest import BOUNDARY_BATHS
+
 REFERENCE_CONFIG = resources.files("mirrorcool") / "configs" / "reference_setup.json"
 
 DESK_BATH = {
@@ -347,6 +349,25 @@ def test_sweep_deterministic_and_flags_instability(tmp_path):
     stable_col = header.index("stable")
     flags = [l.split(",")[stable_col] for l in lines[1:]]
     assert flags.count("false") == 2
+
+
+@pytest.mark.parametrize("name", BOUNDARY_BATHS)
+def test_sweep_and_derive_report_a_boundary_point_unstable(name, tmp_path, capsys):
+    rates = BOUNDARY_BATHS[name]
+    config = {"bath": rates, "sweep": {"g": [rates["g"]]}}
+    assert run(["sweep", "--config", write_config(tmp_path, config)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert dict(zip(out["header"], out["rows"][0]))["stable"] is False
+    assert run(["variance", "--config", write_config(tmp_path, config)]) == 3
+    assert "instability: no steady state exists" in capsys.readouterr().err
+    # a laboratory setup whose margin is 1e-14 of its terms
+    omega_m = 2 * math.pi * SETUP["nu_m"]
+    setup = {**SETUP, "phi": math.pi / 2, **{
+        "spring": {"gamma_m": 2 * omega_m, "g": omega_m / 2 * (1 - 1e-14)},
+        "damping": {"gamma_m": 1.0, "g": 1.0 - 1e-14},
+    }[name]}
+    assert run(["derive", "--config", write_config(tmp_path, {"setup": setup})]) == 0
+    assert json.loads(capsys.readouterr().out)["stability"]["stable"] is False
 
 
 def test_sweep_keeps_the_report_of_a_stable_unphysical_point(tmp_path, capsys):

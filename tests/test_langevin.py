@@ -21,7 +21,7 @@ from mirrorcool import (
 from mirrorcool import langevin
 from mirrorcool.errors import UnsupportedPhaseError
 from mirrorcool.langevin import (
-    _exact_step, _sampled_spectrum, _simulate_linear, _sqrt_psd, _traj_rng, _welch,
+    _exact_step, _sampled_spectrum, _simulate_linear, _traj_rng, _welch,
 )
 from mirrorcool.steady_state import _steady_covariance
 
@@ -84,20 +84,16 @@ def test_halving_dt_does_not_shift_variance():
     assert abs(a.var_x_hat - b.var_x_hat) < max(a.var_x_stderr, b.var_x_stderr)
 
 
-def test_euler_mode_shows_the_bias_the_exact_scheme_removes():
-    # coarse-step Euler on an uncoupled OU pair: var_x converges to
-    # c/(2a - a^2 dt), visibly above c/(2a); the exact scheme stays unbiased
+def test_exact_scheme_is_unbiased_at_a_coarse_step():
+    # uncoupled OU pair at a*dt = 0.15: var_x stays at c/(2a), where an
+    # Euler step would converge to c/(2a - a^2 dt)
     A = np.array([[-5.0, 0.0], [0.0, -3.0]])
     C = np.array([[2.0, 0.0], [0.0, 1.0]])
     cfg = SimConfig(dt=0.03, t_relax=5.0, t_sample=60.0, n_traj=128, seed=9,
                     welch_segment=512)
-    euler = _simulate_linear(A, C, cfg, method="euler")
-    exact = _simulate_linear(A, C, cfg, method="exact")
+    exact = _simulate_linear(A, C, cfg)
     target = 2.0 / 10.0
-    biased_target = 2.0 / (10.0 - 25.0 * cfg.dt)
     assert abs(exact.var_x_hat - target) < 3 * exact.var_x_stderr
-    assert euler.var_x_hat - target > 3 * euler.var_x_stderr
-    assert abs(euler.var_x_hat - biased_target) < 3 * euler.var_x_stderr
 
 
 def test_ou_psd_matches_lorentzian():
@@ -231,12 +227,9 @@ def test_psd_integral_is_the_windowed_mean_square(segment):
     assert stats.psd_var_integral == pytest.approx(np.mean(ms) / np.sum(win**2), rel=1e-12)
 
 
-def _stepped_rows(A, C, cfg, method, n_traj):
+def _stepped_rows(A, C, cfg, n_traj):
     # the per-step recursion Z_n = E Z_{n-1} + w_n on the integrator's draws
-    if method == "exact":
-        E, B = _exact_step(A, _steady_covariance(A, C), cfg.dt)
-    else:
-        E, B = np.eye(2) + A * cfg.dt, _sqrt_psd(C, "C") * math.sqrt(cfg.dt)
+    E, B = _exact_step(A, _steady_covariance(A, C), cfg.dt)
     n_relax = int(round(cfg.t_relax / cfg.dt))
     n_steps = n_relax + int(round(cfg.t_sample / cfg.dt))
     noise = np.stack([_traj_rng(cfg.seed, j).standard_normal((n_steps, 2)) @ B.T
@@ -255,24 +248,22 @@ def _bath_pair(**rates):
 
 
 @pytest.mark.parametrize(
-    "A,C,dt,method",
+    "A,C,dt",
     [
         # acceptance criterion 4
-        (*_bath_pair(omega_m=62.8, gamma_m=1.0, Gamma=200.0, n_bar=100.0, g=50.0),
-         1.25e-3, "exact"),
+        (*_bath_pair(omega_m=62.8, gamma_m=1.0, Gamma=200.0, n_bar=100.0, g=50.0), 1.25e-3),
         # overdamped: real drift eigenvalues
-        (*_bath_pair(omega_m=1.0, gamma_m=1.0, Gamma=40.0, n_bar=3.0, g=50.0), 1e-3, "exact"),
+        (*_bath_pair(omega_m=1.0, gamma_m=1.0, Gamma=40.0, n_bar=3.0, g=50.0), 1e-3),
         # high Q: filter poles within 1e-5 of the unit circle
-        (*_bath_pair(omega_m=10.0, gamma_m=1e-3, Gamma=1e-3, n_bar=3.0, g=0.01), 1e-3, "exact"),
-        (np.array([[-5.0, 0.0], [0.0, -3.0]]), np.array([[2.0, 0.0], [0.0, 1.0]]), 0.03, "euler"),
+        (*_bath_pair(omega_m=10.0, gamma_m=1e-3, Gamma=1e-3, n_bar=3.0, g=0.01), 1e-3),
     ],
-    ids=["criterion4", "overdamped", "high_q", "euler"],
+    ids=["criterion4", "overdamped", "high_q"],
 )
-def test_filter_matches_the_per_step_recursion(A, C, dt, method):
+def test_filter_matches_the_per_step_recursion(A, C, dt):
     cfg = SimConfig(dt=dt, t_relax=400 * dt, t_sample=6000 * dt, n_traj=3, seed=21,
                     welch_segment=512)
-    stats = _simulate_linear(A, C, cfg, method=method, keep_trajectories=3)
-    want_x, want_p = _stepped_rows(A, C, cfg, method, 3)
+    stats = _simulate_linear(A, C, cfg, keep_trajectories=3)
+    want_x, want_p = _stepped_rows(A, C, cfg, 3)
     for got, want in ((stats.raw_trajectories["x"], want_x), (stats.raw_trajectories["p"], want_p)):
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-8 * np.max(np.abs(want))

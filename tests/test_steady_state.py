@@ -5,6 +5,7 @@ import pytest
 
 from mirrorcool import (
     EffectiveBath,
+    FockConfig,
     StabilityBoundaryError,
     StabilityError,
     UnstableBathError,
@@ -12,10 +13,13 @@ from mirrorcool import (
     ValidationError,
     bath_from_rates,
     build_bath,
+    build_generator,
+    check_stability,
     closed_form_moments,
     derive_coupling,
     diffusion_matrix,
     drift_matrix,
+    evolve_to_steady,
     high_gain_moments,
     lyapunov_moments,
     optimize_gain,
@@ -23,7 +27,7 @@ from mirrorcool import (
 )
 from mirrorcool.params import PhysicalConstants
 
-from conftest import random_stable_bath, reference_bath, reference_setup
+from conftest import BOUNDARY_BATHS, random_stable_bath, reference_bath, reference_setup
 
 # closed-form position variance at the reference chain with g = 1000,
 # frozen from an independent straight-line evaluation (12 significant digits)
@@ -250,12 +254,16 @@ def test_lyapunov_rejects_unstable_spring():
         lyapunov_moments(b)
 
 
-def test_lyapunov_boundary_is_a_distinct_error():
-    # omega_m^2 = gamma_m*g*sin(phi) puts det(A) exactly at zero
-    b = bath_from_rates(omega_m=math.sqrt(50.0), gamma_m=10.0, Gamma=50.0,
-                        eta=1.0, n_bar=20.0, g=5.0, phi=math.pi / 2)
+@pytest.mark.parametrize("rates", BOUNDARY_BATHS.values(), ids=BOUNDARY_BATHS)
+def test_lyapunov_boundary_is_a_distinct_error(rates):
+    # a margin within rounding of zero is the boundary on every route,
+    # whatever sign the rounding gives it
+    b = bath_from_rates(**rates)
+    assert not check_stability(b).stable
     with pytest.raises(StabilityBoundaryError):
         lyapunov_moments(b)
+    with pytest.raises(StabilityBoundaryError, match="^no steady state exists"):
+        evolve_to_steady(build_generator(b, 30), FockConfig(dim=30))
 
 
 def test_variance_grows_unbounded_toward_damping_boundary():
