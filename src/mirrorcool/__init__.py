@@ -29,7 +29,7 @@ from .errors import (
 )
 from .fock import FockConfig, FockSolution, build_generator, evolve_to_steady
 from .langevin import SimConfig, TrajectoryEnsembleStats, psd_vs_analytic, simulate
-from .params import DerivedCoupling, PhysicalConstants, PhysicalSetup, derive_coupling
+from .params import DerivedCoupling, PhysicalSetup, derive_coupling
 from .spectrum import SpectrumSeries, default_grid, eval_spectrum, fig1_scale, sum_rule_check
 from .steady_state import (
     SteadyMoments,
@@ -52,7 +52,6 @@ __all__ = [
     "MirrorCoolError",
     "NoiseModelError",
     "NumericalError",
-    "PhysicalConstants",
     "PhysicalSetup",
     "SimConfig",
     "SpectrumSeries",

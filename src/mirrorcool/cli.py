@@ -25,6 +25,7 @@ import numpy as np
 from . import fock as fock_mod
 from .bath import (
     EffectiveBath,
+    StabilityReport,
     _stability_margins,
     bath_from_rates,
     build_bath,
@@ -42,9 +43,9 @@ from .errors import (
     ValidationError,
 )
 from .langevin import SimConfig, psd_vs_analytic, simulate
-from .params import DerivedCoupling, PhysicalConstants, PhysicalSetup, derive_coupling
+from .params import HBAR, K_B, DerivedCoupling, PhysicalSetup, derive_coupling
 from .spectrum import default_grid, eval_spectrum, fig1_scale, sum_rule_check
-from .steady_state import _PHASE_TOL, closed_form_moments, high_gain_moments, lyapunov_moments
+from .steady_state import closed_form_moments, high_gain_moments, lyapunov_moments
 
 __all__ = ["main"]
 
@@ -173,7 +174,6 @@ _SWEEP_AXES = ("g", "phi", "Gamma", "eta", "T")
 _BATH_KEYS = ("omega_m", "gamma_m", "Gamma", "eta", "n_bar", "g", "phi")
 
 _SETUP = _fields(PhysicalSetup)
-_CONSTANTS = _fields(PhysicalConstants)
 _SIM = _fields(SimConfig)
 _BATH = (dict.fromkeys(_BATH_KEYS, float), set(_BATH_KEYS))
 _GRID = ({"omega_min": float, "omega_max": float, "n_points": int}, set())
@@ -181,34 +181,30 @@ _FOCK = ({"dim": int, "max_nbar": float, "max_dim": int}, set())
 _SWEEP = (dict.fromkeys(_SWEEP_AXES, list), set())
 
 
-def _constants(config: dict) -> PhysicalConstants:
-    if config.get("unsafe_constants") is None:
-        return PhysicalConstants()
-    return PhysicalConstants(**_block(config, "unsafe_constants", *_CONSTANTS))
-
-
-def _inputs(
-    config: dict,
-) -> tuple[PhysicalConstants, PhysicalSetup | None, DerivedCoupling | None]:
-    """The constants, plus the setup and its coupling when ``setup`` is given."""
+def _inputs(config: dict) -> tuple[PhysicalSetup | None, DerivedCoupling | None]:
+    """The setup and its coupling when ``setup`` is given."""
     has_setup = "setup" in config
     if has_setup == ("bath" in config):
         raise ValidationError(
             "config", "exactly one of 'setup' and 'bath' must be present"
         )
-    constants = _constants(config)
+    # refused, not ignored: a natural-units config must not run in SI units
+    if config.get("unsafe_constants") is not None:
+        raise ValidationError(
+            "unsafe_constants", "not accepted; hbar, k_B and c are the exact SI values"
+        )
     if not has_setup:
-        return constants, None, None
+        return None, None
     setup = PhysicalSetup(**_block(config, "setup", *_SETUP))
-    return constants, setup, derive_coupling(setup, constants)
+    return setup, derive_coupling(setup)
 
 
-def _resolve_bath(config: dict) -> tuple[EffectiveBath, PhysicalConstants]:
+def _resolve_bath(config: dict) -> EffectiveBath:
     """Build the effective bath from exactly one of setup / bath override."""
-    constants, setup, coupling = _inputs(config)
+    setup, coupling = _inputs(config)
     if setup is None:
-        return bath_from_rates(**_block(config, "bath", *_BATH)), constants
-    return build_bath(coupling, setup), constants
+        return bath_from_rates(**_block(config, "bath", *_BATH))
+    return build_bath(coupling, setup)
 
 
 def _scalar_fields(result) -> dict:
@@ -242,7 +238,7 @@ def _grid(config: dict, bath: EffectiveBath) -> np.ndarray:
 def cmd_derive(config: dict, args) -> dict:
     if "setup" not in config:
         raise ValidationError("setup", "derive requires a physical setup block")
-    _, setup, coupling = _inputs(config)
+    setup, coupling = _inputs(config)
     try:
         bath = build_bath(coupling, setup)
     except UnstableBathError as exc:
@@ -255,28 +251,30 @@ def cmd_derive(config: dict, args) -> dict:
             "coupling": coupling,
             "bath": None,
             "bath_error": str(exc),
-            "stability": {
-                "stable": False,
-                "lindblad_positive": False,
-                "margin_damping": damping,
-                "margin_spring": spring,
-                "positivity_gap": math.nan,
-            },
+            "stability": StabilityReport(
+                stable=False,
+                lindblad_positive=False,
+                margin_damping=damping,
+                margin_spring=spring,
+                positivity_gap=math.nan,
+            ),
         }
     return {"coupling": coupling, "bath": bath, "stability": check_stability(bath)}
 
 
 def cmd_variance(config: dict, args) -> dict:
-    bath, constants = _resolve_bath(config)
+    bath = _resolve_bath(config)
     # the closed forms exist only at phi = -pi/2; the Lyapunov route
     # covers every stable phase
     report = {}
-    if abs(bath.phi + math.pi / 2) <= _PHASE_TOL:
-        report["closed_form"] = closed_form_moments(bath, constants)
-    report["lyapunov"] = lyapunov_moments(bath, constants)
+    try:
+        report["closed_form"] = closed_form_moments(bath)
+    except UnsupportedPhaseError:
+        pass
+    report["lyapunov"] = lyapunov_moments(bath)
     # the high-gain form divides by gamma_m*g^2
     if bath.gamma_m * bath.g**2 > 0 and "closed_form" in report:
-        report["high_gain"] = high_gain_moments(bath, constants)
+        report["high_gain"] = high_gain_moments(bath)
     if args.format == "csv":
         return {
             "header": ["method", "var_x", "var_p", "cov_xp_sym", "t_eff"],
@@ -287,7 +285,7 @@ def cmd_variance(config: dict, args) -> dict:
 
 
 def cmd_spectrum(config: dict, args) -> dict:
-    bath, constants = _resolve_bath(config)
+    bath = _resolve_bath(config)
 
     if args.fig1 or args.g_list is not None:
         g_values = [0.0, 1.0, 10.0, 100.0, 1000.0]
@@ -307,7 +305,7 @@ def cmd_spectrum(config: dict, args) -> dict:
             if config.get("grid") is None
             else _grid(config, bath)
         )
-        var_x_g0 = closed_form_moments(with_gain(bath, 0.0), constants).var_x
+        var_x_g0 = closed_form_moments(with_gain(bath, 0.0)).var_x
         columns, sum_rules = {}, {}
         for g in g_values:
             bath_g = with_gain(bath, g)
@@ -364,7 +362,7 @@ def cmd_simulate(config: dict, args) -> dict | None:
         raise ValidationError("dump_traj", f"must be nonnegative, got {args.dump_traj}")
     if args.dump_traj and not args.out:
         raise ValidationError("out", "--dump-traj needs --out for the npz file")
-    bath, _ = _resolve_bath(config)
+    bath = _resolve_bath(config)
     stats = simulate(bath, _sim_config(config, args), keep_trajectories=args.dump_traj)
     payload = _scalar_fields(stats)
     psd = {"omega": stats.psd_omega, "S": stats.psd_values, "stderr": stats.psd_stderr}
@@ -384,7 +382,7 @@ def cmd_simulate(config: dict, args) -> dict | None:
 def cmd_fock(config: dict, args) -> dict:
     if args.dump_rho and not args.out:
         raise ValidationError("out", "--dump-rho needs --out for the binary file")
-    bath, _ = _resolve_bath(config)
+    bath = _resolve_bath(config)
     block = {} if config.get("fock") is None else _block(config, "fock", *_FOCK)
     max_nbar = block.get("max_nbar", 50.0)
     max_dim = block.get("max_dim", 400)
@@ -426,12 +424,12 @@ def cmd_fock(config: dict, args) -> dict:
 
 
 def cmd_sweep(config: dict, args) -> dict:
-    bath, constants = _resolve_bath(config)
+    bath = _resolve_bath(config)
     block = _block(config, "sweep", *_SWEEP)
     if not block:
         raise ValidationError("sweep", "need a nonempty 'sweep' block")
     axes = [(name, block[name]) for name in _SWEEP_AXES if name in block]
-    if "T" in block and not constants.hbar * bath.omega_m > 0:
+    if "T" in block and not HBAR * bath.omega_m > 0:
         raise InvalidSetupError("hbar*omega_m underflows: the T axis has no n_bar")
 
     header = (
@@ -444,7 +442,7 @@ def cmd_sweep(config: dict, args) -> dict:
         point = dict(zip((name for name, _ in axes), combo))
         n_bar = bath.n_bar
         if "T" in point:
-            n_bar = constants.k_B * point["T"] / (constants.hbar * bath.omega_m)
+            n_bar = K_B * point["T"] / (HBAR * bath.omega_m)
         try:
             bath_pt = bath_from_rates(
                 omega_m=bath.omega_m,
@@ -462,7 +460,7 @@ def cmd_sweep(config: dict, args) -> dict:
             row_tail = [math.nan] * 5 + [False, False, math.nan]
         else:
             try:
-                m = lyapunov_moments(bath_pt, constants)
+                m = lyapunov_moments(bath_pt)
                 moments = [m.var_x, m.var_p, m.cov_xp_sym, m.t_eff]
             except StabilityError:
                 # stable drift, but the moments break the Heisenberg bound:
@@ -475,9 +473,9 @@ def cmd_sweep(config: dict, args) -> dict:
 
 
 def cmd_compare(config: dict, args) -> dict:
-    bath, constants = _resolve_bath(config)
+    bath = _resolve_bath(config)
     stats = simulate(bath, _sim_config(config, args))
-    closed = closed_form_moments(bath, constants)
+    closed = closed_form_moments(bath)
     psd_report = psd_vs_analytic(stats)
 
     def z(hat, stderr, ref):

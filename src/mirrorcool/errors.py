@@ -30,11 +30,10 @@ class UnstableBathError(MirrorCoolError):
     so the generator itself is ill-defined here, not merely unstable.
     """
 
-    def __init__(self, gamma: float, message: str = ""):
+    def __init__(self, gamma: float):
         self.gamma = gamma
         super().__init__(
-            message or f"effective damping gamma = {gamma:g} <= 0; "
-            "bath coefficients are ill-defined"
+            f"effective damping gamma = {gamma:g} <= 0; bath coefficients are ill-defined"
         )
 
 

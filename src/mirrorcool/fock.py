@@ -35,7 +35,6 @@ __all__ = [
     "build_generator",
     "evolve_to_steady",
     "ladder",
-    "thermal_rho",
     "required_dim",
 ]
 
@@ -84,30 +83,13 @@ def ladder(dim: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, dim)), k=1)
 
 
-def thermal_rho(n_bar: float, dim: int) -> np.ndarray:
-    """Truncated thermal state with Boltzmann ratio exp(-1/n_bar).
-
-    Renormalized to unit trace after truncation; its last diagonal entry
-    is the tail that :func:`required_dim` bounds.
-    """
-    if n_bar < 0:
-        raise ValidationError("n_bar", "must be nonnegative")
-    if n_bar == 0:
-        p = np.zeros(dim)
-        p[0] = 1.0
-    else:
-        p = np.exp(-np.arange(dim) / n_bar)
-        p /= p.sum()
-    return np.diag(p).astype(complex)
-
-
-def required_dim(n_bar: float, tail: float = TAIL_GUARD) -> int:
-    """Smallest truncation whose thermal tail population stays below ``tail``."""
+def required_dim(n_bar: float) -> int:
+    """Smallest truncation whose thermal tail population stays below TAIL_GUARD."""
     ratio = math.exp(-1.0 / n_bar) if n_bar > 0 else 0.0
     if ratio == 0.0:  # exp underflows for n_bar below about 1.4e-3
         return 4
-    # (1-r) r^(d-1) <= tail
-    d = 1 + math.log(tail / (1 - ratio)) / math.log(ratio)
+    # (1-r) r^(d-1) <= TAIL_GUARD
+    d = 1 + math.log(TAIL_GUARD / (1 - ratio)) / math.log(ratio)
     return max(4, math.ceil(d))
 
 
@@ -124,9 +106,6 @@ class Generator:
         self._adjoints = np.stack(
             [op.T.ravel() for op in (a, a @ a, num)]
         )
-
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        return (self.matrix @ rho.ravel()).reshape(self.dim, self.dim)
 
     def moments(self, rho_vec: np.ndarray) -> np.ndarray:
         """(<a>, <a^2>, <a^dag a>) of a vectorized state (or its derivative)."""

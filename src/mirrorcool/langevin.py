@@ -39,6 +39,7 @@ __all__ = ["SimConfig", "TrajectoryEnsembleStats", "ComparisonReport", "simulate
 
 _CHUNK = 64  # trajectories integrated together; results do not depend on it
 _WELCH_ROWS = 8  # trajectories per Welch call; bounds its FFT memory
+_WELCH_OVERLAP = 0.5  # fraction of a Welch segment shared with the next
 _ALIAS_IMAGES = 200  # images k*2pi/dt on each side in the sampled-process spectrum
 _PEAK_FRACTION = 0.5  # peak region: bins at or above this fraction of the reference maximum
 _PEAK_REL_TOL = 0.10  # largest relative deviation in the peak region that passes
@@ -59,7 +60,6 @@ class SimConfig:
     n_traj: int
     seed: int = 0
     welch_segment: int = 4096
-    welch_overlap: float = 0.5
 
     def __post_init__(self):
         if not self.dt > 0:
@@ -74,8 +74,6 @@ class SimConfig:
             raise ValidationError("seed", "must be a 64-bit unsigned integer")
         if self.welch_segment < 8:
             raise ValidationError("welch_segment", "must be at least 8 samples")
-        if not 0 <= self.welch_overlap < 1:
-            raise ValidationError("welch_overlap", "must lie in [0, 1)")
 
 
 @dataclass(frozen=True)
@@ -197,7 +195,7 @@ def _simulate_linear(
     char_poly = [1.0, -np.trace(E), E[0, 0] * E[1, 1] - E[0, 1] * E[1, 0]]
 
     fs = 1.0 / cfg.dt
-    noverlap = int(cfg.welch_overlap * cfg.welch_segment)
+    noverlap = int(_WELCH_OVERLAP * cfg.welch_segment)
     # rfft bins below Nyquist; an even segment also has the Nyquist bin,
     # which the two-sided density holds once
     half = (cfg.welch_segment + 1) // 2

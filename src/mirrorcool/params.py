@@ -1,7 +1,8 @@
 """Physical constants, laboratory inputs, and derived coupling parameters.
 
 All rates are kept in angular units (rad/s, written 1/s); frequencies are
-entered in Hz and converted exactly once, here.
+entered in Hz and converted exactly once, here. The physical constants are
+the exact SI-2019 values.
 """
 
 from __future__ import annotations
@@ -9,32 +10,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 
-from scipy import constants as _codata
-
 from .errors import InvalidSetupError, ValidationError
 
-__all__ = ["PhysicalConstants", "PhysicalSetup", "DerivedCoupling", "derive_coupling"]
+__all__ = ["PhysicalSetup", "DerivedCoupling", "derive_coupling"]
+
+HBAR = 6.62607015e-34 / (2 * math.pi)  # J*s
+K_B = 1.380649e-23                      # J/K
+C = 299792458.0                         # m/s
 
 
 def _require_finite(instance) -> None:
     for f in fields(instance):
         if not math.isfinite(getattr(instance, f.name)):
             raise ValidationError(f.name, "must be finite")
-
-
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """CODATA constants; override only for unit tests (e.g. hbar = k_B = 1)."""
-
-    hbar: float = _codata.hbar  # J*s
-    k_B: float = _codata.k      # J/K
-    c: float = _codata.c        # m/s
-
-    def __post_init__(self):
-        _require_finite(self)
-        for name in ("hbar", "k_B", "c"):
-            if not getattr(self, name) > 0:
-                raise ValidationError(name, "must be strictly positive")
 
 
 @dataclass(frozen=True)
@@ -107,9 +95,7 @@ class DerivedCoupling:
     adiabatic_ok: bool = field(default=True)  # gamma_b > 10*|chi|
 
 
-def derive_coupling(
-    setup: PhysicalSetup, constants: PhysicalConstants = PhysicalConstants()
-) -> DerivedCoupling:
+def derive_coupling(setup: PhysicalSetup) -> DerivedCoupling:
     """Derive all coupling parameters of the linearized model.
 
     The cavity resonance is evaluated at the laser frequency (the working
@@ -123,24 +109,22 @@ def derive_coupling(
     InvalidSetupError
         if any derived quantity is non-finite.
     """
-    hbar, k_B, c = constants.hbar, constants.k_B, constants.c
-
     try:
         omega_m = 2 * math.pi * setup.nu_m
         omega_0 = 2 * math.pi * setup.nu_0
-        gamma_b = c * setup.T_r / (2 * setup.L)
+        gamma_b = C * setup.T_r / (2 * setup.L)
 
-        G = math.sqrt(hbar * omega_0**2 / (2 * setup.m * omega_m * setup.L**2))
-        beta_in = math.sqrt(setup.P_in / (hbar * omega_0))
+        G = math.sqrt(HBAR * omega_0**2 / (2 * setup.m * omega_m * setup.L**2))
+        beta_in = math.sqrt(setup.P_in / (HBAR * omega_0))
         beta_s = math.sqrt(gamma_b) * beta_in / (gamma_b / 2 - 1j * setup.Delta)
         varphi = math.atan2(beta_s.imag, beta_s.real)
 
         chi = -4 * G * abs(beta_s)
         Gamma = chi**2 / gamma_b
-        x_s = hbar * omega_0 * abs(beta_s) ** 2 / (setup.m * omega_m**2 * setup.L)
+        x_s = HBAR * omega_0 * abs(beta_s) ** 2 / (setup.m * omega_m**2 * setup.L)
         # tau_m = 1/gamma_m; an undamped mirror has unbounded quality factor
         Q_m = omega_m / setup.gamma_m if setup.gamma_m > 0 else math.inf
-        n_bar = k_B * setup.T / (hbar * omega_m)
+        n_bar = K_B * setup.T / (HBAR * omega_m)
     except (OverflowError, ZeroDivisionError, ValueError) as exc:
         raise InvalidSetupError(f"derivation overflowed/underflowed: {exc}") from exc
 

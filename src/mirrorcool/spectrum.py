@@ -48,14 +48,14 @@ class SpectrumSeries:
             )
 
 
-def default_grid(bath: EffectiveBath, n_points: int = 4096) -> np.ndarray:
-    """Uniform grid over [-5*(omega_m+g), +5*(omega_m+g)].
+def default_grid(bath: EffectiveBath) -> np.ndarray:
+    """Uniform 4096-point grid over [-5*(omega_m+g), +5*(omega_m+g)].
 
     Wide enough to resolve both the mechanical resonance and the
     feedback-broadened width.
     """
     span = 5 * (bath.omega_m + bath.g)
-    return np.linspace(-span, span, n_points)
+    return np.linspace(-span, span, 4096)
 
 
 def _x_spectrum(bath: EffectiveBath):

@@ -17,7 +17,7 @@ from scipy import optimize
 
 from .bath import EffectiveBath, require_stable, with_gain
 from .errors import StabilityError, UnsupportedPhaseError, ValidationError
-from .params import PhysicalConstants
+from .params import HBAR, K_B
 
 __all__ = [
     "SteadyMoments",
@@ -66,9 +66,9 @@ def _require_phase(bath: EffectiveBath) -> None:
         )
 
 
-def _t_eff(bath: EffectiveBath, constants: PhysicalConstants) -> float:
+def _t_eff(bath: EffectiveBath) -> float:
     # bath temperature reconstructed from n_bar = k_B*T/(hbar*omega_m)
-    T = bath.n_bar * constants.hbar * bath.omega_m / constants.k_B
+    T = bath.n_bar * HBAR * bath.omega_m / K_B
     if bath.g > 0:
         # T*(omega_m/g)^2 leaves the float range as g -> 0, where g**2 underflows
         g2 = bath.g**2
@@ -119,9 +119,7 @@ def _steady_covariance(A: np.ndarray, C: np.ndarray) -> np.ndarray:
     return np.array([[x, z], [z, y]])
 
 
-def closed_form_moments(
-    bath: EffectiveBath, constants: PhysicalConstants = PhysicalConstants()
-) -> SteadyMoments:
+def closed_form_moments(bath: EffectiveBath) -> SteadyMoments:
     """Exact steady-state variances at phi = -pi/2.
 
     ``var_x`` and ``var_p`` are the printed closed-form expressions; the
@@ -145,14 +143,12 @@ def closed_form_moments(
         var_x=var_x,
         var_p=var_p,
         cov_xp_sym=cov,
-        t_eff=_t_eff(bath, constants),
+        t_eff=_t_eff(bath),
         method="closed_form",
     )
 
 
-def high_gain_moments(
-    bath: EffectiveBath, constants: PhysicalConstants = PhysicalConstants()
-) -> SteadyMoments:
+def high_gain_moments(bath: EffectiveBath) -> SteadyMoments:
     """High-gain approximation of var_x, valid for g >> omega_m*Q_m.
 
     var_x = k_B*T_eff/(2*hbar*omega_m) + Gamma*omega_m^2/(8*gamma_m*g^2)
@@ -181,19 +177,17 @@ def high_gain_moments(
         + bath.Gamma * om**2 / (8 * gm * g**2)
         + g / (8 * bath.eta * bath.Gamma)
     )
-    exact = closed_form_moments(bath, constants)
+    exact = closed_form_moments(bath)
     return SteadyMoments(
         var_x=var_x,
         var_p=exact.var_p,
         cov_xp_sym=exact.cov_xp_sym,
-        t_eff=_t_eff(bath, constants),
+        t_eff=_t_eff(bath),
         method="high_gain",
     )
 
 
-def lyapunov_moments(
-    bath: EffectiveBath, constants: PhysicalConstants = PhysicalConstants()
-) -> SteadyMoments:
+def lyapunov_moments(bath: EffectiveBath) -> SteadyMoments:
     """Steady covariance from A*S + S*A^T + C = 0 (independent oracle).
 
     Works at any phase for which the drift is stable; on the stability
@@ -206,7 +200,7 @@ def lyapunov_moments(
         var_x=var_x,
         var_p=var_p,
         cov_xp_sym=cov,
-        t_eff=_t_eff(bath, constants),
+        t_eff=_t_eff(bath),
         method="lyapunov",
     )
 

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from mirrorcool import bath_from_rates, closed_form_moments, optimize_gain, with_gain
 from mirrorcool import fock as fock_mod
+from mirrorcool import cli
 from mirrorcool.cli import _COMMANDS, _build_parser, main
 
 from conftest import BOUNDARY_BATHS
@@ -357,7 +358,13 @@ def test_sweep_and_derive_report_a_boundary_point_unstable(name, tmp_path, capsy
     config = {"bath": rates, "sweep": {"g": [rates["g"]]}}
     assert run(["sweep", "--config", write_config(tmp_path, config)]) == 0
     out = json.loads(capsys.readouterr().out)
-    assert dict(zip(out["header"], out["rows"][0]))["stable"] is False
+    # a non-stable row keeps its axis values and reports nothing else
+    row = dict(zip(out["header"], out["rows"][0]))
+    assert row.pop("g") == rates["g"]
+    assert row.pop("stable") is False
+    assert row.pop("lindblad_positive") is False
+    assert set(row) == {"gamma", "var_x", "var_p", "cov_xp_sym", "t_eff", "positivity_gap"}
+    assert all(math.isnan(v) for v in row.values())
     assert run(["variance", "--config", write_config(tmp_path, config)]) == 3
     assert "instability: no steady state exists" in capsys.readouterr().err
     # a laboratory setup whose margin is 1e-14 of its terms
@@ -432,17 +439,17 @@ def test_json_round_trip_is_exact(tmp_path, capsys):
     assert once["closed_form"]["var_x"] == closed_form_moments(bath).var_x
 
 
-def test_unsafe_constants_block(tmp_path, capsys):
-    config = {
-        "setup": {"m": 1.0, "nu_m": 1 / (2 * math.pi), "gamma_m": 0.1,
-                  "L": 1.0, "nu_0": 1.0 / (2 * math.pi), "T_r": 1.0,
-                  "P_in": 0.0, "T": 2.0},
-        "unsafe_constants": {"hbar": 1.0, "k_B": 1.0, "c": 1.0},
-    }
-    code = run(["derive", "--config", write_config(tmp_path, config)])
-    out = json.loads(capsys.readouterr().out)
-    assert code == 0
-    assert out["coupling"]["n_bar"] == pytest.approx(2.0, rel=1e-14)
+def test_unsafe_constants_block_is_refused(tmp_path, capsys):
+    # a natural-units config must not run silently with the SI constants
+    config = json.loads(REFERENCE_CONFIG.read_text())
+    config["unsafe_constants"] = {"hbar": 1.0, "k_B": 1.0, "c": 1.0}
+    assert run(["derive", "--config", write_config(tmp_path, config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: unsafe_constants:")
+    assert "Traceback" not in err
+    # a null block counts as absent
+    config["unsafe_constants"] = None
+    assert run(["derive", "--config", write_config(tmp_path, config)]) == 0
 
 
 def test_unknown_config_key_rejected(tmp_path, capsys):
@@ -507,6 +514,9 @@ MALFORMED = {
                             *refused("n_traj")),
     "sim_seed_bool": ("simulate", {**DESK_BATH, "sim": {**SIM, "seed": True}}, [],
                       *refused("seed")),
+    # Welch segments always overlap by half
+    "sim_welch_overlap": ("simulate", {**DESK_BATH, "sim": {**SIM, "welch_overlap": 0.5}}, [],
+                          *refused("welch_overlap")),
     # a dump flag that would write nothing
     "dump_traj_without_out": ("simulate", {**DESK_BATH, "sim": SIM}, ["--dump-traj", "4"],
                               *refused("out")),
@@ -520,10 +530,9 @@ MALFORMED = {
                           *refused("dim")),
     "fock_max_dim_string": ("fock", {**FOCK_DESK_BATH, "fock": {"max_dim": "x"}}, [],
                             *refused("max_dim")),
-    "hbar_string": ("derive", {"setup": SETUP, "unsafe_constants": {"hbar": "x"}}, [],
-                    *refused("hbar")),
-    "hbar_inf": ("derive", {"setup": SETUP, "unsafe_constants": {"hbar": 1e400}}, [],
-                 *refused("hbar")),
+    # hbar, k_B and c are the exact SI values on the bath route too
+    "unsafe_constants": ("variance", {**DESK_BATH, "unsafe_constants": {"hbar": 1.0}}, [],
+                         *refused("unsafe_constants")),
     "Gamma_inf": ("variance", with_bath(Gamma=1e400), [], *refused("Gamma")),
     "n_bar_big_integer": ("variance", with_bath(n_bar=10**400), [], *refused("n_bar")),
     "phi_inf": ("variance", with_bath(phi=1e400), [], *refused("phi")),
@@ -576,7 +585,7 @@ def test_variance_omits_high_gain_outside_its_domain(tmp_path, capsys, fields):
 # small valid configs; each fuzz draw replaces one value or block in one
 FUZZ_CONFIGS = {
     "derive": {"setup": dict(SETUP, g=100.0)},
-    "variance": {**FOCK_DESK_BATH, "unsafe_constants": {"hbar": 1.0, "k_B": 1.0, "c": 1.0}},
+    "variance": FOCK_DESK_BATH,
     "spectrum": {**FOCK_DESK_BATH, "grid": {"omega_min": -50.0, "omega_max": 50.0,
                                             "n_points": 64}},
     "sweep": {**FOCK_DESK_BATH, "sweep": {"g": [0.0, 5.0], "phi": [-math.pi / 2], "T": [1.0]}},
@@ -645,9 +654,13 @@ def test_flag_of_another_verb_is_refused(tmp_path, capsys, verb, config, argv):
     assert argv[0] in capsys.readouterr().err
 
 
-def test_readme_cli_examples_parse():
+def _readme_cli_section() -> str:
     readme = Path(__file__).resolve().parents[1] / "README.md"
-    section = readme.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1]
+    return readme.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_cli_examples_parse():
+    section = _readme_cli_section()
     block = section.split("```sh\n", 1)[1].split("```", 1)[0]
     examples = [shlex.split(line)[1:] for line in block.splitlines()
                 if line.startswith("mirrorcool ")]
@@ -658,3 +671,17 @@ def test_readme_cli_examples_parse():
             parser.parse_args(argv)
         except SystemExit:
             pytest.fail(f"README example does not parse: mirrorcool {shlex.join(argv)}")
+
+
+def test_readme_config_fields_match_the_parser():
+    # rows of README's config table: | `block` ... | `field`, `field`, ... | use |
+    table = _readme_cli_section().split("\n| block | fields |", 1)[1].split("\n\n", 1)[0]
+    documented = {}
+    for row in table.splitlines()[2:]:
+        block, fields = row.split("|")[1:3]
+        documented[block.split("`")[1]] = set(fields.split("`")[1::2])
+    accepted = {"setup": cli._SETUP, "bath": cli._BATH, "grid": cli._GRID,
+                "sim": cli._SIM, "fock": cli._FOCK, "sweep": cli._SWEEP}
+    assert set(documented) == set(accepted)
+    for block, (kinds, _) in accepted.items():
+        assert documented[block] == set(kinds), block

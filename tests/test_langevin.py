@@ -33,7 +33,7 @@ def desk_bath(g=50.0, Gamma=200.0, n_bar=100.0, omega_m=62.8, phi=-math.pi / 2):
 
 def quick_cfg(**overrides):
     base = dict(dt=1.25e-3, t_relax=0.5, t_sample=8.0, n_traj=64,
-                seed=11, welch_segment=2048, welch_overlap=0.5)
+                seed=11, welch_segment=2048)
     return SimConfig(**{**base, **overrides})
 
 
@@ -216,11 +216,12 @@ def test_welch_matches_scipy(nperseg, overlap, rows):
 @pytest.mark.parametrize("segment", [512, 511])
 def test_psd_integral_is_the_windowed_mean_square(segment):
     # Parseval: the two-sided Welch sum times fs/segment is each segment's
-    # Hann-weighted mean square, averaged over segments and trajectories
-    cfg = quick_cfg(n_traj=5, t_sample=2.0, welch_segment=segment, welch_overlap=0.3)
+    # Hann-weighted mean square, averaged over half-overlapping segments
+    # and trajectories
+    cfg = quick_cfg(n_traj=5, t_sample=2.0, welch_segment=segment)
     stats = simulate(desk_bath(), cfg, keep_trajectories=5)
     win = 0.5 - 0.5 * np.cos(2 * np.pi * np.arange(segment) / segment)
-    step = segment - int(0.3 * segment)
+    step = segment - int(0.5 * segment)
     x = stats.raw_trajectories["x"]
     starts = range(0, x.shape[1] - segment + 1, step)
     ms = [np.mean([np.sum((row[s:s + segment] * win) ** 2) for s in starts]) for row in x]
@@ -314,7 +315,6 @@ def test_raw_trajectory_dump():
         (dict(n_traj=1), "n_traj"),
         (dict(seed=-1), "seed"),
         (dict(welch_segment=4), "welch_segment"),
-        (dict(welch_overlap=1.0), "welch_overlap"),
     ],
 )
 def test_sim_config_validation(kwargs, field):

@@ -5,11 +5,11 @@ from scipy import constants as codata
 
 from mirrorcool import (
     InvalidSetupError,
-    PhysicalConstants,
     PhysicalSetup,
     ValidationError,
     build_bath,
     derive_coupling,
+    params,
 )
 
 from conftest import REFERENCE_SETUP, reference_setup
@@ -135,13 +135,11 @@ def test_overflowing_setup_raises_invalid_setup():
         build_bath(derive_coupling(setup), setup)
 
 
-def test_unit_constants_override():
-    c = derive_coupling(
-        reference_setup(T=2.0, nu_m=1 / (2 * math.pi)),
-        PhysicalConstants(hbar=1.0, k_B=1.0, c=1.0),
-    )
-    assert c.omega_m == pytest.approx(1.0, rel=1e-15)
-    assert c.n_bar == pytest.approx(2.0, rel=1e-15)
+def test_constants_are_the_exact_si_values():
+    # bit for bit: scipy.constants is the oracle, not a dependency
+    assert params.HBAR == codata.hbar
+    assert params.K_B == codata.k
+    assert params.C == codata.c
 
 
 def test_outputs_smooth_in_each_input():

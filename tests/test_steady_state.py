@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import constants as codata
 
 from mirrorcool import (
     EffectiveBath,
@@ -25,7 +26,6 @@ from mirrorcool import (
     optimize_gain,
     with_gain,
 )
-from mirrorcool.params import PhysicalConstants
 
 from conftest import BOUNDARY_BATHS, random_stable_bath, reference_bath, reference_setup
 
@@ -65,8 +65,7 @@ def test_teff_identity_with_feedback():
     setup = reference_setup(g=1000.0)
     bath = build_bath(derive_coupling(setup), setup)
     m = closed_form_moments(bath)
-    constants = PhysicalConstants()
-    T = bath.n_bar * constants.hbar * bath.omega_m / constants.k_B
+    T = bath.n_bar * codata.hbar * bath.omega_m / codata.k
     assert m.t_eff * bath.g**2 == pytest.approx(T * bath.omega_m**2, rel=1e-14)
 
 
