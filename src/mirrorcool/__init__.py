@@ -30,7 +30,7 @@ from .errors import (
 from .fock import FockConfig, FockSolution, build_generator, evolve_to_steady
 from .langevin import SimConfig, TrajectoryEnsembleStats, psd_vs_analytic, simulate
 from .params import DerivedCoupling, PhysicalSetup, derive_coupling
-from .spectrum import SpectrumSeries, default_grid, eval_spectrum, fig1_scale, sum_rule_check
+from .spectrum import default_grid, eval_spectrum, sum_rule_check
 from .steady_state import (
     SteadyMoments,
     closed_form_moments,
@@ -54,7 +54,6 @@ __all__ = [
     "NumericalError",
     "PhysicalSetup",
     "SimConfig",
-    "SpectrumSeries",
     "StabilityBoundaryError",
     "StabilityError",
     "StabilityReport",
@@ -75,7 +74,6 @@ __all__ = [
     "drift_matrix",
     "eval_spectrum",
     "evolve_to_steady",
-    "fig1_scale",
     "high_gain_moments",
     "lyapunov_moments",
     "optimize_gain",

@@ -44,7 +44,7 @@ from .errors import (
 )
 from .langevin import SimConfig, psd_vs_analytic, simulate
 from .params import HBAR, K_B, DerivedCoupling, PhysicalSetup, derive_coupling
-from .spectrum import default_grid, eval_spectrum, fig1_scale, sum_rule_check
+from .spectrum import default_grid, eval_spectrum, sum_rule_check
 from .steady_state import closed_form_moments, high_gain_moments, lyapunov_moments
 
 __all__ = ["main"]
@@ -177,8 +177,12 @@ _SETUP = _fields(PhysicalSetup)
 _SIM = _fields(SimConfig)
 _BATH = (dict.fromkeys(_BATH_KEYS, float), set(_BATH_KEYS))
 _GRID = ({"omega_min": float, "omega_max": float, "n_points": int}, set())
-_FOCK = ({"dim": int, "max_nbar": float, "max_dim": int}, set())
+_FOCK = ({"dim": int}, set())
 _SWEEP = (dict.fromkeys(_SWEEP_AXES, list), set())
+
+# number-basis refusal ceilings: room-temperature occupations are out of reach
+_MAX_NBAR = 50.0
+_MAX_DIM = 400
 
 
 def _inputs(config: dict) -> tuple[PhysicalSetup | None, DerivedCoupling | None]:
@@ -225,7 +229,7 @@ def _grid(config: dict, bath: EffectiveBath) -> np.ndarray:
     if n_points < 2 or not omega_max > omega_min:
         raise ValidationError("grid", "need omega_max > omega_min and n_points >= 2")
     try:
-        # SpectrumSeries refuses the spectrum of points beyond the float range
+        # eval_spectrum refuses the spectrum of points beyond the float range
         with np.errstate(over="ignore", invalid="ignore"):
             return np.linspace(omega_min, omega_max, n_points)
     except (ValueError, IndexError, MemoryError) as exc:
@@ -272,9 +276,13 @@ def cmd_variance(config: dict, args) -> dict:
     except UnsupportedPhaseError:
         pass
     report["lyapunov"] = lyapunov_moments(bath)
-    # the high-gain form divides by gamma_m*g^2
-    if bath.gamma_m * bath.g**2 > 0 and "closed_form" in report:
-        report["high_gain"] = high_gain_moments(bath)
+    # the closed forms have accepted the phase and the drift, so the
+    # high-gain form can refuse only its domain g > 0, gamma_m*g^2 > 0
+    if "closed_form" in report:
+        try:
+            report["high_gain"] = high_gain_moments(bath)
+        except ValidationError:
+            pass
     if args.format == "csv":
         return {
             "header": ["method", "var_x", "var_p", "cov_xp_sym", "t_eff"],
@@ -287,16 +295,18 @@ def cmd_variance(config: dict, args) -> dict:
 def cmd_spectrum(config: dict, args) -> dict:
     bath = _resolve_bath(config)
 
-    if args.fig1 or args.g_list is not None:
-        g_values = [0.0, 1.0, 10.0, 100.0, 1000.0]
+    # one column per bath: the single series, or the dataset's gains
+    dataset = args.fig1 or args.g_list is not None
+    if dataset:
+        gains = [0.0, 1.0, 10.0, 100.0, 1000.0]
         if args.g_list is not None:
             try:
-                g_values = _value("g_list", [float(x) for x in args.g_list.split(",")], list)
+                gains = _value("g_list", [float(x) for x in args.g_list.split(",")], list)
             except ValueError:  # a piece that is not a number
                 raise ValidationError(
                     "g_list", f"expected comma-separated numbers, got {args.g_list!r}"
                 ) from None
-            if len({f"{g:g}" for g in g_values}) < len(g_values):
+            if len({f"{g:g}" for g in gains}) < len(gains):
                 raise ValidationError(
                     "g_list", f"gains equal to 6 digits would share a column: {args.g_list!r}"
                 )
@@ -305,48 +315,40 @@ def cmd_spectrum(config: dict, args) -> dict:
             if config.get("grid") is None
             else _grid(config, bath)
         )
-        var_x_g0 = closed_form_moments(with_gain(bath, 0.0)).var_x
-        columns, sum_rules = {}, {}
-        for g in g_values:
-            bath_g = with_gain(bath, g)
-            series = eval_spectrum(bath_g, grid)
-            if args.fig1:
-                series = fig1_scale(series, var_x_g0)
-            columns[f"S_g{g:g}"] = series.values
-            integral, var_x, rel = sum_rule_check(bath_g)
-            sum_rules[f"g={g:g}"] = {
-                "integral": integral, "var_x": var_x, "rel_err": rel,
-            }
-        if args.format == "csv":
-            return {
-                "header": ["omega", *columns],
-                "rows": zip(grid, *columns.values()),
-                "comments": [
-                    f"sum_rule {k}: integral={v['integral']!r} var_x={v['var_x']!r} "
-                    f"rel_err={v['rel_err']:.3e}"
-                    for k, v in sum_rules.items()
-                ],
-            }
-        return {
-            "omega": grid,
-            "series": columns,
-            "normalization": "fig1_scaled" if args.fig1 else "raw",
-            "sum_rule": sum_rules,
+        if args.fig1:
+            scale = 2 * math.pi * closed_form_moments(with_gain(bath, 0.0)).var_x
+        columns = {f"S_g{g:g}": with_gain(bath, g) for g in gains}
+    else:
+        grid, columns = _grid(config, bath), {"S": bath}
+
+    series, sum_rules = {}, {}
+    for label, bath_col in columns.items():
+        values = eval_spectrum(bath_col, grid)
+        series[label] = values / scale if args.fig1 else values
+        integral, var_x, rel = sum_rule_check(bath_col)
+        # a dataset names each column's sum rule by its gain
+        sum_rules[f"g={bath_col.g:g}" if dataset else ""] = {
+            "integral": integral, "var_x": var_x, "rel_err": rel,
         }
 
-    series = eval_spectrum(bath, _grid(config, bath))
-    integral, var_x, rel = sum_rule_check(bath)
     if args.format == "csv":
         return {
-            "header": ["omega", "S"],
-            "rows": zip(series.omega_grid, series.values),
-            "comments": [f"sum_rule: integral={integral!r} var_x={var_x!r} rel_err={rel:.3e}"],
+            "header": ["omega", *series],
+            "rows": zip(grid, *series.values()),
+            "comments": [
+                f"sum_rule {k}".rstrip() + f": integral={r['integral']!r} "
+                f"var_x={r['var_x']!r} rel_err={r['rel_err']:.3e}"
+                for k, r in sum_rules.items()
+            ],
         }
+    if not dataset:
+        return {"omega": grid, "S": series["S"], "normalization": "raw",
+                "sum_rule": sum_rules[""]}
     return {
-        "omega": series.omega_grid,
-        "S": series.values,
-        "normalization": series.normalization,
-        "sum_rule": {"integral": integral, "var_x": var_x, "rel_err": rel},
+        "omega": grid,
+        "series": series,
+        "normalization": "fig1_scaled" if args.fig1 else "raw",
+        "sum_rule": sum_rules,
     }
 
 
@@ -384,20 +386,18 @@ def cmd_fock(config: dict, args) -> dict:
         raise ValidationError("out", "--dump-rho needs --out for the binary file")
     bath = _resolve_bath(config)
     block = {} if config.get("fock") is None else _block(config, "fock", *_FOCK)
-    max_nbar = block.get("max_nbar", 50.0)
-    max_dim = block.get("max_dim", 400)
-    if bath.n_bar > max_nbar:
+    if bath.n_bar > _MAX_NBAR:
         raise ValidationError(
             "n_bar",
             f"thermal occupation {bath.n_bar:g} exceeds the Fock ceiling "
-            f"{max_nbar:g}; this oracle is for desk-scale parameters",
+            f"{_MAX_NBAR:g}; this oracle is for desk-scale parameters",
         )
     needed = fock_mod.required_dim(bath.n_bar)
     grow = "dim" not in block
     dim = block.get("dim", needed)
-    if max(dim, needed) > max_dim:
+    if max(dim, needed) > _MAX_DIM:
         raise ValidationError(
-            "dim", f"required dimension {max(dim, needed)} exceeds ceiling {max_dim}"
+            "dim", f"required dimension {max(dim, needed)} exceeds ceiling {_MAX_DIM}"
         )
     # required_dim counts only the thermal tail of n_bar; feedback heating
     # and squeezing widen the solved state's, so a default dim grows until
@@ -411,11 +411,11 @@ def cmd_fock(config: dict, args) -> dict:
         except TruncationError:
             if not grow:
                 raise
-            if dim == max_dim:
+            if dim == _MAX_DIM:
                 raise ValidationError(
-                    "dim", f"tail guard not met at the ceiling {max_dim}"
+                    "dim", f"tail guard not met at the ceiling {_MAX_DIM}"
                 ) from None
-            dim = min(dim + max(4, dim // 4), max_dim)
+            dim = min(dim + max(4, dim // 4), _MAX_DIM)
     if args.dump_rho:
         # row-major complex128: interleaved (re, im) float64 pairs
         _save(str(args.out) + ".rho.bin",

@@ -328,7 +328,7 @@ def _sampled_spectrum(bath: EffectiveBath, omega: np.ndarray, dt: float) -> np.n
     """
     k = np.arange(-_ALIAS_IMAGES, _ALIAS_IMAGES + 1)[:, None]
     images = (omega + k * (2 * math.pi / dt)).ravel()
-    return eval_spectrum(bath, images).values.reshape(k.size, -1).sum(axis=0)
+    return eval_spectrum(bath, images).reshape(k.size, -1).sum(axis=0)
 
 
 def psd_vs_analytic(stats: TrajectoryEnsembleStats) -> ComparisonReport:

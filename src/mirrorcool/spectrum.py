@@ -9,7 +9,6 @@ by independent adaptive quadrature.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
@@ -18,34 +17,7 @@ from .bath import EffectiveBath, require_stable
 from .errors import NumericalError, ValidationError
 from .steady_state import closed_form_moments, _require_phase
 
-__all__ = ["SpectrumSeries", "default_grid", "eval_spectrum", "fig1_scale", "sum_rule_check"]
-
-
-@dataclass(frozen=True)
-class SpectrumSeries:
-    """Evaluated spectrum on a frequency grid.
-
-    values carry units of time (dimensionless quadrature squared per
-    angular frequency); normalization is "raw" or "fig1_scaled" (divided
-    by 2*pi*<X^2>_{g=0}).
-    """
-
-    omega_grid: np.ndarray
-    values: np.ndarray
-    normalization: str
-    params_snapshot: EffectiveBath
-
-    def __post_init__(self):
-        if not np.isfinite(self.values).all():
-            raise NumericalError(
-                "non-finite spectrum value: the grid or the bath overflows "
-                "the evaluation"
-            )
-        if self.values.min(initial=np.inf) < 0:
-            raise NumericalError(
-                "negative spectrum value: S_g is a symmetrized spectrum and "
-                "must be nonnegative; this is an evaluation defect"
-            )
+__all__ = ["default_grid", "eval_spectrum", "sum_rule_check"]
 
 
 def default_grid(bath: EffectiveBath) -> np.ndarray:
@@ -79,37 +51,32 @@ def _x_spectrum(bath: EffectiveBath):
     return spectrum
 
 
-def eval_spectrum(bath: EffectiveBath, omega_grid: np.ndarray) -> SpectrumSeries:
-    """Pointwise spectrum of X at phi = -pi/2 (see :func:`_x_spectrum`)."""
+def eval_spectrum(bath: EffectiveBath, omega_grid: np.ndarray) -> np.ndarray:
+    """Pointwise spectrum of X at phi = -pi/2 (see :func:`_x_spectrum`).
+
+    The values carry units of time (dimensionless quadrature squared per
+    angular frequency). A non-finite value (a grid or bath that overflows
+    the evaluation) or a negative one raises :class:`NumericalError`.
+    """
     _require_phase(bath)
     require_stable(bath)
     omega_grid = np.asarray(omega_grid, dtype=float)
     if omega_grid.size == 0:
         raise ValidationError("omega_grid", "empty frequency grid")
 
-    # SpectrumSeries refuses the non-finite values of an overflowing grid or bath
     with np.errstate(over="ignore", invalid="ignore"):
         values = _x_spectrum(bath)(omega_grid)
-    return SpectrumSeries(
-        omega_grid=omega_grid,
-        values=values,
-        normalization="raw",
-        params_snapshot=bath,
-    )
-
-
-def fig1_scale(series: SpectrumSeries, var_x_g0: float) -> SpectrumSeries:
-    """Divide by 2*pi*<X^2>_{g=0} (the reference-figure normalization)."""
-    if series.normalization != "raw":
-        raise ValidationError("series", "already scaled")
-    if not var_x_g0 > 0:
-        raise ValidationError("var_x_g0", "must be strictly positive")
-    return SpectrumSeries(
-        omega_grid=series.omega_grid,
-        values=series.values / (2 * math.pi * var_x_g0),
-        normalization="fig1_scaled",
-        params_snapshot=series.params_snapshot,
-    )
+    if not np.isfinite(values).all():
+        raise NumericalError(
+            "non-finite spectrum value: the grid or the bath overflows "
+            "the evaluation"
+        )
+    if values.min() < 0:
+        raise NumericalError(
+            "negative spectrum value: S_g is a symmetrized spectrum and "
+            "must be nonnegative; this is an evaluation defect"
+        )
+    return values
 
 
 def sum_rule_check(bath: EffectiveBath) -> tuple[float, float, float]:

@@ -167,11 +167,11 @@ def test_criterion_6_spectrum_shape_properties():
     bath = reference_bath()
     grid = np.linspace(0.0, 500.0, 4096)
     gains = (0.0, 1.0, 10.0, 100.0, 1000.0)
-    curves = {g: eval_spectrum(with_gain(bath, g), grid).values for g in gains}
+    curves = {g: eval_spectrum(with_gain(bath, g), grid) for g in gains}
     om = bath.omega_m
 
     at_resonance = [
-        eval_spectrum(with_gain(bath, g), np.array([om])).values[0] for g in gains
+        eval_spectrum(with_gain(bath, g), np.array([om]))[0] for g in gains
     ]
     decreasing = all(b < a for a, b in zip(at_resonance, at_resonance[1:]))
 

@@ -15,7 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mirrorcool import bath_from_rates, closed_form_moments, optimize_gain, with_gain
+from mirrorcool import (
+    bath_from_rates, closed_form_moments, eval_spectrum, optimize_gain, with_gain,
+)
 from mirrorcool import fock as fock_mod
 from mirrorcool import cli
 from mirrorcool.cli import _COMMANDS, _build_parser, main
@@ -152,6 +154,13 @@ def test_spectrum_fig1_dataset_csv(tmp_path):
     # resonance amplitude strictly decreasing with gain
     peaks = data[:, 1:].max(axis=0)
     assert all(b < a for a, b in zip(peaks, peaks[1:]))
+    # each column is S_g divided by 2*pi*<X^2> at g = 0, to the last bit
+    bath = cli._resolve_bath(config)
+    grid = np.linspace(0.0, 8 * bath.omega_m, 2048)
+    scale = 2 * math.pi * closed_form_moments(with_gain(bath, 0.0)).var_x
+    np.testing.assert_array_equal(data[:, 0], grid)
+    for column, g in zip(data[:, 1:].T, (0.0, 1.0, 10.0, 100.0, 1000.0)):
+        np.testing.assert_array_equal(column, eval_spectrum(with_gain(bath, g), grid) / scale)
 
 
 def test_spectrum_custom_g_list(tmp_path, capsys):
@@ -160,6 +169,18 @@ def test_spectrum_custom_g_list(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert code == 0
     assert set(out["series"]) == {"S_g0", "S_g25"}
+
+
+def test_spectrum_g_list_needs_no_steady_state_at_zero_gain(tmp_path, capsys):
+    # undamped: g = 0 has no steady state, g = 20, 25, 50 do
+    config = write_config(tmp_path, {"bath": {**FOCK_DESK_BATH["bath"], "gamma_m": 0.0}})
+    assert run(["spectrum", "--config", config]) == 0
+    capsys.readouterr()
+    assert run(["spectrum", "--config", config, "--g-list", "25,50"]) == 0
+    assert list(json.loads(capsys.readouterr().out)["series"]) == ["S_g25", "S_g50"]
+    # the fig1 dataset has a g = 0 column and divides by its <X^2>
+    assert run(["spectrum", "--config", config, "--fig1"]) == 3
+    assert "instability:" in capsys.readouterr().err
 
 
 def test_simulate_writes_deterministic_files(tmp_path):
@@ -312,10 +333,11 @@ def test_fock_default_dim_grows_until_the_tail_guard_holds(tmp_path, capsys):
     assert out["var_x"] == pytest.approx(exact.var_x, rel=1e-5)
 
 
-def test_fock_default_dim_refused_past_the_ceiling(tmp_path, capsys):
-    config = {**FOCK_DESK_BATH, "fock": {"max_dim": 50}}
-    assert run(["fock", "--config", write_config(tmp_path, config)]) == 2
-    assert "dim:" in capsys.readouterr().err
+def test_fock_default_dim_refused_past_the_ceiling(tmp_path, monkeypatch, capsys):
+    # the grow loop starts at required_dim(2) = 46 and stops at the ceiling
+    monkeypatch.setattr(cli, "_MAX_DIM", 50)
+    assert run(["fock", "--config", write_config(tmp_path, FOCK_DESK_BATH)]) == 2
+    assert "dim: tail guard not met at the ceiling 50" in capsys.readouterr().err
 
 
 def test_fock_explicit_dim_is_not_grown(tmp_path, capsys):
@@ -528,6 +550,10 @@ MALFORMED = {
     "fock_dim_string": ("fock", {**FOCK_DESK_BATH, "fock": {"dim": "x"}}, [], *refused("dim")),
     "fock_dim_fraction": ("fock", {**FOCK_DESK_BATH, "fock": {"dim": 66.7}}, [],
                           *refused("dim")),
+    # a dimension past the fixed ceiling 400 is refused before any solve
+    "fock_dim_past_ceiling": ("fock", {**FOCK_DESK_BATH, "fock": {"dim": 401}}, [],
+                              *refused("dim")),
+    # the ceilings are fixed: an old ceiling key is an unknown field
     "fock_max_dim_string": ("fock", {**FOCK_DESK_BATH, "fock": {"max_dim": "x"}}, [],
                             *refused("max_dim")),
     # hbar, k_B and c are the exact SI values on the bath route too
@@ -590,7 +616,7 @@ FUZZ_CONFIGS = {
                                             "n_points": 64}},
     "sweep": {**FOCK_DESK_BATH, "sweep": {"g": [0.0, 5.0], "phi": [-math.pi / 2], "T": [1.0]}},
     "fock": {"bath": {**FOCK_DESK_BATH["bath"], "Gamma": 20.0, "n_bar": 0.5, "g": 10.0},
-             "fock": {"dim": 30, "max_nbar": 1.0, "max_dim": 40}},
+             "fock": {"dim": 30}},
 }
 
 # finite draws stay inside +-100 so that no draw asks for a large grid or

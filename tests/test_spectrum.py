@@ -5,16 +5,14 @@ import pytest
 
 from mirrorcool import (
     NumericalError,
-    SpectrumSeries,
     ValidationError,
     bath_from_rates,
-    closed_form_moments,
     default_grid,
     eval_spectrum,
-    fig1_scale,
     sum_rule_check,
     with_gain,
 )
+from mirrorcool import spectrum
 from mirrorcool.errors import StabilityError, UnsupportedPhaseError
 
 from conftest import random_stable_bath, reference_bath
@@ -29,8 +27,8 @@ def test_zero_gain_peak_value():
     # at g = 0 the spectrum at the mechanical frequency is (2N+1)/(2*gamma_m)
     for gamma_m in (1.0, 0.5, 3.0):
         b = desk_bath(gamma_m=gamma_m)
-        series = eval_spectrum(b, np.array([b.omega_m]))
-        assert series.values[0] == pytest.approx(
+        peak = eval_spectrum(b, np.array([b.omega_m]))[0]
+        assert peak == pytest.approx(
             (2 * b.N + 1) / (2 * gamma_m), rel=1e-12
         )
 
@@ -41,7 +39,7 @@ def test_matches_literal_printed_form(rng):
     for _ in range(50):
         b = random_stable_bath(rng)
         w = np.linspace(-5 * (b.omega_m + b.g), 5 * (b.omega_m + b.g), 101)
-        got = eval_spectrum(b, w).values
+        got = eval_spectrum(b, w)
         xi_sq = (b.omega_m**2 + b.gamma_m * b.g - w**2) ** 2 + w**2 * (
             b.gamma_m + b.g
         ) ** 2
@@ -70,22 +68,22 @@ def test_expanded_xi_matches_complex_modulus(rng):
 def test_even_in_frequency():
     b = desk_bath(g=10.0)
     w = np.linspace(-400, 400, 801)
-    s = eval_spectrum(b, w).values
+    s = eval_spectrum(b, w)
     np.testing.assert_allclose(s, s[::-1], rtol=1e-14)
 
 
 def test_nonnegative_on_default_grid(rng):
     for _ in range(50):
         b = random_stable_bath(rng)
-        assert eval_spectrum(b, default_grid(b)).values.min() >= 0
+        assert eval_spectrum(b, default_grid(b)).min() >= 0
 
 
 def test_large_frequency_tail():
     b = desk_bath(g=100.0, n_bar=50.0)
     w = np.array([1e5, 2e5, 4e5])
-    s = eval_spectrum(b, w).values
+    s = eval_spectrum(b, w)
     np.testing.assert_allclose(s * w**2, b.noise_xx, rtol=1e-2)
-    assert s[-1] < 1e-6 * eval_spectrum(b, np.array([b.omega_m])).values[0]
+    assert s[-1] < 1e-6 * eval_spectrum(b, np.array([b.omega_m]))[0]
 
 
 def test_default_grid_span():
@@ -125,21 +123,6 @@ def test_sum_rule_at_reference_chain():
         assert rel < 1e-6
 
 
-def test_fig1_scaling_and_idempotence_guard():
-    b = desk_bath(g=10.0)
-    series = eval_spectrum(b, default_grid(b))
-    var0 = closed_form_moments(with_gain(b, 0.0)).var_x
-    scaled = fig1_scale(series, var0)
-    assert scaled.normalization == "fig1_scaled"
-    np.testing.assert_allclose(
-        scaled.values, series.values / (2 * math.pi * var0), rtol=1e-15
-    )
-    with pytest.raises(ValidationError):
-        fig1_scale(scaled, var0)
-    with pytest.raises(ValidationError):
-        fig1_scale(series, 0.0)
-
-
 def test_scaled_zero_gain_curve_integrates_to_one():
     b = desk_bath(g=0.0, n_bar=300.0)
     integral, var_x, _ = sum_rule_check(b)
@@ -152,10 +135,7 @@ def test_scaled_zero_gain_curve_integrates_to_one():
 def test_zero_series_scales_to_zero_series():
     b = bath_from_rates(omega_m=10.0, gamma_m=1.0, Gamma=0.0, eta=1.0,
                         n_bar=0.0, g=0.0, phi=-math.pi / 2)
-    series = eval_spectrum(b, np.linspace(-50, 50, 11))
-    assert np.all(series.values == 0.0)
-    scaled = fig1_scale(series, 1.0)
-    assert np.all(scaled.values == 0.0)
+    assert np.all(eval_spectrum(b, np.linspace(-50, 50, 11)) == 0.0)
 
 
 def test_peak_position_tracks_gain():
@@ -164,7 +144,7 @@ def test_peak_position_tracks_gain():
     peaks = {}
     for g in (0.0, 1.0, 10.0, 1000.0):
         s = eval_spectrum(with_gain(bath, g), grid)
-        peaks[g] = grid[int(np.argmax(s.values))]
+        peaks[g] = grid[int(np.argmax(s))]
     om = bath.omega_m
     for g in (0.0, 1.0, 10.0):
         assert abs(peaks[g] - om) / om < 0.05
@@ -174,7 +154,7 @@ def test_peak_position_tracks_gain():
 def test_resonance_amplitude_decreases_with_gain():
     bath = reference_bath()
     om = np.array([bath.omega_m])
-    values = [eval_spectrum(with_gain(bath, g), om).values[0]
+    values = [eval_spectrum(with_gain(bath, g), om)[0]
               for g in (0.0, 1.0, 10.0, 100.0, 1000.0)]
     assert all(b < a for a, b in zip(values, values[1:]))
 
@@ -193,19 +173,9 @@ def test_wrong_phase_rejected():
         sum_rule_check(b)
 
 
-def test_negative_series_construction_rejected():
-    b = desk_bath()
-    with pytest.raises(NumericalError):
-        SpectrumSeries(
-            omega_grid=np.array([0.0, 1.0]),
-            values=np.array([1.0, -1e-3]),
-            normalization="raw",
-            params_snapshot=b,
-        )
-    with pytest.raises(NumericalError):
-        SpectrumSeries(
-            omega_grid=np.array([0.0, 1.0]),
-            values=np.array([1.0, np.nan]),
-            normalization="raw",
-            params_snapshot=b,
-        )
+def test_eval_spectrum_refuses_negative_and_non_finite_values(monkeypatch):
+    for bad in (-1e-3, np.nan):
+        monkeypatch.setattr(spectrum, "_x_spectrum",
+                            lambda bath, bad=bad: lambda w: np.where(w > 0, bad, 1.0))
+        with pytest.raises(NumericalError):
+            eval_spectrum(desk_bath(), np.array([0.0, 1.0]))
