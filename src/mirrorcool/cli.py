@@ -17,6 +17,7 @@ import json
 import math
 import sys
 import typing
+import warnings
 from pathlib import Path
 from typing import Any
 
@@ -401,26 +402,29 @@ def cmd_fock(config: dict, args) -> dict:
         )
     # required_dim counts only the thermal tail of n_bar; feedback heating
     # and squeezing widen the solved state's, so a default dim grows until
-    # the tail guard holds
-    while True:
-        try:
-            sol = fock_mod.evolve_to_steady(
-                fock_mod.build_generator(bath, dim), fock_mod.FockConfig(dim=dim)
-            )
-            break
-        except TruncationError:
-            if not grow:
-                raise
-            if dim == _MAX_DIM:
-                raise ValidationError(
-                    "dim", f"tail guard not met at the ceiling {_MAX_DIM}"
-                ) from None
-            dim = min(dim + max(4, dim // 4), _MAX_DIM)
+    # the tail guard holds. The solve's warnings go into the output.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        while True:
+            try:
+                sol = fock_mod.evolve_to_steady(
+                    fock_mod.build_generator(bath, dim), fock_mod.FockConfig(dim=dim)
+                )
+                break
+            except TruncationError:
+                if not grow:
+                    raise
+                if dim == _MAX_DIM:
+                    raise ValidationError(
+                        "dim", f"tail guard not met at the ceiling {_MAX_DIM}"
+                    ) from None
+                dim = min(dim + max(4, dim // 4), _MAX_DIM)
     if args.dump_rho:
         # row-major complex128: interleaved (re, im) float64 pairs
         _save(str(args.out) + ".rho.bin",
               np.ascontiguousarray(sol.rho, dtype=np.complex128).tobytes())
-    return {**_scalar_fields(sol), "dim": dim}
+    return {**_scalar_fields(sol), "dim": dim,
+            "warnings": [str(w.message) for w in caught]}
 
 
 def cmd_sweep(config: dict, args) -> dict:

@@ -10,6 +10,9 @@ trace constraint; the solved state is checked for residual, trace,
 Hermiticity and truncation tail, and never repaired. The solve uses only
 the generator, never the closed forms or the Lyapunov route.
 
+``scipy.sparse`` is imported by the functions that build and solve the
+generator, so importing this module loads no scipy.
+
 Room-temperature occupations (~1e11) are out of numerical reach by
 construction; desk-scale occupations validate the same coefficient
 algebra, which is parameter-generic.
@@ -20,13 +23,15 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import MatrixRankWarning, spsolve
 
 from .bath import EffectiveBath, check_stability, require_stable
 from .errors import NumericalError, TruncationError, ValidationError
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 __all__ = [
     "FockConfig",
@@ -121,6 +126,7 @@ def build_generator(bath: EffectiveBath, dim: int) -> Generator:
     """
     if dim < 4:
         raise ValidationError("dim", "truncation dimension must be >= 4")
+    from scipy import sparse
 
     a = sparse.csr_matrix(ladder(dim))
     ad = a.conj().T.tocsr()
@@ -178,6 +184,8 @@ def evolve_to_steady(generator: Generator, cfg: FockConfig) -> FockSolution:
     if cfg.dim != dim:
         raise ValidationError("dim", "config dimension does not match generator")
     require_stable(generator.bath)
+    from scipy import sparse
+    from scipy.sparse.linalg import MatrixRankWarning, spsolve
 
     L = generator.matrix
     n = dim * dim

@@ -15,6 +15,10 @@ of a chunk of trajectories; ``lfilter`` is all this module takes from
 ``scipy.signal``. The spectrum is a numpy Welch estimate (periodic Hann
 window, mean of segment periodograms).
 
+``scipy.signal`` and ``scipy.linalg`` (for ``expm``) are imported by the
+functions that use them, on the first Monte Carlo run, so importing this
+module, and the package, loads no scipy.
+
 Only the symmetric part of the input correlations is simulated; the
 antisymmetric i/4 cross term is a commutator artifact that no pair of
 classical noises can represent and that does not enter symmetrized
@@ -28,7 +32,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg import expm
 
 from .bath import EffectiveBath, require_stable
 from .errors import NoiseModelError, StabilityError, ValidationError
@@ -118,6 +121,8 @@ def _exact_step(A: np.ndarray, sigma: np.ndarray, dt: float) -> tuple[np.ndarray
     Q(dt) = sigma - E sigma E^T with E = exp(A dt) and the steady
     covariance ``sigma`` is the exact covariance accumulated over one step.
     """
+    from scipy.linalg import expm  # deferred with scipy.signal, see the module docstring
+
     E = expm(A * dt)
     Q = sigma - E @ sigma @ E.T
     return E, _sqrt_psd(Q, "per-step noise covariance")

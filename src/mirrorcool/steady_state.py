@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .bath import EffectiveBath, require_stable, with_gain
 from .errors import StabilityError, UnsupportedPhaseError, ValidationError
@@ -205,15 +204,36 @@ def lyapunov_moments(bath: EffectiveBath) -> SteadyMoments:
     )
 
 
+def _gain_quartic(bath: EffectiveBath) -> np.ndarray:
+    """Coefficients, highest power first, of the quartic in g whose roots
+    are the stationary points of var_x at phi = -pi/2.
+
+    It is the numerator of d var_x/dg divided by 2*eta*Gamma (Gamma > 0).
+    Its three leading coefficients are nonnegative and its constant one
+    is negative, so by Descartes' rule it has exactly one positive root.
+    """
+    gm, om2, n_bar = bath.gamma_m, bath.omega_m**2, bath.n_bar
+    eg = bath.eta * bath.Gamma
+    return np.array([
+        gm**2 / (2 * eg),
+        gm * (gm**2 + om2) / eg,
+        (gm**4 + 5 * gm**2 * om2 + om2**2) / (2 * eg),
+        -gm * om2 * (eg * bath.Gamma + 4 * eg * gm * n_bar - gm**2 - om2) / eg,
+        -om2 * (bath.Gamma + 4 * gm * n_bar) * (gm**2 + om2) / 2,
+    ])
+
+
 def optimize_gain(
     bath_template: EffectiveBath,
     g_range: tuple[float, float],
 ) -> tuple[float, float]:
     """Gain minimizing the position variance over ``g_range`` at phi = -pi/2.
 
-    Returns (g_opt, var_x_min). Bracketed scalar minimization with
-    relative tolerance 1e-6 on g; every candidate gain is re-derived
-    through the coefficient block, so the swept variance is exact.
+    Returns (g_opt, var_x_min). The minimum over the closed interval is
+    the lowest variance among its two endpoints and the real roots of
+    the stationary-point quartic (:func:`_gain_quartic`, solved with
+    ``np.roots``) inside it; every candidate gain is re-derived through
+    the coefficient block, so the returned variance is exact.
     """
     _require_phase(bath_template)
     g_lo, g_hi = g_range
@@ -222,19 +242,11 @@ def optimize_gain(
     if g_hi > 0 and bath_template.Gamma == 0:
         raise ValidationError("g_range", "positive gains need Gamma > 0")
 
-    def var_x(g: float) -> float:
-        return closed_form_moments(with_gain(bath_template, g)).var_x
-
-    if g_lo == g_hi:
-        return g_lo, var_x(g_lo)
-
-    result = optimize.minimize_scalar(
-        var_x,
-        bounds=(g_lo, g_hi),
-        method="bounded",
-        options={"xatol": 1e-6 * max(1.0, g_hi)},
+    gains = {g_lo, g_hi}
+    if g_lo < g_hi:
+        roots = np.roots(_gain_quartic(bath_template))
+        gains.update(r.real for r in roots if r.imag == 0 and g_lo < r.real < g_hi)
+    var_min, g_opt = min(
+        (closed_form_moments(with_gain(bath_template, g)).var_x, g) for g in gains
     )
-    g_opt = float(result.x)
-    # the bounded minimizer never evaluates the endpoints exactly
-    best = min((var_x(g_lo), g_lo), (var_x(g_hi), g_hi), (float(result.fun), g_opt))
-    return best[1], best[0]
+    return float(g_opt), float(var_min)

@@ -257,6 +257,22 @@ def test_fock_desk_run(tmp_path, capsys):
     assert out["tail_population"] < 1e-10
 
 
+def test_fock_records_solver_warnings_in_the_output(tmp_path, capsys):
+    # n_bar = 0, g = Gamma = 0.1 is not completely positive: the solved
+    # state has a negative eigenvalue, which the solve warns about
+    non_cp = {"bath": {**FOCK_DESK_BATH["bath"], "Gamma": 0.1, "n_bar": 0.0, "g": 0.1},
+              "fock": {"dim": 30}}
+    for _ in range(2):  # a repeated warning is recorded again
+        assert run(["fock", "--config", write_config(tmp_path, non_cp)]) == 0
+        captured = capsys.readouterr()
+        warned = json.loads(captured.out)["warnings"]
+        assert len(warned) == 1
+        assert warned[0].startswith("negative eigenvalue") and "expected physics" in warned[0]
+        assert captured.err == ""
+    assert run(["fock", "--config", write_config(tmp_path, FOCK_DESK_BATH)]) == 0
+    assert json.loads(capsys.readouterr().out)["warnings"] == []
+
+
 def test_fock_density_matrix_dump(tmp_path):
     config = {**FOCK_DESK_BATH, "fock": {"dim": 66}}
     out = tmp_path / "steady"
@@ -485,13 +501,39 @@ def test_missing_config_file(tmp_path, capsys):
     assert run(["derive", "--config", str(tmp_path / "nope.json")]) == 2
 
 
-def test_cli_import_leaves_scipy_signal_out():
-    code = ("import sys, mirrorcool.cli, mirrorcool.langevin; "
-            "print('scipy.signal' in sys.modules)")
+# imports the package and the CLI, then runs each analytic verb in the same
+# process, printing the scipy modules loaded after each step
+_SCIPY_FREE_SCRIPT = """
+import json, sys
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.startswith("scipy"))
+
+import mirrorcool, mirrorcool.cli, mirrorcool.langevin
+loaded = {"import": [0, scipy_modules()]}
+for name, argv in json.loads(sys.argv[1]).items():
+    loaded[name] = [mirrorcool.cli.main(argv), scipy_modules()]
+print(json.dumps(loaded))
+"""
+
+
+def test_import_and_analytic_verbs_load_no_scipy(tmp_path):
+    desk = write_config(tmp_path, {**DESK_BATH, "grid": {"n_points": 64}}, "desk.json")
+    sweep = write_config(tmp_path, {**DESK_BATH, "sweep": {"g": [10.0, 50.0]}}, "sweep.json")
+    verbs = {
+        "derive": ["derive", "--config", str(REFERENCE_CONFIG)],
+        "variance": ["variance", "--config", desk],
+        "sweep": ["sweep", "--config", sweep],
+        "spectrum": ["spectrum", "--config", desk],
+        "fig1": ["spectrum", "--config", desk, "--fig1"],
+    }
+    runs = {name: [*argv, "--out", str(tmp_path / f"{name}.out")] for name, argv in verbs.items()}
     src = Path(__file__).resolve().parents[1] / "src"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          check=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
-    assert proc.stdout.strip() == "False"
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_FREE_SCRIPT, json.dumps(runs)],
+                          capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+    loaded = json.loads(proc.stdout)
+    assert loaded == {name: [0, []] for name in ["import", *runs]}
 
 
 SIM = {"dt": 1.25e-3, "t_relax": 0.5, "t_sample": 4.0, "n_traj": 8, "seed": 5,

@@ -236,10 +236,11 @@ def test_residual_over_bound_raises():
 
 
 def test_trace_check_rejects_a_misnormalized_solve(monkeypatch):
-    import mirrorcool.fock as fock
+    # evolve_to_steady imports spsolve from scipy.sparse.linalg when it runs
+    import scipy.sparse.linalg
 
-    solve = fock.spsolve
-    monkeypatch.setattr(fock, "spsolve", lambda A, b: 1.001 * solve(A, b))
+    solve = scipy.sparse.linalg.spsolve
+    monkeypatch.setattr(scipy.sparse.linalg, "spsolve", lambda A, b: 1.001 * solve(A, b))
     with pytest.raises(NumericalError, match="trace error"):
         evolve_to_steady(build_generator(desk_bath(), 66), FockConfig(dim=66))
 

@@ -123,6 +123,31 @@ def test_sum_rule_at_reference_chain():
         assert rel < 1e-6
 
 
+def test_gauss_kronrod_body_matches_quadpack(rng):
+    from scipy import integrate
+
+    baths = [random_stable_bath(rng) for _ in range(200)]
+    baths += [reference_bath(g=g) for g in (0.0, 1.0, 1000.0)]
+    for b in baths:
+        edges = spectrum._body_edges(b)
+        f = spectrum._x_spectrum(b)
+        body, err = spectrum._integrate(f, edges)
+        oracle, _ = integrate.quad(f, 0.0, edges[-1], points=edges[1:-1].tolist() or None,
+                                   limit=400, epsabs=0.0, epsrel=1e-11)
+        assert body == pytest.approx(oracle, rel=1e-12)
+        assert err <= 1e-11 * body
+
+
+def test_sum_rule_refuses_an_integrand_that_does_not_converge(monkeypatch):
+    # 1e9 oscillations over the body interval: 400 subintervals cannot resolve them
+    monkeypatch.setattr(spectrum, "_x_spectrum", lambda bath: lambda w: 1.0 + np.cos(1e6 * w))
+    with pytest.raises(NumericalError, match="within 400 subintervals"):
+        sum_rule_check(desk_bath(g=50.0))
+    monkeypatch.setattr(spectrum, "_x_spectrum", lambda bath: lambda w: np.where(w > 1, np.nan, 1.0))
+    with pytest.raises(NumericalError, match="did not converge"):
+        sum_rule_check(desk_bath(g=50.0))
+
+
 def test_scaled_zero_gain_curve_integrates_to_one():
     b = desk_bath(g=0.0, n_bar=300.0)
     integral, var_x, _ = sum_rule_check(b)

@@ -219,6 +219,64 @@ def test_optimizer_matches_grid_scan_oracle():
     assert v_min <= min(values)
 
 
+def test_gain_quartic_is_the_stationarity_numerator():
+    import sympy as sp
+    from types import SimpleNamespace
+
+    from mirrorcool.steady_state import _gain_quartic
+
+    g, gm, om, Gamma, eta, n_bar = sp.symbols("g gamma_m omega_m Gamma eta n_bar", positive=True)
+    c_x, c_p = g**2 / (4 * eta * Gamma), gm * n_bar + Gamma / 4
+    var_x = (c_x * (gm**2 + om**2 + gm * g) + c_p * om**2) / (2 * (gm + g) * (om**2 + gm * g))
+    point = dict(omega_m=62.8, gamma_m=1.3, Gamma=200.0, eta=0.7, n_bar=100.0, g=40.0)
+    value = var_x.subs({g: 40.0, gm: 1.3, om: 62.8, Gamma: 200.0, eta: 0.7, n_bar: 100.0})
+    assert float(value) == pytest.approx(closed_form_moments(desk_bath(**point)).var_x, rel=1e-14)
+
+    numerator = sp.fraction(sp.together(sp.diff(var_x, g)))[0]
+    symbols = SimpleNamespace(gamma_m=gm, omega_m=om, Gamma=Gamma, eta=eta, n_bar=n_bar)
+    quartic = sum(c * g**(4 - k) for k, c in enumerate(_gain_quartic(symbols)))
+    factor = sp.cancel(numerator / quartic)
+    assert g not in factor.free_symbols
+    assert factor.is_positive
+
+
+def brent_oracle(bath, g_lo, g_hi):
+    """(var_x_min, g) of the bounded Brent search over [g_lo, g_hi] plus its endpoints."""
+    from scipy import optimize
+
+    def var_x(g):
+        return closed_form_moments(with_gain(bath, g)).var_x
+
+    result = optimize.minimize_scalar(var_x, bounds=(g_lo, g_hi), method="bounded",
+                                      options={"xatol": 1e-6 * max(1.0, g_hi)})
+    return min((var_x(g_lo), g_lo), (var_x(g_hi), g_hi), (float(result.fun), float(result.x)))
+
+
+def test_optimize_gain_never_above_the_brent_search(rng):
+    cases = [(random_stable_bath(rng), (0.0, 10 ** rng.uniform(1, 3.5))) for _ in range(500)]
+    cases.append((reference_bath(), (0.0, 1e7)))
+    for bath, g_range in cases:
+        g_opt, var_min = optimize_gain(bath, g_range)
+        oracle, _ = brent_oracle(bath, *g_range)
+        assert g_range[0] <= g_opt <= g_range[1]
+        assert var_min == closed_form_moments(with_gain(bath, g_opt)).var_x
+        assert var_min <= oracle * (1 + 1e-12)
+
+
+def test_optimize_gain_as_gamma_m_vanishes():
+    # the quartic's leading coefficient gamma_m^2/(2*eta*Gamma) goes to zero
+    # (and underflows to exactly zero at 1e-200); at gamma_m = 0,
+    # var_x = g/(8*eta*Gamma) + Gamma/(8*g), minimal at g = Gamma*sqrt(eta)
+    eta, Gamma = 0.8, 40.0
+    for gamma_m in (1e-3, 1e-6, 1e-9, 1e-12, 1e-200, 0.0):
+        bath = desk_bath(g=1.0, Gamma=Gamma, gamma_m=gamma_m, eta=eta, omega_m=10.0)
+        g_opt, var_min = optimize_gain(bath, (1e-3, 1e3))
+        assert var_min <= brent_oracle(bath, 1e-3, 1e3)[0] * (1 + 1e-12)
+        if gamma_m <= 1e-200:
+            assert g_opt == pytest.approx(Gamma * math.sqrt(eta), rel=1e-9)
+            assert var_min == pytest.approx(1 / (4 * math.sqrt(eta)), rel=1e-12)
+
+
 def test_optimal_gain_grows_with_measurement_rate():
     g_opts = []
     for Gamma in (50.0, 200.0, 1000.0):
