@@ -29,7 +29,7 @@ from .errors import (
 )
 from .fock import FockConfig, FockSolution, build_generator, evolve_to_steady
 from .langevin import SimConfig, TrajectoryEnsembleStats, psd_vs_analytic, simulate
-from .params import DerivedCoupling, PhysicalSetup, derive_coupling
+from .params import DerivedCoupling, PhysicalSetup, derive_coupling, thermal_occupation
 from .spectrum import default_grid, eval_spectrum, sum_rule_check
 from .steady_state import (
     SteadyMoments,
@@ -80,5 +80,6 @@ __all__ = [
     "psd_vs_analytic",
     "simulate",
     "sum_rule_check",
+    "thermal_occupation",
     "with_gain",
 ]

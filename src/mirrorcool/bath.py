@@ -30,6 +30,7 @@ __all__ = [
 ]
 
 _BAND = 1e-12  # relative band within which a stability margin counts as zero
+_RATES = ("omega_m", "gamma_m", "Gamma", "eta", "n_bar", "g", "phi")  # bath_from_rates inputs
 
 
 @dataclass(frozen=True)
@@ -135,13 +136,12 @@ def bath_from_rates(
     ValidationError
         if an input is non-finite or violates its constraints.
     UnstableBathError
-        if gamma = gamma_m - g*sin(phi) <= 0.
+        if gamma = gamma_m - g*sin(phi) <= 0; its ``report`` holds the
+        margins of these rates.
     InvalidSetupError
         if the coefficient block, omega_m**2 or (gamma_m + g)**2 overflows.
     """
-    inputs = dict(omega_m=omega_m, gamma_m=gamma_m, Gamma=Gamma, eta=eta,
-                  n_bar=n_bar, g=g, phi=phi)
-    for name, value in inputs.items():
+    for name, value in zip(_RATES, (omega_m, gamma_m, Gamma, eta, n_bar, g, phi)):
         if not math.isfinite(value):
             raise ValidationError(name, "must be finite")
     if not omega_m > 0:
@@ -165,7 +165,8 @@ def bath_from_rates(
     cos_phi = math.cos(phi)
     gamma = gamma_m - g * sin_phi
     if not gamma > 0:
-        raise UnstableBathError(gamma)
+        # the positivity gap carries 1/gamma: NaN, not positive
+        raise UnstableBathError(gamma, _report(omega_m, gamma_m, g, phi, math.nan))
 
     try:
         # g = 0 makes the feedback-noise term vanish identically (no 0/0 at Gamma = 0)
@@ -199,15 +200,8 @@ def bath_from_rates(
 
 def with_gain(bath: EffectiveBath, g: float) -> EffectiveBath:
     """Re-derive the coefficient block of ``bath`` at a different gain."""
-    return bath_from_rates(
-        omega_m=bath.omega_m,
-        gamma_m=bath.gamma_m,
-        Gamma=bath.Gamma,
-        eta=bath.eta,
-        n_bar=bath.n_bar,
-        g=g,
-        phi=bath.phi,
-    )
+    rates = {key: getattr(bath, key) for key in _RATES}
+    return bath_from_rates(**{**rates, "g": g})
 
 
 def _positivity_gap(bath: EffectiveBath) -> float:
@@ -238,9 +232,13 @@ def _stability_margins(omega_m: float, gamma_m: float, g: float,
     the "boundary" with neither below minus it, and "unstable" otherwise.
     """
     sin_phi = math.sin(phi)
-    damping, spring = gamma_m - g * sin_phi, omega_m**2 - gamma_m * g * sin_phi
+    try:
+        omega2 = omega_m**2
+    except OverflowError:  # a refused bath's report still has its margins
+        omega2 = math.inf
+    damping, spring = gamma_m - g * sin_phi, omega2 - gamma_m * g * sin_phi
     band_damping = _BAND * (abs(g * sin_phi) + gamma_m)
-    band_spring = _BAND * (abs(gamma_m * g * sin_phi) + omega_m**2)
+    band_spring = _BAND * (abs(gamma_m * g * sin_phi) + omega2)
     if damping > band_damping and spring > band_spring:
         return damping, spring, "stable"
     if damping >= -band_damping and spring >= -band_spring:
@@ -258,16 +256,13 @@ def require_stable(bath: EffectiveBath) -> None:
                     f"(margin_damping={damping:g}, margin_spring={spring:g})")
 
 
+def _report(omega_m: float, gamma_m: float, g: float, phi: float,
+            gap: float) -> StabilityReport:
+    damping, spring, verdict = _stability_margins(omega_m, gamma_m, g, phi)
+    return StabilityReport(stable=verdict == "stable", lindblad_positive=gap > 0,
+                           margin_damping=damping, margin_spring=spring, positivity_gap=gap)
+
+
 def check_stability(bath: EffectiveBath) -> StabilityReport:
     """Evaluate the stability margins and the Lindblad positivity gap."""
-    margin_damping, margin_spring, verdict = _stability_margins(
-        bath.omega_m, bath.gamma_m, bath.g, bath.phi
-    )
-    gap = _positivity_gap(bath)
-    return StabilityReport(
-        stable=verdict == "stable",
-        lindblad_positive=gap > 0,
-        margin_damping=margin_damping,
-        margin_spring=margin_spring,
-        positivity_gap=gap,
-    )
+    return _report(bath.omega_m, bath.gamma_m, bath.g, bath.phi, _positivity_gap(bath))

@@ -4,7 +4,8 @@ Verbs: derive, variance, spectrum, simulate, fock, sweep, compare.
 A single JSON config document drives every verb; all randomness is pinned
 by explicit seeds, so repeated invocations produce identical files.
 
-Exit codes: 0 success, 2 validation, 3 instability, 4 numerical failure.
+Exit codes: 0 success, 2 validation, 3 instability, 4 numerical failure;
+``main`` takes each from the error's base class (see ``errors``).
 """
 
 from __future__ import annotations
@@ -24,19 +25,9 @@ from typing import Any
 import numpy as np
 
 from . import fock as fock_mod
-from .bath import (
-    EffectiveBath,
-    StabilityReport,
-    _stability_margins,
-    bath_from_rates,
-    build_bath,
-    check_stability,
-    with_gain,
-)
+from .bath import EffectiveBath, bath_from_rates, build_bath, check_stability, with_gain
 from .errors import (
-    InvalidSetupError,
     MirrorCoolError,
-    NumericalError,
     StabilityError,
     TruncationError,
     UnstableBathError,
@@ -44,7 +35,7 @@ from .errors import (
     ValidationError,
 )
 from .langevin import SimConfig, psd_vs_analytic, simulate
-from .params import HBAR, K_B, DerivedCoupling, PhysicalSetup, derive_coupling
+from .params import DerivedCoupling, PhysicalSetup, derive_coupling, thermal_occupation
 from .spectrum import default_grid, eval_spectrum, sum_rule_check
 from .steady_state import closed_form_moments, high_gain_moments, lyapunov_moments
 
@@ -58,21 +49,15 @@ EXIT_NUMERICAL = 4
 # ---------------------------------------------------------------------------
 # serialization helpers
 
-def _plain(value: Any) -> Any:
-    """Make dataclasses/arrays/complex JSON-representable, full precision."""
+def _jsonable(value: Any) -> Any:
+    """The JSON form of a dataclass, complex number, array or numpy scalar."""
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {f.name: _plain(getattr(value, f.name)) for f in dataclasses.fields(value)}
+        return {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
     if isinstance(value, complex):
         return {"real": value.real, "imag": value.imag}
-    if isinstance(value, np.ndarray):
+    if isinstance(value, (np.ndarray, np.generic)):
         return value.tolist()
-    if isinstance(value, (np.floating, np.integer, np.bool_)):
-        return value.item()
-    if isinstance(value, dict):
-        return {k: _plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    return value
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def _write(out: str | None, doc: dict, fmt: str = "json") -> None:
@@ -82,7 +67,7 @@ def _write(out: str | None, doc: dict, fmt: str = "json") -> None:
     ``comments``, which lead the file as ``#`` lines.
     """
     if fmt == "json":
-        text = json.dumps(_plain(doc), indent=1) + "\n"
+        text = json.dumps(doc, indent=1, default=_jsonable) + "\n"
     else:
         lines = [f"# {c}" for c in doc.get("comments", ())]
         lines.append(",".join(doc["header"]))
@@ -214,13 +199,11 @@ def _resolve_bath(config: dict) -> EffectiveBath:
 
 def _scalar_fields(result) -> dict:
     """The number-valued fields of a result dataclass, in declaration order."""
-    kinds, _ = _fields(type(result))
-    return {name: getattr(result, name) for name, kind in kinds.items()
-            if kind in (int, float, complex)}
+    return {name: v for name, v in vars(result).items() if isinstance(v, (int, float, complex))}
 
 
-def _grid(config: dict, bath: EffectiveBath) -> np.ndarray:
-    default = default_grid(bath)
+def _grid(config: dict, default: np.ndarray) -> np.ndarray:
+    """The ``grid`` block's grid; its omitted fields are taken from ``default``."""
     if config.get("grid") is None:
         return default
     block = _block(config, "grid", *_GRID)
@@ -249,21 +232,8 @@ def cmd_derive(config: dict, args) -> dict:
     except UnstableBathError as exc:
         # reporting is not an error: emit the margins even where the bath
         # coefficients themselves are ill-defined (gamma <= 0)
-        damping, spring, _ = _stability_margins(
-            coupling.omega_m, setup.gamma_m, setup.g, setup.phi
-        )
-        return {
-            "coupling": coupling,
-            "bath": None,
-            "bath_error": str(exc),
-            "stability": StabilityReport(
-                stable=False,
-                lindblad_positive=False,
-                margin_damping=damping,
-                margin_spring=spring,
-                positivity_gap=math.nan,
-            ),
-        }
+        return {"coupling": coupling, "bath": None, "bath_error": str(exc),
+                "stability": exc.report}
     return {"coupling": coupling, "bath": bath, "stability": check_stability(bath)}
 
 
@@ -311,16 +281,12 @@ def cmd_spectrum(config: dict, args) -> dict:
                 raise ValidationError(
                     "g_list", f"gains equal to 6 digits would share a column: {args.g_list!r}"
                 )
-        grid = (
-            np.linspace(0.0, 8 * bath.omega_m, 2048)
-            if config.get("grid") is None
-            else _grid(config, bath)
-        )
+        grid = _grid(config, np.linspace(0.0, 8 * bath.omega_m, 2048))
         if args.fig1:
             scale = 2 * math.pi * closed_form_moments(with_gain(bath, 0.0)).var_x
         columns = {f"S_g{g:g}": with_gain(bath, g) for g in gains}
     else:
-        grid, columns = _grid(config, bath), {"S": bath}
+        grid, columns = _grid(config, default_grid(bath)), {"S": bath}
 
     series, sum_rules = {}, {}
     for label, bath_col in columns.items():
@@ -433,8 +399,7 @@ def cmd_sweep(config: dict, args) -> dict:
     if not block:
         raise ValidationError("sweep", "need a nonempty 'sweep' block")
     axes = [(name, block[name]) for name in _SWEEP_AXES if name in block]
-    if "T" in block and not HBAR * bath.omega_m > 0:
-        raise InvalidSetupError("hbar*omega_m underflows: the T axis has no n_bar")
+    rates = {key: getattr(bath, key) for key in _BATH_KEYS}
 
     header = (
         [name for name, _ in axes]
@@ -444,23 +409,14 @@ def cmd_sweep(config: dict, args) -> dict:
     rows = []
     for combo in itertools.product(*(values for _, values in axes)):
         point = dict(zip((name for name, _ in axes), combo))
-        n_bar = bath.n_bar
         if "T" in point:
-            n_bar = K_B * point["T"] / (HBAR * bath.omega_m)
+            point["n_bar"] = thermal_occupation(point.pop("T"), bath.omega_m)
         try:
-            bath_pt = bath_from_rates(
-                omega_m=bath.omega_m,
-                gamma_m=bath.gamma_m,
-                Gamma=point.get("Gamma", bath.Gamma),
-                eta=point.get("eta", bath.eta),
-                n_bar=n_bar,
-                g=point.get("g", bath.g),
-                phi=point.get("phi", bath.phi),
-            )
+            bath_pt = bath_from_rates(**{**rates, **point})
             report = check_stability(bath_pt)
-        except UnstableBathError:
-            report = None
-        if report is None or not report.stable:
+        except UnstableBathError as exc:
+            report = exc.report
+        if not report.stable:
             row_tail = [math.nan] * 5 + [False, False, math.nan]
         else:
             try:
@@ -556,13 +512,13 @@ def main(argv: list[str] | None = None) -> int:
         if doc is not None:
             _write(args.out, doc, args.format)
         return EXIT_OK
-    except (ValidationError, UnsupportedPhaseError) as exc:
+    except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (UnstableBathError, StabilityError) as exc:
+    except StabilityError as exc:
         print(f"instability: {exc}", file=sys.stderr)
         return EXIT_INSTABILITY
-    except (NumericalError, MirrorCoolError) as exc:
+    except MirrorCoolError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

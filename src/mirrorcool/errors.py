@@ -1,4 +1,9 @@
-"""Exception hierarchy shared by all mirrorcool modules."""
+"""Exception hierarchy shared by all mirrorcool modules.
+
+The hierarchy is the CLI's exit-code map: a :class:`ValidationError`
+exits 2, a :class:`StabilityError` exits 3 and every other
+:class:`MirrorCoolError` (the :class:`NumericalError` family) exits 4.
+"""
 
 from __future__ import annotations
 
@@ -19,22 +24,11 @@ class ValidationError(MirrorCoolError):
         super().__init__(f"{field}: {message}")
 
 
-class InvalidSetupError(MirrorCoolError):
-    """A derivation produced a non-finite result (overflow/underflow)."""
+class UnsupportedPhaseError(ValidationError):
+    """Closed forms are only available at phi = -pi/2."""
 
-
-class UnstableBathError(MirrorCoolError):
-    """Effective damping gamma = gamma_m - g*sin(phi) is not positive.
-
-    The bath coefficients N and M are defined with a 1/gamma prefactor,
-    so the generator itself is ill-defined here, not merely unstable.
-    """
-
-    def __init__(self, gamma: float):
-        self.gamma = gamma
-        super().__init__(
-            f"effective damping gamma = {gamma:g} <= 0; bath coefficients are ill-defined"
-        )
+    def __init__(self, message: str):
+        super().__init__("phi", message)
 
 
 class StabilityError(MirrorCoolError):
@@ -45,12 +39,29 @@ class StabilityBoundaryError(StabilityError):
     """Steady-state solve hit the stability boundary (singular system)."""
 
 
-class UnsupportedPhaseError(MirrorCoolError):
-    """Closed forms are only available at phi = -pi/2."""
+class UnstableBathError(StabilityError):
+    """Effective damping gamma = gamma_m - g*sin(phi) is not positive.
+
+    The bath coefficients N and M are defined with a 1/gamma prefactor,
+    so the generator itself is ill-defined here, not merely unstable.
+    ``report`` is the refused rates' ``StabilityReport``: both margins,
+    ``stable`` and ``lindblad_positive`` false and a NaN positivity gap.
+    """
+
+    def __init__(self, gamma: float, report=None):
+        self.gamma = gamma
+        self.report = report
+        super().__init__(
+            f"effective damping gamma = {gamma:g} <= 0; bath coefficients are ill-defined"
+        )
 
 
 class NumericalError(MirrorCoolError):
     """A numerical procedure failed to converge or overflowed."""
+
+
+class InvalidSetupError(NumericalError):
+    """A derivation produced a non-finite result (overflow/underflow)."""
 
 
 class NoiseModelError(NumericalError):

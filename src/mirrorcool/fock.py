@@ -177,8 +177,9 @@ def evolve_to_steady(generator: Generator, cfg: FockConfig) -> FockSolution:
     within ``RESIDUAL_RTOL * ||L||_inf * max|v|`` (the replaced row is
     implied by the others only if ``L`` preserves the trace), its trace
     and Hermiticity errors within ``TRACE_TOL`` and ``HERM_TOL``
-    (NumericalError otherwise), and its last-state population within the
-    1e-10 tail guard (TruncationError: the caller must raise ``dim``).
+    (NumericalError otherwise), and the magnitude of its last-state
+    population within the 1e-10 tail guard (TruncationError: the caller
+    must raise ``dim``; a negative tail is truncation error too).
     """
     dim = generator.dim
     if cfg.dim != dim:
@@ -226,7 +227,7 @@ def evolve_to_steady(generator: Generator, cfg: FockConfig) -> FockSolution:
             f"hermiticity error {herm_err:g} exceeds {HERM_TOL:g}: generator or solve bug"
         )
     tail = float(rho[dim - 1, dim - 1].real)
-    if tail > TAIL_GUARD:
+    if abs(tail) > TAIL_GUARD:
         raise TruncationError(
             f"tail population {tail:g} exceeds {TAIL_GUARD:g} at dim={dim}; raise dim"
         )

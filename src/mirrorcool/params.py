@@ -2,7 +2,8 @@
 
 All rates are kept in angular units (rad/s, written 1/s); frequencies are
 entered in Hz and converted exactly once, here. The physical constants are
-the exact SI-2019 values.
+the exact SI-2019 values, and :func:`thermal_occupation` is the one
+place they turn a temperature into a mechanical occupation.
 """
 
 from __future__ import annotations
@@ -12,11 +13,19 @@ from dataclasses import dataclass, field, fields
 
 from .errors import InvalidSetupError, ValidationError
 
-__all__ = ["PhysicalSetup", "DerivedCoupling", "derive_coupling"]
+__all__ = ["PhysicalSetup", "DerivedCoupling", "derive_coupling", "thermal_occupation"]
 
 HBAR = 6.62607015e-34 / (2 * math.pi)  # J*s
 K_B = 1.380649e-23                      # J/K
 C = 299792458.0                         # m/s
+
+
+def thermal_occupation(T: float, omega_m: float) -> float:
+    """k_B*T/(hbar*omega_m); InvalidSetupError where hbar*omega_m underflows."""
+    quantum = HBAR * omega_m
+    if not quantum > 0:
+        raise InvalidSetupError("hbar*omega_m underflows: the T axis has no n_bar")
+    return K_B * T / quantum
 
 
 def _require_finite(instance) -> None:
@@ -124,7 +133,7 @@ def derive_coupling(setup: PhysicalSetup) -> DerivedCoupling:
         x_s = HBAR * omega_0 * abs(beta_s) ** 2 / (setup.m * omega_m**2 * setup.L)
         # tau_m = 1/gamma_m; an undamped mirror has unbounded quality factor
         Q_m = omega_m / setup.gamma_m if setup.gamma_m > 0 else math.inf
-        n_bar = K_B * setup.T / (HBAR * omega_m)
+        n_bar = thermal_occupation(setup.T, omega_m)
     except (OverflowError, ZeroDivisionError, ValueError) as exc:
         raise InvalidSetupError(f"derivation overflowed/underflowed: {exc}") from exc
 

@@ -15,12 +15,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mirrorcool
 from mirrorcool import (
-    bath_from_rates, closed_form_moments, eval_spectrum, optimize_gain, with_gain,
+    bath_from_rates, closed_form_moments, diffusion_matrix, drift_matrix, eval_spectrum,
+    optimize_gain, with_gain,
 )
 from mirrorcool import fock as fock_mod
 from mirrorcool import cli
 from mirrorcool.cli import _COMMANDS, _build_parser, main
+from mirrorcool.steady_state import _steady_covariance
 
 from conftest import BOUNDARY_BATHS
 
@@ -37,6 +40,9 @@ FOCK_DESK_BATH = {
     "bath": {"omega_m": 10.0, "gamma_m": 1.0, "Gamma": 40.0, "eta": 1.0,
              "n_bar": 2.0, "g": 20.0, "phi": -math.pi / 2},
 }
+
+# n_bar = 0, g = Gamma = 0.1: stable, but not completely positive
+NON_CP_BATH = {"bath": {**FOCK_DESK_BATH["bath"], "Gamma": 0.1, "n_bar": 0.0, "g": 0.1}}
 
 
 def write_config(tmp_path: Path, payload: dict, name="config.json") -> str:
@@ -57,6 +63,34 @@ def test_derive_reference_config(tmp_path, capsys):
     assert 1.0e4 <= abs(out["coupling"]["chi"]) <= 1.4e4
     assert out["stability"]["stable"] is True
     assert out["stability"]["positivity_gap"] == -0.25
+
+
+# exported error classes and the exit code main maps each one's base to
+EXIT_CODES = {
+    "MirrorCoolError": 4, "ValidationError": 2, "UnsupportedPhaseError": 2,
+    "StabilityError": 3, "StabilityBoundaryError": 3, "UnstableBathError": 3,
+    "NumericalError": 4, "InvalidSetupError": 4, "NoiseModelError": 4, "TruncationError": 4,
+}
+ERROR_ARGS = {"ValidationError": ("field", "message"), "UnstableBathError": (-1.0,),
+              "NoiseModelError": (-1.0, "params")}
+
+
+def test_every_exported_error_class_has_an_exit_code():
+    exported = {n for n in mirrorcool.__all__ if n.endswith("Error")}
+    assert exported == set(EXIT_CODES)
+
+
+@pytest.mark.parametrize("name,code", EXIT_CODES.items(), ids=EXIT_CODES)
+def test_error_class_exits_with_the_code_of_its_base(tmp_path, capsys, monkeypatch, name, code):
+    error = getattr(mirrorcool, name)(*ERROR_ARGS.get(name, ("message",)))
+
+    def verb(config, args):
+        raise error
+
+    monkeypatch.setitem(cli._COMMANDS, "variance", (verb, ()))
+    assert run(["variance", "--config", write_config(tmp_path, DESK_BATH)]) == code
+    prefix = {2: "validation error: ", 3: "instability: ", 4: "numerical failure: "}[code]
+    assert capsys.readouterr().err == f"{prefix}{error}\n"
 
 
 def test_derive_reports_instability_with_exit_zero(tmp_path, capsys):
@@ -163,6 +197,15 @@ def test_spectrum_fig1_dataset_csv(tmp_path):
         np.testing.assert_array_equal(column, eval_spectrum(with_gain(bath, g), grid) / scale)
 
 
+@pytest.mark.parametrize("argv", [["--fig1"], ["--g-list", "0,25"]], ids=["fig1", "g_list"])
+def test_dataset_grid_block_defaults_to_the_dataset_grid(tmp_path, capsys, argv):
+    # a partial grid block takes the omitted fields from [0, 8*omega_m]
+    config = {**DESK_BATH, "grid": {"n_points": 5}}
+    assert run(["spectrum", "--config", write_config(tmp_path, config), *argv]) == 0
+    omega = json.loads(capsys.readouterr().out)["omega"]
+    assert omega == np.linspace(0.0, 8 * DESK_BATH["bath"]["omega_m"], 5).tolist()
+
+
 def test_spectrum_custom_g_list(tmp_path, capsys):
     code = run(["spectrum", "--config", write_config(tmp_path, DESK_BATH),
                 "--g-list", "0,25"])
@@ -260,8 +303,7 @@ def test_fock_desk_run(tmp_path, capsys):
 def test_fock_records_solver_warnings_in_the_output(tmp_path, capsys):
     # n_bar = 0, g = Gamma = 0.1 is not completely positive: the solved
     # state has a negative eigenvalue, which the solve warns about
-    non_cp = {"bath": {**FOCK_DESK_BATH["bath"], "Gamma": 0.1, "n_bar": 0.0, "g": 0.1},
-              "fock": {"dim": 30}}
+    non_cp = {**NON_CP_BATH, "fock": {"dim": 150}}
     for _ in range(2):  # a repeated warning is recorded again
         assert run(["fock", "--config", write_config(tmp_path, non_cp)]) == 0
         captured = capsys.readouterr()
@@ -271,6 +313,25 @@ def test_fock_records_solver_warnings_in_the_output(tmp_path, capsys):
         assert captured.err == ""
     assert run(["fock", "--config", write_config(tmp_path, FOCK_DESK_BATH)]) == 0
     assert json.loads(capsys.readouterr().out)["warnings"] == []
+
+
+def test_fock_refuses_a_negative_tail_at_an_explicit_dim(tmp_path, capsys):
+    # at dim 30 the solved state's last population is about -0.0094
+    config = {**NON_CP_BATH, "fock": {"dim": 30}}
+    assert run(["fock", "--config", write_config(tmp_path, config)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: tail population -") and "dim=30" in err
+
+
+def test_fock_default_dim_grows_past_a_negative_tail(tmp_path, capsys):
+    assert run(["fock", "--config", write_config(tmp_path, NON_CP_BATH)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert abs(out["tail_population"]) <= fock_mod.TAIL_GUARD
+    # the moment-level variance of the 2x2 covariance solve; lyapunov_moments
+    # refuses it, because var_x*var_p breaks the Heisenberg bound here
+    bath = bath_from_rates(**NON_CP_BATH["bath"])
+    covariance = _steady_covariance(drift_matrix(bath), diffusion_matrix(bath))
+    assert out["var_x"] == pytest.approx(covariance[0, 0], abs=1e-5)  # 0.0228294
 
 
 def test_fock_density_matrix_dump(tmp_path):
@@ -617,6 +678,11 @@ MALFORMED = {
                            [], *failed("non-finite spectrum")),
     "sweep_T_underflow": ("sweep", {**with_bath(omega_m=1e-300), "sweep": {"T": [1.0]}}, [],
                           *failed("hbar*omega_m underflows")),
+    # the closed-form spectrum holds only at phi = -pi/2
+    "spectrum_off_phase": ("spectrum", with_bath(phi=0.0), [], *refused("phi")),
+    # gamma <= 0 is refused with a report whose omega_m**2 overflows to inf
+    "omega_m_overflow_unstable": ("variance", with_bath(omega_m=1e200, phi=math.pi / 2), [],
+                                  3, "instability: effective damping gamma = -49"),
 }
 
 

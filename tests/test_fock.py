@@ -262,8 +262,16 @@ def test_negative_eigenvalue_warning_outside_the_positive_region():
     bath = bath_from_rates(omega_m=10.0, gamma_m=1.0, Gamma=0.1, eta=1.0,
                            n_bar=0.0, g=0.1, phi=-math.pi / 2)
     with pytest.warns(UserWarning, match="expected physics"):
-        sol = evolve_to_steady(build_generator(bath, 30), FockConfig(dim=30))
+        sol = evolve_to_steady(build_generator(bath, 150), FockConfig(dim=150))
     assert sol.min_eigenvalue < -1e-8
+
+
+def test_negative_tail_is_truncation_error():
+    # the same bath at dim 30: the last population is about -0.0094
+    bath = bath_from_rates(omega_m=10.0, gamma_m=1.0, Gamma=0.1, eta=1.0,
+                           n_bar=0.0, g=0.1, phi=-math.pi / 2)
+    with pytest.raises(TruncationError, match="tail population -"):
+        evolve_to_steady(build_generator(bath, 30), FockConfig(dim=30))
 
 
 def test_config_validation():
