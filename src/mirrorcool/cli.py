@@ -29,7 +29,6 @@ from .bath import EffectiveBath, bath_from_rates, build_bath, check_stability, w
 from .errors import (
     MirrorCoolError,
     StabilityError,
-    TruncationError,
     UnstableBathError,
     UnsupportedPhaseError,
     ValidationError,
@@ -165,23 +164,22 @@ _BATH = (dict.fromkeys(_BATH_KEYS, float), set(_BATH_KEYS))
 _GRID = ({"omega_min": float, "omega_max": float, "n_points": int}, set())
 _FOCK = ({"dim": int}, set())
 _SWEEP = (dict.fromkeys(_SWEEP_AXES, list), set())
-
-# number-basis refusal ceilings: room-temperature occupations are out of reach
-_MAX_NBAR = 50.0
-_MAX_DIM = 400
+_BLOCKS = ("setup", "bath", "grid", "sim", "fock", "sweep")
 
 
 def _inputs(config: dict) -> tuple[PhysicalSetup | None, DerivedCoupling | None]:
-    """The setup and its coupling when ``setup`` is given."""
+    """The setup and its coupling when ``setup`` is given; every verb checks its config here."""
     has_setup = "setup" in config
     if has_setup == ("bath" in config):
         raise ValidationError(
             "config", "exactly one of 'setup' and 'bath' must be present"
         )
-    # refused, not ignored: a natural-units config must not run in SI units
-    if config.get("unsafe_constants") is not None:
+    # refused, not ignored: a misspelt block must not fall back on defaults,
+    # nor an unsafe_constants block run a natural-units config in SI units
+    unknown = sorted(k for k, v in config.items() if v is not None and k not in _BLOCKS)
+    if unknown:
         raise ValidationError(
-            "unsafe_constants", "not accepted; hbar, k_B and c are the exact SI values"
+            unknown[0], f"unknown config block; the blocks are {', '.join(_BLOCKS)}"
         )
     if not has_setup:
         return None, None
@@ -353,44 +351,15 @@ def cmd_fock(config: dict, args) -> dict:
         raise ValidationError("out", "--dump-rho needs --out for the binary file")
     bath = _resolve_bath(config)
     block = {} if config.get("fock") is None else _block(config, "fock", *_FOCK)
-    if bath.n_bar > _MAX_NBAR:
-        raise ValidationError(
-            "n_bar",
-            f"thermal occupation {bath.n_bar:g} exceeds the Fock ceiling "
-            f"{_MAX_NBAR:g}; this oracle is for desk-scale parameters",
-        )
-    needed = fock_mod.required_dim(bath.n_bar)
-    grow = "dim" not in block
-    dim = block.get("dim", needed)
-    if max(dim, needed) > _MAX_DIM:
-        raise ValidationError(
-            "dim", f"required dimension {max(dim, needed)} exceeds ceiling {_MAX_DIM}"
-        )
-    # required_dim counts only the thermal tail of n_bar; feedback heating
-    # and squeezing widen the solved state's, so a default dim grows until
-    # the tail guard holds. The solve's warnings go into the output.
+    # the solve's warnings go into the output
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        while True:
-            try:
-                sol = fock_mod.evolve_to_steady(
-                    fock_mod.build_generator(bath, dim), fock_mod.FockConfig(dim=dim)
-                )
-                break
-            except TruncationError:
-                if not grow:
-                    raise
-                if dim == _MAX_DIM:
-                    raise ValidationError(
-                        "dim", f"tail guard not met at the ceiling {_MAX_DIM}"
-                    ) from None
-                dim = min(dim + max(4, dim // 4), _MAX_DIM)
+        sol = fock_mod.evolve_to_steady(bath, fock_mod.FockConfig(**block))
     if args.dump_rho:
         # row-major complex128: interleaved (re, im) float64 pairs
         _save(str(args.out) + ".rho.bin",
               np.ascontiguousarray(sol.rho, dtype=np.complex128).tobytes())
-    return {**_scalar_fields(sol), "dim": dim,
-            "warnings": [str(w.message) for w in caught]}
+    return {**_scalar_fields(sol), "warnings": [str(w.message) for w in caught]}
 
 
 def cmd_sweep(config: dict, args) -> dict:

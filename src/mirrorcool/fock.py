@@ -13,6 +13,7 @@ the generator, never the closed forms or the Lyapunov route.
 ``scipy.sparse`` is imported by the functions that build and solve the
 generator, so importing this module loads no scipy.
 
+``evolve_to_steady`` picks, grows and caps the truncation itself.
 Room-temperature occupations (~1e11) are out of numerical reach by
 construction; desk-scale occupations validate the same coefficient
 algebra, which is parameter-generic.
@@ -21,6 +22,7 @@ algebra, which is parameter-generic.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -36,7 +38,6 @@ if TYPE_CHECKING:
 __all__ = [
     "FockConfig",
     "FockSolution",
-    "Generator",
     "build_generator",
     "evolve_to_steady",
     "ladder",
@@ -49,17 +50,14 @@ TRACE_TOL = 1e-10
 # allowed normwise backward error max|L v| / (||L||_inf * max|v|) of the
 # solve; measured 0.6e-18 to 3e-18 on desk baths at dim 30 to 250
 RESIDUAL_RTOL = 1e-12
+MAX_DIM = 400  # refusal ceiling: n_bar above about 19.95 needs more levels
 
 
 @dataclass(frozen=True)
 class FockConfig:
-    """Number-basis truncation: levels |0> .. |dim-1> are retained."""
+    """Number-basis truncation: levels |0> .. |dim-1> are retained; None picks it."""
 
-    dim: int
-
-    def __post_init__(self):
-        if self.dim < 4:
-            raise ValidationError("dim", "truncation dimension must be >= 4")
+    dim: int | None = None
 
 
 @dataclass(frozen=True)
@@ -81,6 +79,7 @@ class FockSolution:
     hermiticity_error: float  # max |rho - rho^dag|
     min_eigenvalue: float    # smallest eigenvalue of the Hermitian part
     tail_population: float   # <dim-1|rho|dim-1>
+    dim: int                 # levels retained
 
 
 def ladder(dim: int) -> np.ndarray:
@@ -89,39 +88,27 @@ def ladder(dim: int) -> np.ndarray:
 
 
 def required_dim(n_bar: float) -> int:
-    """Smallest truncation whose thermal tail population stays below TAIL_GUARD."""
+    """Smallest truncation whose thermal tail population stays below TAIL_GUARD.
+
+    Nondecreasing in ``n_bar``: that dimension peaks where every level holds
+    under ``e*TAIL_GUARD`` (n_bar ~ 3.7e9), and from there on is ``sys.maxsize``.
+    """
     ratio = math.exp(-1.0 / n_bar) if n_bar > 0 else 0.0
     if ratio == 0.0:  # exp underflows for n_bar below about 1.4e-3
         return 4
+    if 1 - ratio <= math.e * TAIL_GUARD:
+        return sys.maxsize
     # (1-r) r^(d-1) <= TAIL_GUARD
     d = 1 + math.log(TAIL_GUARD / (1 - ratio)) / math.log(ratio)
     return max(4, math.ceil(d))
 
 
-class Generator:
-    """Sparse Liouvillian over row-major vec(rho) with moment adjoints."""
-
-    def __init__(self, bath: EffectiveBath, dim: int, matrix: sparse.csr_matrix):
-        self.bath = bath
-        self.dim = dim
-        self.matrix = matrix
-        a = ladder(dim)
-        num = a.conj().T @ a
-        # Tr(O X) = vec(O^T) . vec(X) for row-major vec
-        self._adjoints = np.stack(
-            [op.T.ravel() for op in (a, a @ a, num)]
-        )
-
-    def moments(self, rho_vec: np.ndarray) -> np.ndarray:
-        """(<a>, <a^2>, <a^dag a>) of a vectorized state (or its derivative)."""
-        return self._adjoints @ rho_vec
-
-
-def build_generator(bath: EffectiveBath, dim: int) -> Generator:
+def build_generator(bath: EffectiveBath, dim: int) -> sparse.csr_matrix:
     """Assemble the five term-groups of the feedback master equation.
 
-    Signs follow the printed generator: the M and M* blocks enter with a
-    minus sign, and the squeeze commutator carries the coefficient
+    The result is the sparse Liouvillian over row-major vec(rho). Signs
+    follow the printed generator: the M and M* blocks enter with a minus
+    sign, and the squeeze commutator carries the coefficient
     (g*sin(phi) + gamma_m)/4.
     """
     if dim < 4:
@@ -156,19 +143,44 @@ def build_generator(bath: EffectiveBath, dim: int) -> Generator:
     L = L - 1j * bath.omega_m * (pre(num) - post(num))
     L = L - s * ((pre(a2) - post(a2)) - (pre(ad2) - post(ad2)))
 
-    return Generator(bath, dim, L.tocsr())
+    return L.tocsr()
 
 
-def _quadrature_variances(mean_a: complex, mean_a2: complex, mean_n: float):
-    # centered variances; <a> = 0 in the steady state, and keeping the
-    # subtraction keeps the variances honest whatever the solve returns
-    var_x = (2 * mean_n + 1 + 2 * mean_a2.real) / 4 - mean_a.real**2
-    var_p = (2 * mean_n + 1 - 2 * mean_a2.real) / 4 - mean_a.imag**2
-    return var_x, var_p
+def evolve_to_steady(bath: EffectiveBath, cfg: FockConfig = FockConfig()) -> FockSolution:
+    """Steady state of the truncated master equation of a stable bath.
+
+    Before any solve it refuses an unstable bath, an ``n_bar`` whose
+    ``required_dim`` exceeds ``MAX_DIM`` and an explicit ``dim`` above it.
+    An explicit ``dim`` is solved as given. Otherwise the solve starts at
+    ``required_dim``, which counts only the thermal tail; feedback heating
+    and squeezing widen the solved state's, so the dimension grows by a
+    quarter per try until the tail guard holds, up to ``MAX_DIM``.
+    """
+    require_stable(bath)
+    dim = required_dim(bath.n_bar)
+    if dim > MAX_DIM:
+        raise ValidationError("n_bar", f"thermal occupation {bath.n_bar:g} needs more than "
+                              f"the Fock ceiling of {MAX_DIM} levels; this oracle is for "
+                              "desk-scale parameters")
+    if cfg.dim is not None:
+        if cfg.dim > MAX_DIM:
+            raise ValidationError(
+                "dim", f"required dimension {cfg.dim} exceeds ceiling {MAX_DIM}"
+            )
+        return _solve(bath, build_generator(bath, cfg.dim))
+    while True:
+        try:
+            return _solve(bath, build_generator(bath, dim))
+        except TruncationError:
+            if dim == MAX_DIM:
+                raise ValidationError(
+                    "dim", f"tail guard not met at the ceiling {MAX_DIM}"
+                ) from None
+            dim = min(dim + max(4, dim // 4), MAX_DIM)
 
 
-def evolve_to_steady(generator: Generator, cfg: FockConfig) -> FockSolution:
-    """Solve for the steady state of the truncated master equation.
+def _solve(bath: EffectiveBath, L: sparse.csr_matrix) -> FockSolution:
+    """Solve for the steady state of the generator ``L`` of ``bath``.
 
     One sparse LU solve of ``L v = 0`` with the <0|rho|0> row of ``L``
     replaced by the trace constraint ``sum_k v[k*dim+k] = 1``. The raw
@@ -181,15 +193,11 @@ def evolve_to_steady(generator: Generator, cfg: FockConfig) -> FockSolution:
     population within the 1e-10 tail guard (TruncationError: the caller
     must raise ``dim``; a negative tail is truncation error too).
     """
-    dim = generator.dim
-    if cfg.dim != dim:
-        raise ValidationError("dim", "config dimension does not match generator")
-    require_stable(generator.bath)
     from scipy import sparse
     from scipy.sparse.linalg import MatrixRankWarning, spsolve
 
-    L = generator.matrix
-    n = dim * dim
+    n = L.shape[0]
+    dim = math.isqrt(n)
     diag = np.arange(dim) * (dim + 1)
     trace_row = sparse.csr_matrix(
         (np.ones(dim), (np.zeros(dim, dtype=int), diag)), shape=(1, n)
@@ -232,25 +240,23 @@ def evolve_to_steady(generator: Generator, cfg: FockConfig) -> FockSolution:
             f"tail population {tail:g} exceeds {TAIL_GUARD:g} at dim={dim}; raise dim"
         )
 
-    mean_a, mean_a2, mean_n_c = generator.moments(v)
+    # (<a>, <a^2>, <a^dag a>): Tr(O X) = vec(O^T) . vec(X) for row-major vec
+    a = ladder(dim)
+    mean_a, mean_a2, mean_n_c = np.stack([op.T.ravel() for op in (a, a @ a, a.T @ a)]) @ v
     mean_n = float(mean_n_c.real)
-    var_x, var_p = _quadrature_variances(mean_a, mean_a2, mean_n)
+    # centered variances; <a> = 0 in the steady state, and keeping the
+    # subtraction keeps the variances honest whatever the solve returns
+    var_x = (2 * mean_n + 1 + 2 * mean_a2.real) / 4 - mean_a.real**2
+    var_p = (2 * mean_n + 1 - 2 * mean_a2.real) / 4 - mean_a.imag**2
 
     min_eig = float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0])
     if min_eig < -1e-8:
-        if check_stability(generator.bath).lindblad_positive:
-            warnings.warn(
-                f"negative eigenvalue {min_eig:g} despite Lindblad-positive "
-                "coefficients; inspect truncation/solve",
-                stacklevel=2,
-            )
-        else:
-            warnings.warn(
-                f"negative eigenvalue {min_eig:g}: expected physics, the "
-                "coefficient block is not completely positive here "
-                "(moment-level results remain exact)",
-                stacklevel=2,
-            )
+        why = (" despite Lindblad-positive coefficients; inspect truncation/solve"
+               if check_stability(bath).lindblad_positive else
+               ": expected physics, the coefficient block is not completely positive "
+               "here (moment-level results remain exact)")
+        # stacklevel 3: the caller of evolve_to_steady
+        warnings.warn(f"negative eigenvalue {min_eig:g}{why}", stacklevel=3)
 
     return FockSolution(
         rho=rho,
@@ -265,4 +271,5 @@ def evolve_to_steady(generator: Generator, cfg: FockConfig) -> FockSolution:
         hermiticity_error=herm_err,
         min_eigenvalue=min_eig,
         tail_population=tail,
+        dim=dim,
     )

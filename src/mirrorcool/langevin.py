@@ -206,19 +206,25 @@ def _simulate_linear(
     half = (cfg.welch_segment + 1) // 2
     freqs = np.fft.rfftfreq(cfg.welch_segment, 1.0 / fs)[:half]
 
-    var_x_i = np.empty(cfg.n_traj)
-    var_p_i = np.empty(cfg.n_traj)
-    cov_i = np.empty(cfg.n_traj)
-    integ_i = np.empty(cfg.n_traj)
-    psd_i = np.empty((cfg.n_traj, half))
-    raw: dict | None = None
-    if keep_trajectories > 0:
-        raw = {"t": cfg.dt * np.arange(n_samp), "x": [], "p": []}
+    # numpy refuses, before any work, a run it cannot allocate
+    try:
+        var_x_i = np.empty(cfg.n_traj)
+        var_p_i = np.empty(cfg.n_traj)
+        cov_i = np.empty(cfg.n_traj)
+        integ_i = np.empty(cfg.n_traj)
+        psd_i = np.empty((cfg.n_traj, half))
+    except (ValueError, MemoryError) as exc:
+        raise ValidationError("n_traj", f"cannot allocate the trajectories: {exc}") from None
+    kept_x, kept_p = [], []
 
     for start in range(0, cfg.n_traj, _CHUNK):
         stop = min(start + _CHUNK, cfg.n_traj)
         k = stop - start
-        fx, fp = _forcing(E, B, cfg.seed, start, k, n_steps)
+        try:
+            fx, fp = _forcing(E, B, cfg.seed, start, k, n_steps)
+        except (ValueError, MemoryError) as exc:
+            raise ValidationError("t_sample" if n_samp >= n_relax else "t_relax",
+                                  f"cannot allocate the time steps: {exc}") from None
         # each forcing buffer goes as soon as its filter output exists
         x = signal.lfilter([1.0], char_poly, fx, axis=1)
         del fx
@@ -242,10 +248,10 @@ def _simulate_linear(
         integ_i[start:stop] = two_sided * (fs / cfg.welch_segment)
         psd_i[start:stop] = p_one[:, :half]
 
-        if raw is not None and start < keep_trajectories:
+        if start < keep_trajectories:
             take = min(keep_trajectories - start, k)
-            raw["x"].extend(xs[:take])
-            raw["p"].extend(ps[:take])
+            kept_x.extend(xs[:take])
+            kept_p.extend(ps[:take])
 
     n = cfg.n_traj
     sqrt_n = math.sqrt(n)
@@ -254,9 +260,9 @@ def _simulate_linear(
     tau_int = float((-np.linalg.inv(A) @ sigma)[0, 0] / sigma[0, 0])
     n_effective = n * cfg.t_sample / max(2 * tau_int, cfg.dt)
 
-    if raw is not None:
-        raw["x"] = np.asarray(raw["x"])
-        raw["p"] = np.asarray(raw["p"])
+    raw = None
+    if keep_trajectories > 0:
+        raw = {"t": cfg.dt * np.arange(n_samp), "x": np.asarray(kept_x), "p": np.asarray(kept_p)}
 
     return TrajectoryEnsembleStats(
         var_x_hat=float(np.mean(var_x_i)),

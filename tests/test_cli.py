@@ -387,10 +387,9 @@ def test_fock_numerical_failure_exit_code(tmp_path, monkeypatch, capsys):
     build = fock_mod.build_generator
 
     def broken(bath, dim):
-        gen = build(bath, dim)
-        matrix = gen.matrix.tolil()
+        matrix = build(bath, dim).tolil()
         matrix[0, 0] *= 1 + 1e-6
-        return fock_mod.Generator(bath, dim, matrix.tocsr())
+        return matrix.tocsr()
 
     monkeypatch.setattr(fock_mod, "build_generator", broken)
     config = {**FOCK_DESK_BATH, "fock": {"dim": 66}}
@@ -412,7 +411,7 @@ def test_fock_default_dim_grows_until_the_tail_guard_holds(tmp_path, capsys):
 
 def test_fock_default_dim_refused_past_the_ceiling(tmp_path, monkeypatch, capsys):
     # the grow loop starts at required_dim(2) = 46 and stops at the ceiling
-    monkeypatch.setattr(cli, "_MAX_DIM", 50)
+    monkeypatch.setattr(fock_mod, "MAX_DIM", 50)
     assert run(["fock", "--config", write_config(tmp_path, FOCK_DESK_BATH)]) == 2
     assert "dim: tail guard not met at the ceiling 50" in capsys.readouterr().err
 
@@ -637,6 +636,14 @@ MALFORMED = {
     "sim_dt_string": ("simulate", {**DESK_BATH, "sim": {**SIM, "dt": "x"}}, [], *refused("dt")),
     "sim_n_traj_fraction": ("simulate", {**DESK_BATH, "sim": {**SIM, "n_traj": 4.5}}, [],
                             *refused("n_traj")),
+    # sizes numpy refuses at its size check, before it allocates anything
+    "sim_n_traj_too_big": ("simulate", {**DESK_BATH, "sim": {**SIM, "n_traj": 2**61}}, [],
+                           *refused("n_traj")),
+    "sim_n_traj_huge": ("simulate", {**DESK_BATH, "sim": {**SIM, "n_traj": 10**400}}, [],
+                        *refused("n_traj")),
+    "sim_t_sample_huge": ("simulate",
+                          {**DESK_BATH, "sim": {**SIM, "dt": 1e-3, "t_sample": 1e300}}, [],
+                          *refused("t_sample")),
     "sim_seed_bool": ("simulate", {**DESK_BATH, "sim": {**SIM, "seed": True}}, [],
                       *refused("seed")),
     # Welch segments always overlap by half
@@ -662,6 +669,8 @@ MALFORMED = {
     # hbar, k_B and c are the exact SI values on the bath route too
     "unsafe_constants": ("variance", {**DESK_BATH, "unsafe_constants": {"hbar": 1.0}}, [],
                          *refused("unsafe_constants")),
+    # a misspelt block is refused, not ignored in favour of the default grid
+    "gird": ("spectrum", {**DESK_BATH, "gird": {"n_points": 5}}, [], *refused("gird")),
     "Gamma_inf": ("variance", with_bath(Gamma=1e400), [], *refused("Gamma")),
     "n_bar_big_integer": ("variance", with_bath(n_bar=10**400), [], *refused("n_bar")),
     "phi_inf": ("variance", with_bath(phi=1e400), [], *refused("phi")),

@@ -2,16 +2,19 @@
 
 A static check over ``cli.py``: it takes no private name and no physical
 constant from the package, so every formula it runs has its owner in the
-library, and ``main`` maps errors to exit codes by their three base
-classes alone.
+library; from ``fock`` it takes only ``FockConfig`` and
+``evolve_to_steady``, so the truncation policy stays in ``fock``; and
+``main`` maps errors to exit codes by their three base classes alone.
 """
 
 import ast
+from collections import defaultdict
 from pathlib import Path
 
 import mirrorcool
 
 SRC = Path(mirrorcool.__file__).parent
+MODULES = {p.stem for p in SRC.glob("*.py")}
 CONSTANTS = {"HBAR", "K_B", "C"}
 BASES = ["ValidationError", "StabilityError", "MirrorCoolError"]
 
@@ -20,31 +23,43 @@ def _cli() -> ast.Module:
     return ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
 
 
-def _borrowed(tree: ast.Module) -> set[str]:
-    """Names cli.py takes from mirrorcool modules, imported or as module attributes."""
-    names, modules = set(), set()
+def _borrowed(tree: ast.Module) -> dict[str, set[str]]:
+    """Names cli.py takes from each mirrorcool module, imported or as module attributes.
+
+    Keys are module paths below the package ("fock"; "" for the package).
+    """
+    taken, bound = defaultdict(set), {}  # bound: local name of a module -> its path
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and (
             node.level or (node.module or "").split(".")[0] == "mirrorcool"
         ):
+            path = _path(node.module or "")
             for alias in node.names:
-                names.add(alias.name)
-                if node.module is None:  # "from . import fock as fock_mod" binds a module
-                    modules.add(alias.asname or alias.name)
+                if not path and alias.name in MODULES:  # "from . import fock as fock_mod"
+                    bound[alias.asname or alias.name] = alias.name
+                taken[path].add(alias.name)
         elif isinstance(node, ast.Import):
-            modules.update(a.asname or a.name for a in node.names
-                           if a.name.split(".")[0] == "mirrorcool")
+            bound.update((a.asname or a.name, _path(a.name)) for a in node.names
+                         if a.name.split(".")[0] == "mirrorcool")
     for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
-                and node.value.id in modules:
-            names.add(node.attr)
-    return names
+        if isinstance(node, ast.Attribute) and ast.unparse(node.value) in bound:
+            taken[bound[ast.unparse(node.value)]].add(node.attr)
+    return taken
+
+
+def _path(module: str) -> str:
+    return module.removeprefix("mirrorcool").lstrip(".")
 
 
 def test_cli_takes_no_private_name_or_constant():
-    borrowed = _borrowed(_cli())
+    borrowed = set().union(*_borrowed(_cli()).values())
     assert not {n for n in borrowed if n.startswith("_")}
     assert not borrowed & CONSTANTS
+
+
+def test_cli_leaves_the_fock_truncation_to_fock():
+    # the dimension, its growth and its ceiling belong to evolve_to_steady
+    assert _borrowed(_cli())["fock"] <= {"FockConfig", "evolve_to_steady"}
 
 
 def test_main_catches_only_the_three_base_errors():

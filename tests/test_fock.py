@@ -9,6 +9,7 @@ from mirrorcool import (
     EffectiveBath,
     FockConfig,
     NumericalError,
+    StabilityError,
     TruncationError,
     ValidationError,
     bath_from_rates,
@@ -17,7 +18,8 @@ from mirrorcool import (
     evolve_to_steady,
     lyapunov_moments,
 )
-from mirrorcool.fock import TAIL_GUARD, Generator, ladder, required_dim
+from mirrorcool import fock as fock_mod
+from mirrorcool.fock import TAIL_GUARD, _solve, ladder, required_dim
 from mirrorcool.steady_state import drift_matrix
 
 
@@ -26,9 +28,17 @@ def desk_bath(g=20.0, Gamma=40.0, n_bar=2.0, omega_m=10.0, phi=-math.pi / 2):
                            n_bar=n_bar, g=g, phi=phi)
 
 
-def lindblad(gen, rho):
+def lindblad(L, rho):
     """The generator applied to a density matrix."""
-    return (gen.matrix @ rho.ravel()).reshape(gen.dim, gen.dim)
+    return (L @ rho.ravel()).reshape(rho.shape)
+
+
+def moments(v):
+    """(<a>, <a^2>, <a^dag a>) of a vectorized state (or its derivative)."""
+    dim = math.isqrt(v.size)
+    a = ladder(dim)
+    rho = v.reshape(dim, dim)
+    return np.array([np.trace(op @ rho) for op in (a, a @ a, a.T @ a)])
 
 
 def random_density(rng, dim, support):
@@ -63,37 +73,37 @@ def test_pure_decay_limit():
     bath = EffectiveBath(gamma=2.0, N=0.0, M=0j, squeeze_coeff=0.0, omega_m=0.0,
                          gamma_m=2.0, g=0.0, phi=-math.pi / 2, Gamma=0.0,
                          eta=1.0, n_bar=0.0)
-    gen = build_generator(bath, 12)
+    L = build_generator(bath, 12)
     rho0 = np.zeros((12, 12), complex)
     rho0[1, 1] = 1.0
     for t in (0.1, 0.5, 1.0):
-        v = expm_multiply(gen.matrix * t, rho0.ravel())
-        n_t = gen.moments(v)[2].real
+        v = expm_multiply(L * t, rho0.ravel())
+        n_t = moments(v)[2].real
         assert n_t == pytest.approx(math.exp(-2.0 * t), rel=1e-10)
 
 
 def test_generator_is_trace_preserving(rng):
-    gen = build_generator(desk_bath(), 20)
+    L = build_generator(desk_bath(), 20)
     eye = np.eye(20, dtype=complex) / 20
-    assert abs(np.trace(lindblad(gen, eye))) < 1e-14
+    assert abs(np.trace(lindblad(L, eye))) < 1e-14
     for _ in range(5):
         rho = random_density(rng, 20, 16)
-        assert abs(np.trace(lindblad(gen, rho))) < 1e-12
+        assert abs(np.trace(lindblad(L, rho))) < 1e-12
 
 
 def test_generator_is_linear(rng):
-    gen = build_generator(desk_bath(), 16)
+    L = build_generator(desk_bath(), 16)
     r1 = random_density(rng, 16, 12)
     r2 = random_density(rng, 16, 12)
-    lhs = lindblad(gen, 0.7 * r1 + 1.9 * r2)
-    rhs = 0.7 * lindblad(gen, r1) + 1.9 * lindblad(gen, r2)
+    lhs = lindblad(L, 0.7 * r1 + 1.9 * r2)
+    rhs = 0.7 * lindblad(L, r1) + 1.9 * lindblad(L, r2)
     np.testing.assert_allclose(lhs, rhs, atol=1e-13)
 
 
 def test_generator_preserves_hermiticity(rng):
-    gen = build_generator(desk_bath(), 16)
+    L = build_generator(desk_bath(), 16)
     rho = random_density(rng, 16, 12)
-    out = lindblad(gen, rho)
+    out = lindblad(L, rho)
     np.testing.assert_allclose(out, out.conj().T, atol=1e-13)
 
 
@@ -107,14 +117,14 @@ def test_moment_flow_matches_coefficient_odes(rng, phi, g):
     #   d<n>     = -gamma<n> + gamma*N + 2 s (<a^2> + <a^dag 2>)
     bath = desk_bath(g=g, phi=phi)
     dim = 30
-    gen = build_generator(bath, dim)
+    L = build_generator(bath, dim)
     a = ladder(dim)
     for _ in range(5):
         rho = random_density(rng, dim, 12)
         mean_a = np.trace(a @ rho)
         mean_a2 = np.trace(a @ a @ rho)
         mean_n = np.trace(a.conj().T @ a @ rho)
-        got = gen.moments(gen.matrix @ rho.ravel())
+        got = moments(L @ rho.ravel())
         s = bath.squeeze_coeff
         want_a = -(bath.gamma / 2 + 1j * bath.omega_m) * mean_a + 2 * s * np.conj(mean_a)
         want_a2 = (
@@ -136,13 +146,13 @@ def test_quadrature_mean_flow_matches_drift_matrix(rng):
     # the first-moment flow of the generator must reproduce the drift used
     # by the Lyapunov and Monte Carlo routes
     bath = desk_bath()
-    gen = build_generator(bath, 30)
+    L = build_generator(bath, 30)
     a = ladder(30)
     A = drift_matrix(bath)
     for _ in range(5):
         rho = random_density(rng, 30, 12)
         mean_a = np.trace(a @ rho)
-        d_mean_a = gen.moments(gen.matrix @ rho.ravel())[0]
+        d_mean_a = moments(L @ rho.ravel())[0]
         xp = np.array([mean_a.real, mean_a.imag])
         d_xp = np.array([d_mean_a.real, d_mean_a.imag])
         np.testing.assert_allclose(d_xp, A @ xp, rtol=1e-10, atol=1e-12)
@@ -153,7 +163,7 @@ def test_thermal_bath_fixed_point():
     # settles at <n> = n_bar - 1/2 (the leading Bose-Einstein expansion),
     # with the equipartition variances n_bar/2
     bath = desk_bath(g=0.0, Gamma=0.0, n_bar=2.0)
-    sol = evolve_to_steady(build_generator(bath, 60), FockConfig(dim=60))
+    sol = evolve_to_steady(bath, FockConfig(dim=60))
     assert sol.mean_n == pytest.approx(1.5, abs=1e-6)
     assert sol.var_x == pytest.approx(1.0, abs=1e-6)
     assert sol.var_p == pytest.approx(1.0, abs=1e-6)
@@ -164,7 +174,7 @@ def test_thermal_bath_fixed_point():
 def test_feedback_steady_state_matches_closed_forms():
     bath = desk_bath()  # n_bar=2, Gamma=40, g=20: lindblad-positive regime
     exact = closed_form_moments(bath)
-    sol = evolve_to_steady(build_generator(bath, 66), FockConfig(dim=66))
+    sol = evolve_to_steady(bath, FockConfig(dim=66))
     assert sol.var_x == pytest.approx(exact.var_x, rel=1e-5)
     assert sol.var_p == pytest.approx(exact.var_p, rel=1e-5)
     assert sol.residual <= sol.residual_bound
@@ -178,8 +188,8 @@ def test_feedback_steady_state_matches_closed_forms():
 
 def test_truncation_convergence():
     bath = desk_bath()
-    a = evolve_to_steady(build_generator(bath, 74), FockConfig(dim=74))
-    b = evolve_to_steady(build_generator(bath, 94), FockConfig(dim=94))
+    a = evolve_to_steady(bath, FockConfig(dim=74))
+    b = evolve_to_steady(bath, FockConfig(dim=94))
     assert a.var_x == pytest.approx(b.var_x, abs=1e-8)
     assert a.var_p == pytest.approx(b.var_p, abs=1e-8)
     # at dim 94 the truncation error is below 1e-12 of the variances
@@ -192,13 +202,12 @@ def test_initial_state_independence():
     # the transient from the ground state relaxes onto the solved state;
     # populations decay at gamma = 21, so by t = 1 about 1e-10 is left
     bath = desk_bath()
-    gen = build_generator(bath, 66)
-    sol = evolve_to_steady(gen, FockConfig(dim=66))
+    sol = evolve_to_steady(bath, FockConfig(dim=66))
     ground = np.zeros((66, 66), complex)
     ground[0, 0] = 1.0
-    v = expm_multiply(gen.matrix, ground.ravel())  # rho(t = 1)
+    v = expm_multiply(build_generator(bath, 66), ground.ravel())  # rho(t = 1)
     np.testing.assert_allclose(v.reshape(66, 66), sol.rho, rtol=0, atol=1e-8)
-    mean_a, mean_a2, mean_n = gen.moments(v)
+    mean_a, mean_a2, mean_n = moments(v)
     var_x = (2 * mean_n.real + 1 + 2 * mean_a2.real) / 4 - mean_a.real**2
     assert var_x == pytest.approx(sol.var_x, abs=1e-8)
 
@@ -206,33 +215,34 @@ def test_initial_state_independence():
 def test_tail_guard_rejects_small_truncation():
     bath = desk_bath(n_bar=3.0)
     with pytest.raises(TruncationError):
-        evolve_to_steady(build_generator(bath, 40), FockConfig(dim=40))
+        evolve_to_steady(bath, FockConfig(dim=40))
 
 
-def perturbed(gen, row, col, factor):
+def perturbed(L, row, col, factor):
     """The generator with one matrix entry scaled by ``factor``."""
-    matrix = gen.matrix.tolil()
+    matrix = L.tolil()
     matrix[row, col] = matrix[row, col] * factor
-    return Generator(gen.bath, gen.dim, matrix.tocsr())
+    return matrix.tocsr()
 
 
 def test_singular_or_nonfinite_solve_raises():
-    gen = build_generator(desk_bath(), 30)
+    bath = desk_bath()
+    L = build_generator(bath, 30)
     with pytest.raises(NumericalError, match="singular or non-finite"):
-        evolve_to_steady(perturbed(gen, 5, 5, math.nan), FockConfig(dim=30))
+        _solve(bath, perturbed(L, 5, 5, math.nan))
     # no equation left on the <0|rho|1> coherence: the system is singular
-    matrix = gen.matrix.tolil()
+    matrix = L.tolil()
     matrix[:, 1] = 0
     with pytest.raises(NumericalError, match="singular or non-finite"):
-        evolve_to_steady(Generator(gen.bath, 30, matrix.tocsr()), FockConfig(dim=30))
+        _solve(bath, matrix.tocsr())
 
 
 def test_residual_over_bound_raises():
     # the solve drops the <0|rho|0> row, which only a trace-preserving
     # generator implies; perturbing it leaves the residual on that row
-    gen = build_generator(desk_bath(), 66)
+    bath = desk_bath()
     with pytest.raises(NumericalError, match="residual"):
-        evolve_to_steady(perturbed(gen, 0, 0, 1 + 1e-6), FockConfig(dim=66))
+        _solve(bath, perturbed(build_generator(bath, 66), 0, 0, 1 + 1e-6))
 
 
 def test_trace_check_rejects_a_misnormalized_solve(monkeypatch):
@@ -242,18 +252,18 @@ def test_trace_check_rejects_a_misnormalized_solve(monkeypatch):
     solve = scipy.sparse.linalg.spsolve
     monkeypatch.setattr(scipy.sparse.linalg, "spsolve", lambda A, b: 1.001 * solve(A, b))
     with pytest.raises(NumericalError, match="trace error"):
-        evolve_to_steady(build_generator(desk_bath(), 66), FockConfig(dim=66))
+        evolve_to_steady(desk_bath(), FockConfig(dim=66))
 
 
 def test_hermiticity_check_rejects_a_non_hermitian_generator():
     # [n, rho] is trace-preserving but maps Hermitian to anti-Hermitian
-    gen = build_generator(desk_bath(), 66)
+    bath = desk_bath()
     num = sparse.diags(np.arange(66.0))
     eye = sparse.identity(66)
     skew = sparse.kron(num, eye) - sparse.kron(eye, num)
-    bad = Generator(gen.bath, 66, (gen.matrix + 1e-3 * skew).tocsr())
+    bad = (build_generator(bath, 66) + 1e-3 * skew).tocsr()
     with pytest.raises(NumericalError, match="hermiticity"):
-        evolve_to_steady(bad, FockConfig(dim=66))
+        _solve(bath, bad)
 
 
 def test_negative_eigenvalue_warning_outside_the_positive_region():
@@ -262,7 +272,7 @@ def test_negative_eigenvalue_warning_outside_the_positive_region():
     bath = bath_from_rates(omega_m=10.0, gamma_m=1.0, Gamma=0.1, eta=1.0,
                            n_bar=0.0, g=0.1, phi=-math.pi / 2)
     with pytest.warns(UserWarning, match="expected physics"):
-        sol = evolve_to_steady(build_generator(bath, 150), FockConfig(dim=150))
+        sol = evolve_to_steady(bath, FockConfig(dim=150))
     assert sol.min_eigenvalue < -1e-8
 
 
@@ -271,12 +281,41 @@ def test_negative_tail_is_truncation_error():
     bath = bath_from_rates(omega_m=10.0, gamma_m=1.0, Gamma=0.1, eta=1.0,
                            n_bar=0.0, g=0.1, phi=-math.pi / 2)
     with pytest.raises(TruncationError, match="tail population -"):
-        evolve_to_steady(build_generator(bath, 30), FockConfig(dim=30))
+        evolve_to_steady(bath, FockConfig(dim=30))
 
 
 def test_config_validation():
     with pytest.raises(ValidationError):
-        FockConfig(dim=3)
-    gen = build_generator(desk_bath(), 16)
-    with pytest.raises(ValidationError):
-        evolve_to_steady(gen, FockConfig(dim=20))
+        evolve_to_steady(desk_bath(), FockConfig(dim=3))
+
+
+def test_required_dim_is_nondecreasing():
+    dims = [required_dim(n_bar) for n_bar in np.logspace(-4, 12, 161)]
+    assert all(a <= b for a, b in zip(dims, dims[1:]))
+    # every level below the guard: no truncation resolves the state
+    assert required_dim(1e11) > fock_mod.MAX_DIM
+
+
+@pytest.mark.parametrize("n_bar", [25.0, 6e11])
+def test_occupation_past_the_ceiling_is_refused(n_bar):
+    with pytest.raises(ValidationError) as exc:
+        evolve_to_steady(desk_bath(n_bar=n_bar))
+    assert exc.value.field == "n_bar"
+
+
+def test_default_dim_grows_until_the_tail_guard_holds():
+    # required_dim(2) = 46 leaves a solved tail of 3e-9 on the desk bath
+    bath = desk_bath()
+    sol = evolve_to_steady(bath)
+    assert sol.dim > required_dim(bath.n_bar) == 46
+    assert abs(sol.tail_population) <= TAIL_GUARD
+    assert sol.var_x == pytest.approx(closed_form_moments(bath).var_x, abs=1e-5)
+
+
+def test_instability_is_reported_before_the_ceiling():
+    # spring margin omega_m^2 - gamma_m*g*sin(phi) = 25 - 50 < 0 at n_bar 30
+    bath = bath_from_rates(omega_m=5.0, gamma_m=10.0, Gamma=40.0, eta=1.0,
+                           n_bar=30.0, g=5.0, phi=math.pi / 2)
+    assert required_dim(bath.n_bar) > fock_mod.MAX_DIM
+    with pytest.raises(StabilityError):
+        evolve_to_steady(bath)

@@ -14,7 +14,6 @@ from mirrorcool import (
     ValidationError,
     bath_from_rates,
     build_bath,
-    build_generator,
     check_stability,
     closed_form_moments,
     derive_coupling,
@@ -320,7 +319,7 @@ def test_lyapunov_boundary_is_a_distinct_error(rates):
     with pytest.raises(StabilityBoundaryError):
         lyapunov_moments(b)
     with pytest.raises(StabilityBoundaryError, match="^no steady state exists"):
-        evolve_to_steady(build_generator(b, 30), FockConfig(dim=30))
+        evolve_to_steady(b, FockConfig(dim=30))
 
 
 def test_variance_grows_unbounded_toward_damping_boundary():
