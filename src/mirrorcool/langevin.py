@@ -7,17 +7,15 @@ the one-step propagator E is the matrix exponential of the drift and the
 one-step noise covariance is the exact integrated Lyapunov increment, so
 results carry no time-step bias.
 
-The stepper is the 2x2 recursion Z_n = E Z_{n-1} + w_n. By
-Cayley-Hamilton each quadrature obeys the scalar order-2 recursion
-Z_n - tr(E) Z_{n-1} + det(E) Z_{n-2} = w_n + (E - tr(E) I) w_{n-1}, so
-one ``scipy.signal.lfilter`` call per quadrature runs every time step
-of a chunk of trajectories; ``lfilter`` is all this module takes from
-``scipy.signal``. The spectrum is a numpy Welch estimate (periodic Hann
-window, mean of segment periodograms).
-
-``scipy.signal`` and ``scipy.linalg`` (for ``expm``) are imported by the
-functions that use them, on the first Monte Carlo run, so importing this
-module, and the package, loads no scipy.
+The stepper is the 2x2 recursion Z_n = E Z_{n-1} + B xi_n, run in
+blocks of ``_BLOCK`` steps: one matrix product per quadrature maps each
+block's raw draws, plus the state entering the block, to every state of
+the block, so a whole trajectory takes two GEMMs. The states entering
+the blocks obey the same recursion over block ends with E^_BLOCK as
+propagator, solved the same way one level up. E is the closed-form 2x2
+exponential :func:`_expm2`. The spectrum is a numpy Welch estimate
+(periodic Hann window, mean of segment periodograms). This module imports
+no scipy.
 
 Only the symmetric part of the input correlations is simulated; the
 antisymmetric i/4 cross term is a commutator artifact that no pair of
@@ -41,6 +39,8 @@ from .steady_state import diffusion_matrix, drift_matrix, _require_phase, _stead
 __all__ = ["SimConfig", "TrajectoryEnsembleStats", "ComparisonReport", "simulate", "psd_vs_analytic"]
 
 _CHUNK = 64  # trajectories integrated together; results do not depend on it
+_BLOCK = 64  # time steps per row of the propagation GEMM; results depend on it only at roundoff
+_SERIES_S2 = 1e-6  # below this |s^2|, _expm2 sums the Taylor series of cosh(s) and sinh(s)/s
 _WELCH_ROWS = 8  # trajectories per Welch call; bounds its FFT memory
 _WELCH_OVERLAP = 0.5  # fraction of a Welch segment shared with the next
 _ALIAS_IMAGES = 200  # images k*2pi/dt on each side in the sampled-process spectrum
@@ -115,15 +115,44 @@ def _sqrt_psd(mat: np.ndarray, what: str) -> np.ndarray:
     return vecs @ np.diag(np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
 
 
+def _expm2(M: np.ndarray) -> np.ndarray:
+    """exp(M) of a 2x2 matrix in closed form.
+
+    With tau = tr(M)/2 and N = M - tau*I, N^2 = s^2 I where s^2 = -det(N),
+    so exp(M) = e^tau [cosh(s) I + (sinh(s)/s) N]: cos and sin of |s| when
+    s^2 < 0, and the Taylor series in s^2 (the same for both signs) near 0.
+    For s^2 > 0 the factor e^(tau+s) is taken out, so cosh and sinh cannot
+    overflow where the product does not.
+
+    The formula is evaluated in long double and rounded once: a one-step
+    propagator that is an ulp off on its diagonal shifts the damping rate,
+    and over the N-step memory of a high-Q bath the trajectories drift by
+    N ulps.
+    """
+    M = np.asarray(M, dtype=np.longdouble)
+    tau = (M[0, 0] + M[1, 1]) / 2
+    d = (M[0, 0] - M[1, 1]) / 2
+    s2 = d * d + M[0, 1] * M[1, 0]
+    if abs(s2) < _SERIES_S2:
+        scale, cosh, sinhc = np.exp(tau), 1 + s2 / 2 + s2 * s2 / 24, 1 + s2 / 6 + s2 * s2 / 120
+    elif s2 > 0:
+        s = np.sqrt(s2)
+        fall = np.expm1(-2 * s)  # e^(-2s) - 1
+        scale, cosh, sinhc = np.exp(tau + s), 1 + fall / 2, -fall / (2 * s)
+    else:
+        w = np.sqrt(-s2)
+        scale, cosh, sinhc = np.exp(tau), np.cos(w), np.sin(w) / w
+    N = np.array([[d, M[0, 1]], [M[1, 0], -d]])  # M - tau*I, exactly traceless
+    return (scale * (cosh * np.eye(2, dtype=np.longdouble) + sinhc * N)).astype(float)
+
+
 def _exact_step(A: np.ndarray, sigma: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """One-step propagator and noise square root for dZ = A Z dt + noise.
 
     Q(dt) = sigma - E sigma E^T with E = exp(A dt) and the steady
     covariance ``sigma`` is the exact covariance accumulated over one step.
     """
-    from scipy.linalg import expm  # deferred with scipy.signal, see the module docstring
-
-    E = expm(A * dt)
+    E = _expm2(A * dt)
     Q = sigma - E @ sigma @ E.T
     return E, _sqrt_psd(Q, "per-step noise covariance")
 
@@ -136,24 +165,66 @@ def _traj_rng(seed: int, index: int) -> np.random.Generator:
     )
 
 
-def _forcing(
-    E: np.ndarray, B: np.ndarray, seed: int, start: int, k: int, n_steps: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-quadrature forcing w_n + (E - tr(E) I) w_{n-1} of trajectories start..start+k-1.
+def _block_matrices(E: np.ndarray, B: np.ndarray, n_steps: int, block: int) -> list[np.ndarray]:
+    """GEMM matrices of the block recursion for ``n_steps`` steps, one per level.
 
-    w = B xi with xi drawn per trajectory; w_{-1} = 0, so the filter
-    starts from Z = 0 before the first step.
+    Level 0 propagates Z_n = E Z_{n-1} + B xi_n. Its matrix G, of shape
+    (2*block + 2, 2*block), maps a row [xi_0 .. xi_{block-1}, Z_in] of
+    interleaved (x, p) pairs to the block's states [x_0 .. x_{block-1},
+    p_0 .. p_{block-1}]: the block-Toeplitz E^(i-m) B above, E^(i+1) in the
+    last two rows. Level l+1 propagates the states entering the blocks of
+    level l, with E^block in place of E and the identity in place of B.
     """
-    MT = (E - np.trace(E) * np.eye(2)).T
-    BT = B.T
-    fx = np.empty((k, n_steps))
-    fp = np.empty((k, n_steps))
-    for j in range(k):
-        w = _traj_rng(seed, start + j).standard_normal((n_steps, 2)) @ BT
-        w[1:] += w[:-1] @ MT
-        fx[j] = w[:, 0]
-        fp[j] = w[:, 1]
-    return fx, fp
+    levels = []
+    lag = np.arange(block)[None, :] - np.arange(block)[:, None]  # [m, i] -> i - m
+    while True:
+        P = np.empty((block + 1, 2, 2))
+        P[0] = np.eye(2)
+        for k in range(1, block + 1):
+            P[k] = E @ P[k - 1]
+        T = (P[:block] @ B)[np.maximum(lag, 0)]  # [m, i, c, a] = (E^(i-m) B)[c, a]
+        T[lag < 0] = 0.0
+        toeplitz = T.transpose(0, 3, 2, 1).reshape(2 * block, 2 * block)
+        carry = P[1:].transpose(2, 1, 0).reshape(2, 2 * block)
+        levels.append(np.vstack([toeplitz, carry]))
+        if n_steps <= block:
+            return levels
+        n_steps = -(-n_steps // block) - 1  # the states entering blocks 1, 2, ...
+        E, B = P[block], np.eye(2)
+
+
+def _propagate(u: np.ndarray, levels: list[np.ndarray], out: np.ndarray | None = None) -> np.ndarray:
+    """States Z_n = E Z_{n-1} + B u_n from Z_{-1} = 0 for the rows u_n of ``u`` (n, 2).
+
+    Returns (2, n_blocks*block): x in row 0, p in row 1; past the last
+    step the recursion continues on zero input.
+    """
+    G = levels[0]
+    width = G.shape[1]
+    block = width // 2
+    n_blocks = -(-len(u) // block)
+    rows = np.zeros((n_blocks, width + 2))
+    full, part = divmod(2 * len(u), width)
+    rows[:full, :width] = u[:full * block].reshape(full, width)
+    if part:
+        rows[full, :part] = u[full * block:].ravel()
+    if n_blocks > 1:
+        # each block's last state from a zero entry; recursing on them gives the entries
+        ends = rows[:-1, :width] @ G[:width, block - 1::block]
+        rows[1:, width:] = _propagate(ends, levels[1:])[:, :n_blocks - 1].T
+    if out is None:
+        out = np.empty((2, n_blocks * block))
+    for q in range(2):
+        np.matmul(rows, G[:, q * block:(q + 1) * block], out=out[q].reshape(n_blocks, block))
+    return out
+
+
+def _step_count(name: str, duration: float, dt: float) -> int:
+    """Whole time steps in ``duration``; ValidationError naming ``name`` when not finite."""
+    steps = duration / dt
+    if not math.isfinite(steps):
+        raise ValidationError(name, f"{name}/dt = {steps} is not a finite number of steps")
+    return int(round(steps))
 
 
 def _welch(x: np.ndarray, fs: float, nperseg: int, noverlap: int) -> np.ndarray:
@@ -177,27 +248,18 @@ def _simulate_linear(
     keep_trajectories: int = 0,
 ) -> TrajectoryEnsembleStats:
     """Core integrator over an arbitrary stable 2x2 drift/diffusion pair."""
-    # deferred: scipy.signal is the slowest import of the package and only
-    # the Monte Carlo verbs need it
-    from scipy import signal
-
     eigs = np.linalg.eigvals(A)
     if eigs.real.max() >= 0:
         raise StabilityError(f"drift eigenvalues not strictly stable: {eigs}")
     _sqrt_psd(C, f"input noise covariance C={C.tolist()}")
 
-    n_relax = int(round(cfg.t_relax / cfg.dt))
-    n_samp = int(round(cfg.t_sample / cfg.dt))
+    n_samp = _step_count("t_sample", cfg.t_sample, cfg.dt)
+    n_relax = _step_count("t_relax", cfg.t_relax, cfg.dt)
     if n_samp < cfg.welch_segment:
         raise ValidationError(
             "welch_segment", f"segment ({cfg.welch_segment}) exceeds samples ({n_samp})"
         )
     n_steps = n_relax + n_samp
-
-    sigma = _steady_covariance(A, C)
-    E, B = _exact_step(A, sigma, cfg.dt)
-    # the characteristic polynomial of E: denominator of each quadrature's filter
-    char_poly = [1.0, -np.trace(E), E[0, 0] * E[1, 1] - E[0, 1] * E[1, 0]]
 
     fs = 1.0 / cfg.dt
     noverlap = int(_WELCH_OVERLAP * cfg.welch_segment)
@@ -215,22 +277,26 @@ def _simulate_linear(
         psd_i = np.empty((cfg.n_traj, half))
     except (ValueError, MemoryError) as exc:
         raise ValidationError("n_traj", f"cannot allocate the trajectories: {exc}") from None
+    n_blocks = -(-n_steps // _BLOCK)
+    try:
+        draws = np.empty((n_steps, 2))
+        states = np.empty((min(_CHUNK, cfg.n_traj), 2, n_blocks * _BLOCK))
+    except (ValueError, MemoryError) as exc:
+        raise ValidationError("t_sample" if n_samp >= n_relax else "t_relax",
+                              f"cannot allocate the time steps: {exc}") from None
+
+    sigma = _steady_covariance(A, C)
+    E, B = _exact_step(A, sigma, cfg.dt)
+    levels = _block_matrices(E, B, n_steps, _BLOCK)
     kept_x, kept_p = [], []
 
     for start in range(0, cfg.n_traj, _CHUNK):
         stop = min(start + _CHUNK, cfg.n_traj)
         k = stop - start
-        try:
-            fx, fp = _forcing(E, B, cfg.seed, start, k, n_steps)
-        except (ValueError, MemoryError) as exc:
-            raise ValidationError("t_sample" if n_samp >= n_relax else "t_relax",
-                                  f"cannot allocate the time steps: {exc}") from None
-        # each forcing buffer goes as soon as its filter output exists
-        x = signal.lfilter([1.0], char_poly, fx, axis=1)
-        del fx
-        p = signal.lfilter([1.0], char_poly, fp, axis=1)
-        del fp
-        xs, ps = x[:, n_relax:], p[:, n_relax:]
+        for j in range(k):
+            _traj_rng(cfg.seed, start + j).standard_normal((n_steps, 2), out=draws)
+            _propagate(draws, levels, out=states[j])
+        xs, ps = states[:k, 0, n_relax:n_steps], states[:k, 1, n_relax:n_steps]
 
         # raw second moments about zero: the fluctuation process is zero-mean
         var_x_i[start:stop] = np.einsum("ij,ij->i", xs, xs) / n_samp
@@ -249,9 +315,10 @@ def _simulate_linear(
         psd_i[start:stop] = p_one[:, :half]
 
         if start < keep_trajectories:
+            # copies: the next chunk overwrites ``states``
             take = min(keep_trajectories - start, k)
-            kept_x.extend(xs[:take])
-            kept_p.extend(ps[:take])
+            kept_x.extend(xs[:take].copy())
+            kept_p.extend(ps[:take].copy())
 
     n = cfg.n_traj
     sqrt_n = math.sqrt(n)

@@ -561,8 +561,8 @@ def test_missing_config_file(tmp_path, capsys):
     assert run(["derive", "--config", str(tmp_path / "nope.json")]) == 2
 
 
-# imports the package and the CLI, then runs each analytic verb in the same
-# process, printing the scipy modules loaded after each step
+# imports the package and the CLI, then runs each verb in the same process,
+# printing the scipy modules loaded after each step
 _SCIPY_FREE_SCRIPT = """
 import json, sys
 
@@ -577,16 +577,8 @@ print(json.dumps(loaded))
 """
 
 
-def test_import_and_analytic_verbs_load_no_scipy(tmp_path):
-    desk = write_config(tmp_path, {**DESK_BATH, "grid": {"n_points": 64}}, "desk.json")
-    sweep = write_config(tmp_path, {**DESK_BATH, "sweep": {"g": [10.0, 50.0]}}, "sweep.json")
-    verbs = {
-        "derive": ["derive", "--config", str(REFERENCE_CONFIG)],
-        "variance": ["variance", "--config", desk],
-        "sweep": ["sweep", "--config", sweep],
-        "spectrum": ["spectrum", "--config", desk],
-        "fig1": ["spectrum", "--config", desk, "--fig1"],
-    }
+def assert_scipy_free(tmp_path, verbs):
+    """Run ``verbs`` in one fresh process: each exits 0 and none loads a scipy module."""
     runs = {name: [*argv, "--out", str(tmp_path / f"{name}.out")] for name, argv in verbs.items()}
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run([sys.executable, "-c", _SCIPY_FREE_SCRIPT, json.dumps(runs)],
@@ -594,6 +586,26 @@ def test_import_and_analytic_verbs_load_no_scipy(tmp_path):
                           env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
     loaded = json.loads(proc.stdout)
     assert loaded == {name: [0, []] for name in ["import", *runs]}
+
+
+def test_import_and_analytic_verbs_load_no_scipy(tmp_path):
+    desk = write_config(tmp_path, {**DESK_BATH, "grid": {"n_points": 64}}, "desk.json")
+    sweep = write_config(tmp_path, {**DESK_BATH, "sweep": {"g": [10.0, 50.0]}}, "sweep.json")
+    assert_scipy_free(tmp_path, {
+        "derive": ["derive", "--config", str(REFERENCE_CONFIG)],
+        "variance": ["variance", "--config", desk],
+        "sweep": ["sweep", "--config", sweep],
+        "spectrum": ["spectrum", "--config", desk],
+        "fig1": ["spectrum", "--config", desk, "--fig1"],
+    })
+
+
+def test_monte_carlo_verbs_load_no_scipy(tmp_path):
+    sim = write_config(tmp_path, {**DESK_BATH, "sim": SIM})
+    assert_scipy_free(tmp_path, {
+        "simulate": ["simulate", "--config", sim, "--dump-traj", "2"],
+        "compare": ["compare", "--config", sim],
+    })
 
 
 SIM = {"dt": 1.25e-3, "t_relax": 0.5, "t_sample": 4.0, "n_traj": 8, "seed": 5,
@@ -644,6 +656,13 @@ MALFORMED = {
     "sim_t_sample_huge": ("simulate",
                           {**DESK_BATH, "sim": {**SIM, "dt": 1e-3, "t_sample": 1e300}}, [],
                           *refused("t_sample")),
+    # step counts t/dt that overflow to inf
+    "sim_t_sample_overflow": ("simulate",
+                              {**DESK_BATH, "sim": {**SIM, "dt": 1e-20, "t_sample": 1e300}}, [],
+                              *refused("t_sample")),
+    "sim_t_relax_overflow": ("simulate",
+                             {**DESK_BATH, "sim": {**SIM, "dt": 1e-20, "t_relax": 1e300}}, [],
+                             *refused("t_relax")),
     "sim_seed_bool": ("simulate", {**DESK_BATH, "sim": {**SIM, "seed": True}}, [],
                       *refused("seed")),
     # Welch segments always overlap by half

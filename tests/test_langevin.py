@@ -1,8 +1,11 @@
+import ast
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.signal
 
 from mirrorcool import (
@@ -21,7 +24,7 @@ from mirrorcool import (
 from mirrorcool import langevin
 from mirrorcool.errors import UnsupportedPhaseError
 from mirrorcool.langevin import (
-    _exact_step, _sampled_spectrum, _simulate_linear, _traj_rng, _welch,
+    _SERIES_S2, _exact_step, _expm2, _sampled_spectrum, _simulate_linear, _traj_rng, _welch,
 )
 from mirrorcool.steady_state import _steady_covariance
 
@@ -286,6 +289,75 @@ def test_results_do_not_depend_on_the_chunk_size(monkeypatch):
             assert np.array_equal(a, b), f.name
         else:
             assert a == b, f.name
+
+
+def test_results_do_not_depend_on_the_block_size(monkeypatch):
+    # 3600 steps in blocks of 4 recurse through six levels of block entries
+    bath = desk_bath()
+    cfg = quick_cfg(n_traj=3, t_sample=4.0, welch_segment=512)
+    monkeypatch.setattr(langevin, "_BLOCK", 64)
+    wide = simulate(bath, cfg, keep_trajectories=3)
+    monkeypatch.setattr(langevin, "_BLOCK", 4)
+    narrow = simulate(bath, cfg, keep_trajectories=3)
+    for q in "xp":
+        want = wide.raw_trajectories[q]
+        assert np.max(np.abs(narrow.raw_trajectories[q] - want)) <= 1e-12 * np.max(np.abs(want))
+    for name in ("var_x_hat", "var_p_hat", "cov_xp_hat", "psd_var_integral"):
+        assert getattr(narrow, name) == pytest.approx(getattr(wide, name), rel=1e-12, abs=0)
+    np.testing.assert_allclose(narrow.psd_values, wide.psd_values, rtol=1e-12, atol=0)
+
+
+def test_trajectory_matches_a_long_double_loop_on_the_high_q_bath():
+    # 2e5 steps with poles within 1e-5 of the unit circle. The reference
+    # steps Z_n = E Z_{n-1} + B xi_n one at a time in long double, with E
+    # from scipy's expm; B is the integrator's, so only the propagation is
+    # compared.
+    A, C = _bath_pair(omega_m=10.0, gamma_m=1e-3, Gamma=1e-3, n_bar=3.0, g=0.01)
+    dt, n_steps = 1e-3, 200_000
+    cfg = SimConfig(dt=dt, t_relax=0.0, t_sample=n_steps * dt, n_traj=2, seed=3)
+    got = _simulate_linear(A, C, cfg, keep_trajectories=2).raw_trajectories
+
+    E = scipy.linalg.expm(A * dt).astype(np.longdouble)
+    _, B = _exact_step(A, _steady_covariance(A, C), dt)
+    noise = np.stack([_traj_rng(cfg.seed, j).standard_normal((n_steps, 2)) for j in range(2)])
+    noise = noise.astype(np.longdouble) @ B.T.astype(np.longdouble)
+    Z = np.zeros((2, 2), dtype=np.longdouble)
+    want = np.empty((n_steps, 2, 2), dtype=np.longdouble)
+    for step in range(n_steps):
+        Z = Z @ E.T + noise[:, step]
+        want[step] = Z
+    for q, name in enumerate("xp"):
+        ref = want[:, :, q].T.astype(float)
+        assert np.max(np.abs(got[name] - ref)) <= 1e-11 * np.max(np.abs(ref)), name
+
+
+def _critical(s2):
+    # tr/2 = -0.3 and s^2 = -det(M - tr/2 I) = s2
+    return np.array([[-0.3, 1.0], [s2, -0.3]])
+
+
+@pytest.mark.parametrize(
+    "M",
+    [
+        _bath_pair(omega_m=62.8, gamma_m=1.0, Gamma=200.0, n_bar=100.0, g=50.0)[0] * 1.25e-3,
+        _bath_pair(omega_m=1.0, gamma_m=1.0, Gamma=40.0, n_bar=3.0, g=50.0)[0] * 1e-3,
+        _bath_pair(omega_m=10.0, gamma_m=1e-3, Gamma=1e-3, n_bar=3.0, g=0.01)[0] * 1e-3,
+        np.array([[-5.0, 0.0], [0.0, -3.0]]) * 0.03,
+        *(_critical(f * _SERIES_S2) for f in (0.0, 0.5, -0.5, 2.0, -2.0)),
+    ],
+    ids=["underdamped", "overdamped", "high_q", "diagonal",
+         "critical", "series_s2_pos", "series_s2_neg", "closed_s2_pos", "closed_s2_neg"],
+)
+def test_expm2_matches_scipy_expm(M):
+    want = scipy.linalg.expm(M)
+    assert np.max(np.abs(_expm2(M) - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_langevin_imports_no_scipy():
+    tree = ast.parse(Path(langevin.__file__).read_text(encoding="utf-8"))
+    imported = [a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names]
+    imported += [n.module or "" for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)]
+    assert not [m for m in imported if m.split(".")[0] == "scipy"]
 
 
 def test_simulate_does_not_call_scipy_welch(monkeypatch):
