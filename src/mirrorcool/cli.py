@@ -16,11 +16,12 @@ import io
 import itertools
 import json
 import math
+import re
 import sys
 import typing
 import warnings
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -59,23 +60,83 @@ def _jsonable(value: Any) -> Any:
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
+_MARK = "\ue000"  # private use: ensure_ascii always writes it as the escape \ue000
+_MARKED = re.compile(r'"\\ue000(\d+)"')
+
+
+def _is_float_array(value: Any) -> bool:
+    """A float16/32/64 array: its ``tolist()`` holds Python floats."""
+    return (isinstance(value, np.ndarray) and value.dtype.kind == "f"
+            and value.dtype.itemsize <= 8)
+
+
+def _json_text(doc: Any) -> str:
+    """``json.dumps(doc, indent=1, default=_jsonable)``, each float array joined at once.
+
+    ``json.dumps`` lays out the document with a placeholder string for each
+    nonempty, finite 1-D float array; one substitution then writes each
+    array as the same ``indent=1`` block of shortest round-trip floats.
+    Other values, non-finite arrays among them (``NaN``, ``Infinity``),
+    go through ``_jsonable``.
+    """
+    arrays = []
+
+    def placeholder(value):
+        if (_is_float_array(value) and value.ndim == 1 and value.size
+                and np.isfinite(value).all()):
+            arrays.append(value)
+            return f"{_MARK}{len(arrays) - 1}"
+        return _jsonable(value)
+
+    text = json.dumps(doc, indent=1, default=placeholder)
+    if not arrays:
+        return text
+    if text.count("\\ue000") != len(arrays):
+        # a string of the document holds the mark as well
+        return json.dumps(doc, indent=1, default=_jsonable)
+
+    def splice(match):
+        line = text[text.rfind("\n", 0, match.start()) + 1:match.start()]
+        lead = line[:len(line) - len(line.lstrip(" "))]
+        sep = ",\n" + lead + " "
+        values = arrays[int(match[1])].tolist()
+        return "[\n" + lead + " " + sep.join(map(repr, values)) + "\n" + lead + "]"
+
+    return _MARKED.sub(splice, text)
+
+
+def _csv_column(column) -> Iterable[str]:
+    """The cells of one CSV column; a float array is rendered in one pass."""
+    if _is_float_array(column):
+        return map(repr, column.tolist())
+    return map(_csv_cell, column)
+
+
 def _write(out: str | None, doc: dict, fmt: str = "json") -> None:
     """Write ``doc`` to the file ``out``, or to stdout, as JSON or CSV.
 
-    A CSV document is a table: ``header``, ``rows`` and optional
-    ``comments``, which lead the file as ``#`` lines.
+    JSON is ``json.dumps(doc, indent=1)`` text with shortest round-trip
+    floats (``repr``), ``NaN`` and ``Infinity`` included. A CSV document
+    is a table given by columns: ``header``, ``columns`` and optional
+    ``comments``, which lead the file as ``#`` lines; float cells are
+    ``repr`` floats and booleans ``true``/``false``. A file or stdout that
+    cannot be written is refused as a bad ``out``.
     """
     if fmt == "json":
-        text = json.dumps(doc, indent=1, default=_jsonable) + "\n"
+        text = _json_text(doc) + "\n"
     else:
         lines = [f"# {c}" for c in doc.get("comments", ())]
         lines.append(",".join(doc["header"]))
-        lines += [",".join(map(_csv_cell, row)) for row in doc["rows"]]
+        lines += map(",".join, zip(*map(_csv_column, doc["columns"])))
         text = "\n".join(lines) + "\n"
     if out:
         _save(out, text.encode("utf-8"))
-    else:
-        print(text, end="")
+        return
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        raise ValidationError("out", f"cannot write to stdout: {exc}") from exc
 
 
 def _save(path: str, data: bytes) -> None:
@@ -253,10 +314,11 @@ def cmd_variance(config: dict, args) -> dict:
         except ValidationError:
             pass
     if args.format == "csv":
+        header = ["method", "var_x", "var_p", "cov_xp_sym", "t_eff"]
         return {
-            "header": ["method", "var_x", "var_p", "cov_xp_sym", "t_eff"],
-            "rows": [[name, m.var_x, m.var_p, m.cov_xp_sym, m.t_eff]
-                     for name, m in report.items()],
+            "header": header,
+            "columns": [list(report),
+                        *([getattr(m, f) for m in report.values()] for f in header[1:])],
         }
     return report
 
@@ -299,7 +361,7 @@ def cmd_spectrum(config: dict, args) -> dict:
     if args.format == "csv":
         return {
             "header": ["omega", *series],
-            "rows": zip(grid, *series.values()),
+            "columns": [grid, *series.values()],
             "comments": [
                 f"sum_rule {k}".rstrip() + f": integral={r['integral']!r} "
                 f"var_x={r['var_x']!r} rel_err={r['rel_err']:.3e}"
@@ -338,7 +400,7 @@ def cmd_simulate(config: dict, args) -> dict | None:
 
     base = str(args.out)
     _write(base + ".stats.json", payload)
-    _write(base + ".psd.csv", {"header": list(psd), "rows": zip(*psd.values())}, "csv")
+    _write(base + ".psd.csv", {"header": list(psd), "columns": list(psd.values())}, "csv")
     if stats.raw_trajectories is not None:
         npz = io.BytesIO()
         np.savez_compressed(npz, **stats.raw_trajectories)
@@ -398,6 +460,8 @@ def cmd_sweep(config: dict, args) -> dict:
             row_tail = [bath_pt.gamma, *moments, True, report.lindblad_positive,
                         report.positivity_gap]
         rows.append(list(combo) + row_tail)
+    if args.format == "csv":
+        return {"header": header, "columns": list(zip(*rows))}
     return {"header": header, "rows": rows}
 
 

@@ -1,5 +1,7 @@
 import contextlib
 import copy
+import dataclasses
+import errno
 import io
 import json
 import math
@@ -12,8 +14,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import mirrorcool
 from mirrorcool import (
@@ -535,6 +538,192 @@ def test_json_round_trip_is_exact(tmp_path, capsys):
     assert again == once
     bath = bath_from_rates(**DESK_BATH["bath"])
     assert once["closed_form"]["var_x"] == closed_form_moments(bath).var_x
+
+
+# ---------------------------------------------------------------------------
+# output text: the encoder against a value-by-value reference
+
+def reference_jsonable(value):
+    """The JSON form of one value, as ``json.dumps`` would be given it value by value."""
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
+    if isinstance(value, complex):
+        return {"real": value.real, "imag": value.imag}
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
+def reference_cell(v):
+    if isinstance(v, bool):
+        return str(v).lower()
+    if isinstance(v, (float, np.floating)):
+        return repr(float(v))
+    return str(v)
+
+
+def written(doc, fmt):
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text):
+        cli._write(None, doc, fmt)
+    return text.getvalue()
+
+
+SPECIAL_FLOATS = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e16, 1e-5, 0.1,
+                  -1.5e300, math.nan, math.inf, -math.inf]
+# the placeholder character and the characters of its escape
+MARK_TEXT = st.text(alphabet=["\ue000", "\\", "u", "e", "0", "1", '"', "a", "\n"], max_size=6)
+# float32 has its own subnormals and rounds 1e16 and 1e-5
+SPECIAL_FLOAT32 = [0.0, -0.0, float(np.float32(1e-45)), float(np.float32(1e16)),
+                   float(np.float32(1e-5)), math.nan, math.inf, -math.inf]
+
+
+def float_arrays(dtype, width, specials):
+    elements = st.floats(width=width) | st.sampled_from(specials)
+    return hnp.arrays(dtype, st.integers(0, 6), elements=elements)
+
+
+ARRAYS = st.one_of(
+    float_arrays(np.float64, 64, SPECIAL_FLOATS),
+    float_arrays(np.float32, 32, SPECIAL_FLOAT32),
+    float_arrays(np.float64, 64, SPECIAL_FLOATS).filter(lambda a: np.isfinite(a).all()),
+    hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=3),
+               elements=st.floats(width=64)),
+    hnp.arrays(np.int64, st.integers(0, 4)),
+    hnp.arrays(np.bool_, st.integers(0, 4)),
+    hnp.arrays(np.complex128, st.integers(0, 3),
+               elements=st.complex_numbers(allow_nan=False, allow_infinity=False)),
+)
+LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.sampled_from(SPECIAL_FLOATS),
+    st.complex_numbers(), MARK_TEXT, st.text(max_size=4), ARRAYS,
+)
+DOCS = st.dictionaries(
+    MARK_TEXT | st.text(max_size=3),
+    st.recursive(LEAVES, lambda inner: st.lists(inner, max_size=4)
+                 | st.dictionaries(MARK_TEXT, inner, max_size=4), max_leaves=12),
+    max_size=5,
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(doc=DOCS)
+@example(doc={"\ue0000": np.array([1.0, -0.0]), "x": [np.array([1e16])]})
+@example(doc={"a": [{"b": np.array([5e-324, 1e-5])}, "\ue0001"], "c": np.array([math.nan])})
+@example(doc={"\\ue000": {"\ue0000": np.array([0.5])}, "d": np.array([0.25, 1e22])})
+def test_json_text_equals_the_value_by_value_encoding(doc):
+    expected = json.dumps(doc, indent=1, default=reference_jsonable) + "\n"
+    assert written(doc, "json") == expected
+
+
+def csv_columns(n):
+    floats = st.floats(width=64) | st.sampled_from(SPECIAL_FLOATS)
+    cells = st.one_of(floats, st.booleans(), st.integers(), st.text(alphabet="ab", max_size=3))
+    return st.one_of(
+        hnp.arrays(np.float64, n, elements=floats),
+        hnp.arrays(np.float32, n,
+                   elements=st.floats(width=32) | st.sampled_from(SPECIAL_FLOAT32)),
+        hnp.arrays(np.int64, n),
+        hnp.arrays(np.bool_, n),
+        st.lists(cells, min_size=n, max_size=n),
+        st.lists(floats, min_size=n, max_size=n).map(tuple),
+    )
+
+
+@st.composite
+def csv_docs(draw):
+    n = draw(st.integers(0, 6))
+    columns = draw(st.lists(csv_columns(n), min_size=1, max_size=5))
+    header = [f"c{k}" for k in range(len(columns))]
+    return {"header": header, "columns": columns,
+            "comments": draw(st.lists(st.text(alphabet="ab =", max_size=5), max_size=2))}
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(doc=csv_docs())
+def test_csv_text_equals_the_cell_by_cell_table(doc):
+    lines = [f"# {c}" for c in doc["comments"]] + [",".join(doc["header"])]
+    lines += [",".join(map(reference_cell, row)) for row in zip(*doc["columns"])]
+    assert written(doc, "csv") == "\n".join(lines) + "\n"
+
+
+SWEEP_CONFIG = {**DESK_BATH, "sweep": {"g": [0.0, 10.0, 50.0], "phi": [-math.pi / 2, 1.2]}}
+CANONICAL_SIM = {**DESK_BATH, "sim": {"dt": 1.25e-3, "t_relax": 0.5, "t_sample": 2.0,
+                                      "n_traj": 2, "welch_segment": 1024}}
+CANONICAL = {
+    "derive": ("derive", None, []),
+    "variance_json": ("variance", DESK_BATH, []),
+    "variance_csv": ("variance", DESK_BATH, ["--format", "csv"]),
+    "spectrum_json": ("spectrum", DESK_BATH, []),
+    "spectrum_csv": ("spectrum", DESK_BATH, ["--format", "csv"]),
+    "fig1_json": ("spectrum", DESK_BATH, ["--fig1"]),
+    "fig1_csv": ("spectrum", DESK_BATH, ["--fig1", "--format", "csv"]),
+    "g_list_json": ("spectrum", DESK_BATH, ["--g-list", "0,25,50"]),
+    "g_list_csv": ("spectrum", DESK_BATH, ["--g-list", "0,25,50", "--format", "csv"]),
+    "sweep_json": ("sweep", SWEEP_CONFIG, []),
+    "sweep_csv": ("sweep", SWEEP_CONFIG, ["--format", "csv"]),
+    "simulate": ("simulate", CANONICAL_SIM, []),
+    "simulate_files": ("simulate", CANONICAL_SIM, ["--out", "{out}"]),
+    "compare": ("compare", CANONICAL_SIM, []),
+    "fock": ("fock", {**FOCK_DESK_BATH, "fock": {"dim": 66}}, []),
+}
+
+
+@pytest.mark.parametrize("verb,config,argv", CANONICAL.values(), ids=CANONICAL)
+def test_output_is_canonical_indent_1_text_with_repr_floats(tmp_path, capsys, verb, config,
+                                                            argv):
+    cfg = str(REFERENCE_CONFIG) if config is None else write_config(tmp_path, config)
+    base = tmp_path / "result"
+    argv = [a.replace("{out}", str(base)) for a in argv]
+    assert run([verb, "--config", cfg, *argv]) == 0
+    stdout = capsys.readouterr().out
+    if "--out" in argv:  # simulate's stats document and PSD table
+        texts = [("json", Path(f"{base}.stats.json").read_text()),
+                 ("csv", Path(f"{base}.psd.csv").read_text())]
+    else:
+        texts = [("csv" if "csv" in argv else "json", stdout)]
+    for fmt, text in texts:
+        if fmt == "json":
+            assert json.dumps(json.loads(text), indent=1) + "\n" == text
+        else:
+            rows = [line for line in text.splitlines() if not line.startswith("#")][1:]
+            floats = [c for line in rows for c in line.split(",") if is_number(c)]
+            assert floats and all(repr(float(c)) == c for c in floats)
+
+
+def is_number(cell):
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
+class FullStdout(io.StringIO):
+    """A stdout on a full disk: ``write`` or ``flush`` raises ENOSPC."""
+
+    def __init__(self, failing):
+        super().__init__()
+        self.failing = failing
+
+    def write(self, text):
+        if self.failing == "write":
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return super().write(text)
+
+    def flush(self):
+        if self.failing == "flush":
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("failing", ["write", "flush"])
+def test_unwritable_stdout_is_refused(tmp_path, capsys, monkeypatch, failing):
+    monkeypatch.setattr(sys, "stdout", FullStdout(failing))
+    code = run(["spectrum", "--config", write_config(tmp_path, DESK_BATH), "--format", "csv"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("validation error: out: cannot write to stdout:")
+    assert "No space left on device" in err
 
 
 def test_unsafe_constants_block_is_refused(tmp_path, capsys):

@@ -218,18 +218,40 @@ def test_optimizer_matches_grid_scan_oracle():
     assert v_min <= min(values)
 
 
+def printed_moments():
+    """Positive symbols and the printed var_x, var_p and cov_xp_sym at phi = -pi/2.
+
+    The symbols are (g, gamma_m, omega_m, Gamma, eta, n_bar).
+    """
+    import sympy as sp
+
+    symbols = sp.symbols("g gamma_m omega_m Gamma eta n_bar", positive=True)
+    g, gm, om, Gamma, eta, n_bar = symbols
+    c_x, c_p = g**2 / (4 * eta * Gamma), gm * n_bar + Gamma / 4
+    denom = 2 * (gm + g) * (om**2 + gm * g)
+    var_x = (c_x * (gm**2 + om**2 + gm * g) + c_p * om**2) / denom
+    var_p = (c_p * (g**2 + gm * g + om**2) + om**2 * c_x) / denom
+    cov = om * (c_p * g - c_x * gm) / denom
+    return symbols, (var_x, var_p, cov)
+
+
+SYMBOLIC_POINT = dict(g=40.0, gamma_m=1.3, omega_m=62.8, Gamma=200.0, eta=0.7, n_bar=100.0)
+
+
+def at_point(expr, symbols):
+    return float(expr.subs(dict(zip(symbols, SYMBOLIC_POINT.values()))))
+
+
 def test_gain_quartic_is_the_stationarity_numerator():
     import sympy as sp
     from types import SimpleNamespace
 
     from mirrorcool.steady_state import _gain_quartic
 
-    g, gm, om, Gamma, eta, n_bar = sp.symbols("g gamma_m omega_m Gamma eta n_bar", positive=True)
-    c_x, c_p = g**2 / (4 * eta * Gamma), gm * n_bar + Gamma / 4
-    var_x = (c_x * (gm**2 + om**2 + gm * g) + c_p * om**2) / (2 * (gm + g) * (om**2 + gm * g))
-    point = dict(omega_m=62.8, gamma_m=1.3, Gamma=200.0, eta=0.7, n_bar=100.0, g=40.0)
-    value = var_x.subs({g: 40.0, gm: 1.3, om: 62.8, Gamma: 200.0, eta: 0.7, n_bar: 100.0})
-    assert float(value) == pytest.approx(closed_form_moments(desk_bath(**point)).var_x, rel=1e-14)
+    symbols, (var_x, _, _) = printed_moments()
+    g, gm, om, Gamma, eta, n_bar = symbols
+    exact = closed_form_moments(desk_bath(**SYMBOLIC_POINT)).var_x
+    assert at_point(var_x, symbols) == pytest.approx(exact, rel=1e-14)
 
     numerator = sp.fraction(sp.together(sp.diff(var_x, g)))[0]
     symbols = SimpleNamespace(gamma_m=gm, omega_m=om, Gamma=Gamma, eta=eta, n_bar=n_bar)
@@ -237,6 +259,50 @@ def test_gain_quartic_is_the_stationarity_numerator():
     factor = sp.cancel(numerator / quartic)
     assert g not in factor.free_symbols
     assert factor.is_positive
+
+
+def test_printed_moments_solve_the_lyapunov_equation():
+    import sympy as sp
+
+    symbols, printed = printed_moments()
+    g, gm, om, Gamma, eta, n_bar = symbols
+    phi = -sp.pi / 2
+    A = sp.Matrix([[g * sp.sin(phi), om], [-om, -gm]])
+    C = sp.Matrix([[g**2 / (4 * eta * Gamma), g * sp.cos(phi) / 4],
+                   [g * sp.cos(phi) / 4, gm * n_bar + Gamma / 4]])
+    x, y, z = sp.symbols("x y z")
+    S = sp.Matrix([[x, z], [z, y]])
+    solutions = sp.solve(list(A * S + S * A.T + C), [x, y, z], dict=True)
+    assert len(solutions) == 1
+    for unknown, form in zip((x, y, z), printed):
+        assert sp.simplify(solutions[0][unknown] - form) == 0
+
+    m = closed_form_moments(desk_bath(**SYMBOLIC_POINT))
+    for value, form in zip((m.var_x, m.var_p, m.cov_xp_sym), printed):
+        assert at_point(form, symbols) == pytest.approx(value, rel=1e-14)
+
+
+def test_high_gain_error_bound_holds_for_every_positive_parameter_set():
+    # criterion 7's 0 <= approx - exact <= B(g)*exact, over a common denominator
+    import sympy as sp
+
+    symbols, (exact, _, _) = printed_moments()
+    g, gm, om, Gamma, eta, n_bar = symbols
+    approx = n_bar * om**2 / (2 * g**2) + Gamma * om**2 / (8 * gm * g**2) + g / (8 * eta * Gamma)
+    bound = (1 + gm / g) * (1 + om**2 / (gm * g)) - 1  # omega_m*Q_m = omega_m^2/gamma_m
+    assert at_point(approx, symbols) == pytest.approx(
+        high_gain_moments(desk_bath(**SYMBOLIC_POINT)).var_x, rel=1e-14)
+
+    def positive_coefficients(poly):
+        return all(c > 0 for c in sp.Poly(poly, *symbols).coeffs())
+
+    for difference in (approx - exact, bound * exact - (approx - exact)):
+        numerator, denominator = sp.fraction(sp.cancel(sp.together(difference)))
+        assert positive_coefficients(numerator)
+        # a positive constant times factors positive for positive symbols
+        constant, factors = sp.factor_list(denominator)
+        assert constant > 0
+        assert all(positive_coefficients(factor) for factor, _ in factors)
 
 
 def brent_oracle(bath, g_lo, g_hi):
