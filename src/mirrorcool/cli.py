@@ -217,6 +217,7 @@ def _fields(cls) -> tuple[dict[str, type], set[str]]:
 
 
 _SWEEP_AXES = ("g", "phi", "Gamma", "eta", "T")
+_SWEEP_FLOATS = {"gamma", "var_x", "var_p", "cov_xp_sym", "t_eff", "positivity_gap"}
 _BATH_KEYS = ("omega_m", "gamma_m", "Gamma", "eta", "n_bar", "g", "phi")
 
 _SETUP = _fields(PhysicalSetup)
@@ -461,7 +462,11 @@ def cmd_sweep(config: dict, args) -> dict:
                         report.positivity_gap]
         rows.append(list(combo) + row_tail)
     if args.format == "csv":
-        return {"header": header, "columns": list(zip(*rows))}
+        # computed float columns as arrays, rendered in one pass; the axis
+        # and boolean columns keep their cells (an integer axis value prints as 1)
+        columns = [np.array(col, dtype=float) if name in _SWEEP_FLOATS else col
+                   for name, col in zip(header, zip(*rows))]
+        return {"header": header, "columns": columns}
     return {"header": header, "rows": rows}
 
 

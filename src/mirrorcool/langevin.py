@@ -17,6 +17,12 @@ exponential :func:`_expm2`. The spectrum is a numpy Welch estimate
 (periodic Hann window, mean of segment periodograms). This module imports
 no scipy.
 
+Each trajectory is one task on a thread pool with a worker per usable
+core (:func:`_pool_size`). A task runs its trajectory end to end in its
+worker's scratch buffers and writes only that trajectory's results; the
+draws are keyed by (seed, index), so results do not depend on the worker
+count, and memory grows with the workers, not with ``n_traj``.
+
 Only the symmetric part of the input correlations is simulated; the
 antisymmetric i/4 cross term is a commutator artifact that no pair of
 classical noises can represent and that does not enter symmetrized
@@ -26,6 +32,7 @@ moments or the spectrum.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -38,10 +45,13 @@ from .steady_state import diffusion_matrix, drift_matrix, _require_phase, _stead
 
 __all__ = ["SimConfig", "TrajectoryEnsembleStats", "ComparisonReport", "simulate", "psd_vs_analytic"]
 
-_CHUNK = 64  # trajectories integrated together; results do not depend on it
 _BLOCK = 64  # time steps per row of the propagation GEMM; results depend on it only at roundoff
+# most block rows per GEMM call when several workers run: 24*(2*64 + 2)*64
+# multiply-adds stay below the 4*65536 at which OpenBLAS threads a GEMM, so
+# the workers do not contend for its threads. A lone worker leaves each
+# GEMM whole, and to OpenBLAS's threads.
+_GEMM_ROWS = 24
 _SERIES_S2 = 1e-6  # below this |s^2|, _expm2 sums the Taylor series of cosh(s) and sinh(s)/s
-_WELCH_ROWS = 8  # trajectories per Welch call; bounds its FFT memory
 _WELCH_OVERLAP = 0.5  # fraction of a Welch segment shared with the next
 _ALIAS_IMAGES = 200  # images k*2pi/dt on each side in the sampled-process spectrum
 _PEAK_FRACTION = 0.5  # peak region: bins at or above this fraction of the reference maximum
@@ -158,8 +168,8 @@ def _exact_step(A: np.ndarray, sigma: np.ndarray, dt: float) -> tuple[np.ndarray
 
 
 def _traj_rng(seed: int, index: int) -> np.random.Generator:
-    # counter-based stream keyed by (seed, trajectory index): parallel or
-    # chunked execution cannot change the draws
+    # counter-based stream keyed by (seed, trajectory index): the worker
+    # that runs a trajectory cannot change its draws
     return np.random.Generator(
         np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
     )
@@ -193,17 +203,29 @@ def _block_matrices(E: np.ndarray, B: np.ndarray, n_steps: int, block: int) -> l
         E, B = P[block], np.eye(2)
 
 
-def _propagate(u: np.ndarray, levels: list[np.ndarray], out: np.ndarray | None = None) -> np.ndarray:
+def _propagate(
+    u: np.ndarray,
+    levels: list[np.ndarray],
+    out: np.ndarray | None = None,
+    rows: np.ndarray | None = None,
+    tile: int | None = None,
+) -> np.ndarray:
     """States Z_n = E Z_{n-1} + B u_n from Z_{-1} = 0 for the rows u_n of ``u`` (n, 2).
 
     Returns (2, n_blocks*block): x in row 0, p in row 1; past the last
-    step the recursion continues on zero input.
+    step the recursion continues on zero input. ``out`` and the GEMM input
+    ``rows`` (n_blocks, 2*block + 2) may be passed in for reuse; ``rows``
+    must be zero where ``u`` does not fill it, as it is when new from
+    ``np.zeros`` or after a call on a ``u`` of the same length. With
+    ``tile``, each GEMM is cut into row tiles of at most that many rows;
+    the tiles do not change the product.
     """
     G = levels[0]
     width = G.shape[1]
     block = width // 2
     n_blocks = -(-len(u) // block)
-    rows = np.zeros((n_blocks, width + 2))
+    if rows is None:
+        rows = np.zeros((n_blocks, width + 2))
     full, part = divmod(2 * len(u), width)
     rows[:full, :width] = u[:full * block].reshape(full, width)
     if part:
@@ -214,8 +236,13 @@ def _propagate(u: np.ndarray, levels: list[np.ndarray], out: np.ndarray | None =
         rows[1:, width:] = _propagate(ends, levels[1:])[:, :n_blocks - 1].T
     if out is None:
         out = np.empty((2, n_blocks * block))
+    # tiles of nearly equal height: a lone row would go to GEMV, which sums differently
+    n_tiles = -(-n_blocks // tile) if tile else 1
+    edges = [n_blocks * t // n_tiles for t in range(n_tiles + 1)]
     for q in range(2):
-        np.matmul(rows, G[:, q * block:(q + 1) * block], out=out[q].reshape(n_blocks, block))
+        G_q, out_q = G[:, q * block:(q + 1) * block], out[q].reshape(n_blocks, block)
+        for lo, hi in zip(edges, edges[1:]):
+            np.matmul(rows[lo:hi], G_q, out=out_q[lo:hi])
     return out
 
 
@@ -227,14 +254,28 @@ def _step_count(name: str, duration: float, dt: float) -> int:
     return int(round(steps))
 
 
-def _welch(x: np.ndarray, fs: float, nperseg: int, noverlap: int) -> np.ndarray:
+def _pool_size(n_traj: int) -> int:
+    """Worker threads for ``n_traj`` trajectories: one per usable core, at most one per trajectory."""
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        cores = os.cpu_count() or 1
+    return max(1, min(cores, n_traj))
+
+
+def _welch(
+    x: np.ndarray, fs: float, nperseg: int, noverlap: int, win: np.ndarray | None = None
+) -> np.ndarray:
     """Hann-window Welch density of each row of ``x`` at the rfft bins 0..nperseg//2.
 
     The two-sided density (scipy's ``welch`` with ``window="hann"``,
     ``detrend=False``, ``return_onesided=False``) of a real series is even
     in f, so these bins hold all of it: bin k stands for +-k*fs/nperseg.
+    ``win`` is the periodic Hann window of ``nperseg`` points, built here
+    unless given.
     """
-    win = np.hanning(nperseg + 1)[:-1]  # periodic Hann
+    if win is None:
+        win = np.hanning(nperseg + 1)[:-1]  # periodic Hann
     segments = sliding_window_view(x, nperseg, axis=-1)[..., ::nperseg - noverlap, :]
     spec = np.fft.rfft(segments * win, axis=-1)
     power = spec.real**2 + spec.imag**2
@@ -248,6 +289,9 @@ def _simulate_linear(
     keep_trajectories: int = 0,
 ) -> TrajectoryEnsembleStats:
     """Core integrator over an arbitrary stable 2x2 drift/diffusion pair."""
+    from concurrent.futures import ThreadPoolExecutor
+    from queue import SimpleQueue
+
     eigs = np.linalg.eigvals(A)
     if eigs.real.max() >= 0:
         raise StabilityError(f"drift eigenvalues not strictly stable: {eigs}")
@@ -262,11 +306,13 @@ def _simulate_linear(
     n_steps = n_relax + n_samp
 
     fs = 1.0 / cfg.dt
-    noverlap = int(_WELCH_OVERLAP * cfg.welch_segment)
+    seg = cfg.welch_segment
+    noverlap = int(_WELCH_OVERLAP * seg)
+    win = np.hanning(seg + 1)[:-1]  # periodic Hann
     # rfft bins below Nyquist; an even segment also has the Nyquist bin,
     # which the two-sided density holds once
-    half = (cfg.welch_segment + 1) // 2
-    freqs = np.fft.rfftfreq(cfg.welch_segment, 1.0 / fs)[:half]
+    half = (seg + 1) // 2
+    freqs = np.fft.rfftfreq(seg, 1.0 / fs)[:half]
 
     # numpy refuses, before any work, a run it cannot allocate
     try:
@@ -278,47 +324,60 @@ def _simulate_linear(
     except (ValueError, MemoryError) as exc:
         raise ValidationError("n_traj", f"cannot allocate the trajectories: {exc}") from None
     n_blocks = -(-n_steps // _BLOCK)
+    n_workers = _pool_size(cfg.n_traj)
+    tile = _GEMM_ROWS if n_workers > 1 else None
+    scratch = SimpleQueue()  # each worker's draws, GEMM input and states
     try:
-        draws = np.empty((n_steps, 2))
-        states = np.empty((min(_CHUNK, cfg.n_traj), 2, n_blocks * _BLOCK))
+        for _ in range(n_workers):
+            scratch.put((np.empty((n_steps, 2)), np.zeros((n_blocks, 2 * _BLOCK + 2)),
+                         np.empty((2, n_blocks * _BLOCK))))
     except (ValueError, MemoryError) as exc:
         raise ValidationError("t_sample" if n_samp >= n_relax else "t_relax",
                               f"cannot allocate the time steps: {exc}") from None
+    n_keep = max(0, min(keep_trajectories, cfg.n_traj))
+    try:
+        kept = {"x": np.empty((n_keep, n_samp)), "p": np.empty((n_keep, n_samp))}
+    except (ValueError, MemoryError) as exc:
+        raise ValidationError("keep_trajectories",
+                              f"cannot allocate the kept trajectories: {exc}") from None
 
     sigma = _steady_covariance(A, C)
     E, B = _exact_step(A, sigma, cfg.dt)
     levels = _block_matrices(E, B, n_steps, _BLOCK)
-    kept_x, kept_p = [], []
 
-    for start in range(0, cfg.n_traj, _CHUNK):
-        stop = min(start + _CHUNK, cfg.n_traj)
-        k = stop - start
-        for j in range(k):
-            _traj_rng(cfg.seed, start + j).standard_normal((n_steps, 2), out=draws)
-            _propagate(draws, levels, out=states[j])
-        xs, ps = states[:k, 0, n_relax:n_steps], states[:k, 1, n_relax:n_steps]
+    def run(j: int) -> None:
+        # at most one task per worker runs at a time, so a buffer set is always free
+        draws, rows, states = scratch.get()
+        try:
+            _traj_rng(cfg.seed, j).standard_normal((n_steps, 2), out=draws)
+            _propagate(draws, levels, out=states, rows=rows, tile=tile)
+            z = states[:, n_relax:n_steps]  # x in row 0, p in row 1
 
-        # raw second moments about zero: the fluctuation process is zero-mean
-        var_x_i[start:stop] = np.einsum("ij,ij->i", xs, xs) / n_samp
-        var_p_i[start:stop] = np.einsum("ij,ij->i", ps, ps) / n_samp
-        cov_i[start:stop] = np.einsum("ij,ij->i", xs, ps) / n_samp
+            # raw second moments about zero: the fluctuation process is
+            # zero-mean. Two rows per einsum call, as for a batch of
+            # trajectories: einsum sums a lone row in another order.
+            var_x_i[j], var_p_i[j] = np.einsum("ij,ij->i", z, z) / n_samp
+            cov_i[j] = np.einsum("ij,ij->i", z, z[::-1])[0] / n_samp
 
-        # a few rows per Welch call: its segment FFTs take several times the
-        # memory of the samples, and the rows are transformed independently
-        p_one = np.concatenate([
-            _welch(xs[j:j + _WELCH_ROWS], fs, cfg.welch_segment, noverlap)
-            for j in range(0, k, _WELCH_ROWS)
-        ])
-        # sum over the two-sided bins: 0 and Nyquist once, the others at +-f
-        two_sided = p_one[:, 0] + 2 * p_one[:, 1:half].sum(axis=1) + p_one[:, half:].sum(axis=1)
-        integ_i[start:stop] = two_sided * (fs / cfg.welch_segment)
-        psd_i[start:stop] = p_one[:, :half]
+            p_one = _welch(z[0], fs, seg, noverlap, win)
+            # sum over the two-sided bins: 0 and Nyquist once, the others at +-f
+            integ_i[j] = (p_one[0] + 2 * p_one[1:half].sum() + p_one[half:].sum()) * (fs / seg)
+            psd_i[j] = p_one[:half]
 
-        if start < keep_trajectories:
-            # copies: the next chunk overwrites ``states``
-            take = min(keep_trajectories - start, k)
-            kept_x.extend(xs[:take].copy())
-            kept_p.extend(ps[:take].copy())
+            if j < n_keep:
+                kept["x"][j], kept["p"][j] = z
+        finally:
+            scratch.put((draws, rows, states))
+
+    if n_workers == 1:  # the calling thread is the lone worker
+        for j in range(cfg.n_traj):
+            run(j)
+    else:
+        with ThreadPoolExecutor(max_workers=n_workers,
+                                thread_name_prefix="mirrorcool-langevin") as pool:
+            # a task that raises cancels those not yet started
+            for _ in pool.map(run, range(cfg.n_traj)):
+                pass
 
     n = cfg.n_traj
     sqrt_n = math.sqrt(n)
@@ -329,7 +388,7 @@ def _simulate_linear(
 
     raw = None
     if keep_trajectories > 0:
-        raw = {"t": cfg.dt * np.arange(n_samp), "x": np.asarray(kept_x), "p": np.asarray(kept_p)}
+        raw = {"t": cfg.dt * np.arange(n_samp), **kept}
 
     return TrajectoryEnsembleStats(
         var_x_hat=float(np.mean(var_x_i)),

@@ -234,6 +234,14 @@ def optimize_gain(
     the stationary-point quartic (:func:`_gain_quartic`, solved with
     ``np.roots``) inside it; every candidate gain is re-derived through
     the coefficient block, so the returned variance is exact.
+
+    Raises StabilityError when a candidate's moments break the Heisenberg
+    bound var_x*var_p >= 1/16. That can happen on a bath whose coefficient
+    block is not Lindblad-positive (``check_stability(...).positivity_gap``
+    < 0): for ``omega_m`` 1.6913, ``gamma_m`` 9.8181, ``Gamma`` 26.247,
+    ``eta`` 0.93269, ``n_bar`` 1.00755 over (0, 15.128), the interior root
+    g = 6.106 gives var_x*var_p = 0.0443. Such a bath has no physical
+    optimum to report, so the bound is enforced, not skipped.
     """
     _require_phase(bath_template)
     g_lo, g_hi = g_range

@@ -1,6 +1,10 @@
 import ast
 import dataclasses
+import itertools
 import math
+import sys
+import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +28,8 @@ from mirrorcool import (
 from mirrorcool import langevin
 from mirrorcool.errors import UnsupportedPhaseError
 from mirrorcool.langevin import (
-    _SERIES_S2, _exact_step, _expm2, _sampled_spectrum, _simulate_linear, _traj_rng, _welch,
+    _SERIES_S2, _block_matrices, _exact_step, _expm2, _propagate, _sampled_spectrum,
+    _simulate_linear, _traj_rng, _welch,
 )
 from mirrorcool.steady_state import _steady_covariance
 
@@ -251,7 +256,7 @@ def _bath_pair(**rates):
     return drift_matrix(bath), diffusion_matrix(bath)
 
 
-@pytest.mark.parametrize(
+THREE_BATHS = pytest.mark.parametrize(
     "A,C,dt",
     [
         # acceptance criterion 4
@@ -263,6 +268,9 @@ def _bath_pair(**rates):
     ],
     ids=["criterion4", "overdamped", "high_q"],
 )
+
+
+@THREE_BATHS
 def test_filter_matches_the_per_step_recursion(A, C, dt):
     cfg = SimConfig(dt=dt, t_relax=400 * dt, t_sample=6000 * dt, n_traj=3, seed=21,
                     welch_segment=512)
@@ -273,22 +281,96 @@ def test_filter_matches_the_per_step_recursion(A, C, dt):
         assert np.max(np.abs(got - want)) <= 1e-8 * np.max(np.abs(want))
 
 
-def test_results_do_not_depend_on_the_chunk_size(monkeypatch):
+def _force_workers(monkeypatch, workers):
+    monkeypatch.setattr(langevin, "_pool_size", lambda n_traj: workers)
+
+
+def test_results_do_not_depend_on_the_worker_count(monkeypatch):
+    # 8 workers is more than the cores of most test machines; a short
+    # switch interval interleaves the tasks' Python code finely
     bath = desk_bath()
     cfg = quick_cfg(n_traj=12, t_sample=3.0, welch_segment=512)
-    monkeypatch.setattr(langevin, "_CHUNK", 64)
-    whole = simulate(bath, cfg, keep_trajectories=7)
-    monkeypatch.setattr(langevin, "_CHUNK", 5)
-    chunked = simulate(bath, cfg, keep_trajectories=7)
-    for f in dataclasses.fields(whole):
-        a, b = getattr(whole, f.name), getattr(chunked, f.name)
-        if f.name == "raw_trajectories":
-            assert a.keys() == b.keys()
-            assert all(np.array_equal(a[k], b[k]) for k in a), f.name
-        elif isinstance(a, np.ndarray):
-            assert np.array_equal(a, b), f.name
-        else:
-            assert a == b, f.name
+    runs = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (1, 2, 3, 8):
+            _force_workers(monkeypatch, workers)
+            runs.append(simulate(bath, cfg, keep_trajectories=7))
+    finally:
+        sys.setswitchinterval(interval)
+    serial = runs[0]
+    assert serial.raw_trajectories["x"].shape == (7, 2400)
+    for pooled in runs[1:]:
+        for f in dataclasses.fields(serial):
+            a, b = getattr(serial, f.name), getattr(pooled, f.name)
+            if f.name == "raw_trajectories":
+                assert list(a) == list(b)
+                assert all(np.array_equal(a[k], b[k]) for k in a), f.name
+            elif isinstance(a, np.ndarray):
+                assert np.array_equal(a, b), f.name
+            else:
+                assert a == b, f.name
+
+
+@THREE_BATHS
+def test_gemm_tiles_do_not_change_the_states(A, C, dt):
+    # 6037 steps: 95 blocks, the last one partial
+    n_steps = 6037
+    E, B = _exact_step(A, _steady_covariance(A, C), dt)
+    levels = _block_matrices(E, B, n_steps, 64)
+    u = np.random.default_rng(8).standard_normal((n_steps, 2))
+    whole = _propagate(u, levels)
+    # 95 rows in tiles of at most 94 are two tiles, not 94 rows and a lone one
+    for tile in (3, 7, langevin._GEMM_ROWS, 94, 95):
+        assert np.array_equal(_propagate(u, levels, tile=tile), whole), tile
+    # reused buffers: the zero padding of ``rows`` survives a call
+    out, rows = np.empty_like(whole), np.zeros((95, 130))
+    _propagate(2 * u, levels, out=out, rows=rows)
+    assert np.array_equal(_propagate(u, levels, out=out, rows=rows), whole)
+
+
+def test_simulate_leaves_no_threads_behind(monkeypatch):
+    before = threading.enumerate()
+    cfg = quick_cfg(n_traj=6, t_sample=2.0, welch_segment=512)
+    simulate(desk_bath(), cfg)
+    assert threading.enumerate() == before
+
+    calls, welch = itertools.count(), langevin._welch
+
+    def failing_welch(*args, **kwargs):
+        if next(calls) == 2:
+            raise RuntimeError("welch failed")
+        return welch(*args, **kwargs)
+
+    _force_workers(monkeypatch, 2)
+    monkeypatch.setattr(langevin, "_welch", failing_welch)
+    with pytest.raises(RuntimeError, match="welch failed"):
+        simulate(desk_bath(), cfg)
+    assert threading.enumerate() == before
+
+
+def test_peak_memory_does_not_grow_with_the_trajectory_count(monkeypatch):
+    # the scratch belongs to the workers: 56 more trajectories add their
+    # results (three moments, the PSD integral and 256 PSD bins each) and
+    # the temporaries of the final mean and spread, not their 3600 time
+    # steps (a buffer of 64 trajectories' states would add 3.3 MB)
+    _force_workers(monkeypatch, 2)
+    bath = desk_bath()
+
+    def peak(n_traj):
+        cfg = quick_cfg(n_traj=n_traj, t_sample=4.0, welch_segment=512)
+        tracemalloc.start()
+        try:
+            simulate(bath, cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(8)  # first-call allocations (imports, caches) out of the way
+    grown = peak(64) - peak(8)
+    results = 56 * (4 + 256) * 8
+    assert grown <= 3 * results
 
 
 def test_results_do_not_depend_on_the_block_size(monkeypatch):

@@ -218,6 +218,22 @@ def test_optimizer_matches_grid_scan_oracle():
     assert v_min <= min(values)
 
 
+def test_optimize_gain_refuses_an_unphysical_candidate():
+    # stable but not Lindblad-positive (gap -0.244): the endpoints are
+    # physical, the interior root g = 6.106 of the quartic is not
+    bath = bath_from_rates(omega_m=1.6912741970237304, gamma_m=9.818063882683779,
+                           Gamma=26.247014595419625, eta=0.9326890348129779,
+                           n_bar=1.0075543273406091, g=1.0, phi=-math.pi / 2)
+    report = check_stability(bath)
+    assert report.stable and report.positivity_gap == pytest.approx(-0.24426, abs=1e-5)
+    g_hi = 15.128434230207406
+    for g in (0.0, g_hi):
+        m = closed_form_moments(with_gain(bath, g))
+        assert m.var_x * m.var_p >= 1 / 16
+    with pytest.raises(StabilityError, match=r"Heisenberg bound violated: var_x\*var_p = 0.044349"):
+        optimize_gain(bath, (0.0, g_hi))
+
+
 def printed_moments():
     """Positive symbols and the printed var_x, var_p and cov_xp_sym at phi = -pi/2.
 
