@@ -17,11 +17,12 @@ exponential :func:`_expm2`. The spectrum is a numpy Welch estimate
 (periodic Hann window, mean of segment periodograms). This module imports
 no scipy.
 
-Each trajectory is one task on a thread pool with a worker per usable
-core (:func:`_pool_size`). A task runs its trajectory end to end in its
-worker's scratch buffers and writes only that trajectory's results; the
-draws are keyed by (seed, index), so results do not depend on the worker
-count, and memory grows with the workers, not with ``n_traj``.
+The trajectories run on a thread pool with a worker per usable core, at
+most ``_MAX_WORKERS`` (:func:`_pool_size`). A worker takes one
+trajectory at a time, runs it end to end in its own scratch buffers and
+writes only that trajectory's results; the draws are keyed by (seed,
+index), so results do not depend on the worker count, and memory grows
+with the workers, not with ``n_traj``.
 
 Only the symmetric part of the input correlations is simulated; the
 antisymmetric i/4 cross term is a commutator artifact that no pair of
@@ -36,7 +37,7 @@ import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .bath import EffectiveBath, require_stable
 from .errors import NoiseModelError, StabilityError, ValidationError
@@ -51,6 +52,9 @@ _BLOCK = 64  # time steps per row of the propagation GEMM; results depend on it 
 # the workers do not contend for its threads. A lone worker leaves each
 # GEMM whole, and to OpenBLAS's threads.
 _GEMM_ROWS = 24
+# most worker threads: each holds about 48 bytes of scratch per time step
+# (draws, GEMM input and states), so 16 hold at most 768
+_MAX_WORKERS = 16
 _SERIES_S2 = 1e-6  # below this |s^2|, _expm2 sums the Taylor series of cosh(s) and sinh(s)/s
 _WELCH_OVERLAP = 0.5  # fraction of a Welch segment shared with the next
 _ALIAS_IMAGES = 200  # images k*2pi/dt on each side in the sampled-process spectrum
@@ -207,25 +211,20 @@ def _propagate(
     u: np.ndarray,
     levels: list[np.ndarray],
     out: np.ndarray | None = None,
-    rows: np.ndarray | None = None,
     tile: int | None = None,
 ) -> np.ndarray:
     """States Z_n = E Z_{n-1} + B u_n from Z_{-1} = 0 for the rows u_n of ``u`` (n, 2).
 
     Returns (2, n_blocks*block): x in row 0, p in row 1; past the last
-    step the recursion continues on zero input. ``out`` and the GEMM input
-    ``rows`` (n_blocks, 2*block + 2) may be passed in for reuse; ``rows``
-    must be zero where ``u`` does not fill it, as it is when new from
-    ``np.zeros`` or after a call on a ``u`` of the same length. With
-    ``tile``, each GEMM is cut into row tiles of at most that many rows;
-    the tiles do not change the product.
+    step the recursion continues on zero input. ``out`` may be passed in
+    for reuse. With ``tile``, each GEMM is cut into row tiles of at most
+    that many rows; the tiles do not change the product.
     """
     G = levels[0]
     width = G.shape[1]
     block = width // 2
     n_blocks = -(-len(u) // block)
-    if rows is None:
-        rows = np.zeros((n_blocks, width + 2))
+    rows = np.zeros((n_blocks, width + 2))
     full, part = divmod(2 * len(u), width)
     rows[:full, :width] = u[:full * block].reshape(full, width)
     if part:
@@ -255,31 +254,40 @@ def _step_count(name: str, duration: float, dt: float) -> int:
 
 
 def _pool_size(n_traj: int) -> int:
-    """Worker threads for ``n_traj`` trajectories: one per usable core, at most one per trajectory."""
+    """Worker threads for ``n_traj`` trajectories: one per usable core, at most
+    ``_MAX_WORKERS`` and one per trajectory.
+
+    The usable cores are the CPU affinity; a cgroup CPU quota is not read,
+    so under a quota the cap is what bounds the threads.
+    """
     try:
         cores = len(os.sched_getaffinity(0))
     except AttributeError:  # no CPU affinity on this platform
         cores = os.cpu_count() or 1
-    return max(1, min(cores, n_traj))
+    return max(1, min(cores, _MAX_WORKERS, n_traj))
 
 
-def _welch(
-    x: np.ndarray, fs: float, nperseg: int, noverlap: int, win: np.ndarray | None = None
-) -> np.ndarray:
+def _welch(x: np.ndarray, fs: float, win: np.ndarray, noverlap: int) -> np.ndarray:
     """Hann-window Welch density of each row of ``x`` at the rfft bins 0..nperseg//2.
 
-    The two-sided density (scipy's ``welch`` with ``window="hann"``,
-    ``detrend=False``, ``return_onesided=False``) of a real series is even
-    in f, so these bins hold all of it: bin k stands for +-k*fs/nperseg.
-    ``win`` is the periodic Hann window of ``nperseg`` points, built here
-    unless given.
+    ``win`` is the periodic Hann window of ``nperseg`` points,
+    ``np.hanning(nperseg + 1)[:-1]``. The two-sided density (scipy's
+    ``welch`` with ``window="hann"``, ``detrend=False``,
+    ``return_onesided=False``) of a real series is even in f, so these
+    bins hold all of it: bin k stands for +-k*fs/nperseg.
     """
-    if win is None:
-        win = np.hanning(nperseg + 1)[:-1]  # periodic Hann
-    segments = sliding_window_view(x, nperseg, axis=-1)[..., ::nperseg - noverlap, :]
+    nperseg, step = len(win), len(win) - noverlap
+    n_seg = (x.shape[-1] - nperseg) // step + 1
+    size = x.strides[-1]
+    # a strided view: sliding_window_view costs more per call than the
+    # arithmetic of a short row
+    segments = as_strided(x, x.shape[:-1] + (n_seg, nperseg), x.strides[:-1] + (step * size, size),
+                          writeable=False)
     spec = np.fft.rfft(segments * win, axis=-1)
-    power = spec.real**2 + spec.imag**2
-    return power.mean(axis=-2) / (fs * np.dot(win, win))
+    power = np.square(spec.real)
+    power += np.square(spec.imag)
+    # the sum and division of power.mean(axis=-2), without its Python layer
+    return np.add.reduce(power, axis=-2) / n_seg / (fs * np.dot(win, win))
 
 
 def _simulate_linear(
@@ -290,7 +298,6 @@ def _simulate_linear(
 ) -> TrajectoryEnsembleStats:
     """Core integrator over an arbitrary stable 2x2 drift/diffusion pair."""
     from concurrent.futures import ThreadPoolExecutor
-    from queue import SimpleQueue
 
     eigs = np.linalg.eigvals(A)
     if eigs.real.max() >= 0:
@@ -326,11 +333,9 @@ def _simulate_linear(
     n_blocks = -(-n_steps // _BLOCK)
     n_workers = _pool_size(cfg.n_traj)
     tile = _GEMM_ROWS if n_workers > 1 else None
-    scratch = SimpleQueue()  # each worker's draws, GEMM input and states
-    try:
-        for _ in range(n_workers):
-            scratch.put((np.empty((n_steps, 2)), np.zeros((n_blocks, 2 * _BLOCK + 2)),
-                         np.empty((2, n_blocks * _BLOCK))))
+    try:  # each worker's draws and states
+        scratch = [(np.empty((n_steps, 2)), np.empty((2, n_blocks * _BLOCK)))
+                   for _ in range(n_workers)]
     except (ValueError, MemoryError) as exc:
         raise ValidationError("t_sample" if n_samp >= n_relax else "t_relax",
                               f"cannot allocate the time steps: {exc}") from None
@@ -345,39 +350,42 @@ def _simulate_linear(
     E, B = _exact_step(A, sigma, cfg.dt)
     levels = _block_matrices(E, B, n_steps, _BLOCK)
 
-    def run(j: int) -> None:
-        # at most one task per worker runs at a time, so a buffer set is always free
-        draws, rows, states = scratch.get()
+    # each worker takes the next trajectory index from this shared iterator
+    # (next() on a range iterator is atomic under the GIL): one job per
+    # worker, not a future per trajectory, whose bookkeeping cost about
+    # 70 us per trajectory
+    indices = iter(range(cfg.n_traj))
+
+    def work(draws: np.ndarray, states: np.ndarray) -> None:
         try:
-            _traj_rng(cfg.seed, j).standard_normal((n_steps, 2), out=draws)
-            _propagate(draws, levels, out=states, rows=rows, tile=tile)
-            z = states[:, n_relax:n_steps]  # x in row 0, p in row 1
+            for j in indices:
+                _traj_rng(cfg.seed, j).standard_normal((n_steps, 2), out=draws)
+                _propagate(draws, levels, out=states, tile=tile)
+                z = states[:, n_relax:n_steps]  # x in row 0, p in row 1
 
-            # raw second moments about zero: the fluctuation process is
-            # zero-mean. Two rows per einsum call, as for a batch of
-            # trajectories: einsum sums a lone row in another order.
-            var_x_i[j], var_p_i[j] = np.einsum("ij,ij->i", z, z) / n_samp
-            cov_i[j] = np.einsum("ij,ij->i", z, z[::-1])[0] / n_samp
+                # raw second moments about zero: the fluctuation process is
+                # zero-mean. Two rows per einsum call, as for a batch of
+                # trajectories: einsum sums a lone row in another order.
+                var_x_i[j], var_p_i[j] = np.einsum("ij,ij->i", z, z) / n_samp
+                cov_i[j] = np.einsum("ij,ij->i", z, z[::-1])[0] / n_samp
 
-            p_one = _welch(z[0], fs, seg, noverlap, win)
-            # sum over the two-sided bins: 0 and Nyquist once, the others at +-f
-            integ_i[j] = (p_one[0] + 2 * p_one[1:half].sum() + p_one[half:].sum()) * (fs / seg)
-            psd_i[j] = p_one[:half]
+                p_one = _welch(z[0], fs, win, noverlap)
+                # sum over the two-sided bins: 0 and Nyquist once, the others at +-f
+                two_sided = p_one[0] + 2 * p_one[1:half].sum() + p_one[half:].sum()
+                integ_i[j] = two_sided * (fs / seg)
+                psd_i[j] = p_one[:half]
 
-            if j < n_keep:
-                kept["x"][j], kept["p"][j] = z
-        finally:
-            scratch.put((draws, rows, states))
-
-    if n_workers == 1:  # the calling thread is the lone worker
-        for j in range(cfg.n_traj):
-            run(j)
-    else:
-        with ThreadPoolExecutor(max_workers=n_workers,
-                                thread_name_prefix="mirrorcool-langevin") as pool:
-            # a task that raises cancels those not yet started
-            for _ in pool.map(run, range(cfg.n_traj)):
+                if j < n_keep:
+                    kept["x"][j], kept["p"][j] = z
+        except BaseException:
+            for _ in indices:  # the other workers stop after their current trajectory
                 pass
+            raise
+
+    with ThreadPoolExecutor(max_workers=n_workers, thread_name_prefix="mirrorcool-langevin") as pool:
+        jobs = [pool.submit(work, *buffers) for buffers in scratch]
+    for job in jobs:
+        job.result()  # raises what a worker raised
 
     n = cfg.n_traj
     sqrt_n = math.sqrt(n)

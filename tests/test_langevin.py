@@ -213,7 +213,7 @@ def test_welch_matches_scipy(nperseg, overlap, rows):
     fs, noverlap = 50.0, int(overlap * nperseg)
     f, want = scipy.signal.welch(x, fs=fs, window="hann", nperseg=nperseg, noverlap=noverlap,
                                  detrend=False, return_onesided=False, axis=-1)
-    got = _welch(x, fs, nperseg, noverlap)
+    got = _welch(x, fs, np.hanning(nperseg + 1)[:-1], noverlap)
     half = (nperseg + 1) // 2
     assert got.shape == (rows, nperseg // 2 + 1)
     np.testing.assert_allclose(got[:, :half], want[:, f >= 0], rtol=1e-12, atol=0)
@@ -285,9 +285,18 @@ def _force_workers(monkeypatch, workers):
     monkeypatch.setattr(langevin, "_pool_size", lambda n_traj: workers)
 
 
+def test_pool_size_is_capped(monkeypatch):
+    # one worker per core and per trajectory, never more than _MAX_WORKERS
+    monkeypatch.setattr(langevin.os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+    assert langevin._pool_size(384) == langevin._MAX_WORKERS
+    assert langevin._pool_size(3) == 3
+    monkeypatch.setattr(langevin.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert langevin._pool_size(384) == 1
+
+
 def test_results_do_not_depend_on_the_worker_count(monkeypatch):
     # 8 workers is more than the cores of most test machines; a short
-    # switch interval interleaves the tasks' Python code finely
+    # switch interval interleaves the workers' Python code finely
     bath = desk_bath()
     cfg = quick_cfg(n_traj=12, t_sample=3.0, welch_segment=512)
     runs = []
@@ -299,11 +308,11 @@ def test_results_do_not_depend_on_the_worker_count(monkeypatch):
             runs.append(simulate(bath, cfg, keep_trajectories=7))
     finally:
         sys.setswitchinterval(interval)
-    serial = runs[0]
-    assert serial.raw_trajectories["x"].shape == (7, 2400)
+    alone = runs[0]
+    assert alone.raw_trajectories["x"].shape == (7, 2400)
     for pooled in runs[1:]:
-        for f in dataclasses.fields(serial):
-            a, b = getattr(serial, f.name), getattr(pooled, f.name)
+        for f in dataclasses.fields(alone):
+            a, b = getattr(alone, f.name), getattr(pooled, f.name)
             if f.name == "raw_trajectories":
                 assert list(a) == list(b)
                 assert all(np.array_equal(a[k], b[k]) for k in a), f.name
@@ -324,10 +333,6 @@ def test_gemm_tiles_do_not_change_the_states(A, C, dt):
     # 95 rows in tiles of at most 94 are two tiles, not 94 rows and a lone one
     for tile in (3, 7, langevin._GEMM_ROWS, 94, 95):
         assert np.array_equal(_propagate(u, levels, tile=tile), whole), tile
-    # reused buffers: the zero padding of ``rows`` survives a call
-    out, rows = np.empty_like(whole), np.zeros((95, 130))
-    _propagate(2 * u, levels, out=out, rows=rows)
-    assert np.array_equal(_propagate(u, levels, out=out, rows=rows), whole)
 
 
 def test_simulate_leaves_no_threads_behind(monkeypatch):
@@ -348,6 +353,23 @@ def test_simulate_leaves_no_threads_behind(monkeypatch):
     with pytest.raises(RuntimeError, match="welch failed"):
         simulate(desk_bath(), cfg)
     assert threading.enumerate() == before
+
+
+def test_a_failing_trajectory_stops_the_other_workers(monkeypatch):
+    # the first Welch call raises; the other worker finishes at most the
+    # trajectory it is on, not the 62 left
+    calls, welch = itertools.count(), langevin._welch
+
+    def failing_welch(*args, **kwargs):
+        if next(calls) == 0:
+            raise RuntimeError("welch failed")
+        return welch(*args, **kwargs)
+
+    _force_workers(monkeypatch, 2)
+    monkeypatch.setattr(langevin, "_welch", failing_welch)
+    with pytest.raises(RuntimeError, match="welch failed"):
+        simulate(desk_bath(), quick_cfg(n_traj=64, t_sample=2.0, welch_segment=512))
+    assert next(calls) <= 8
 
 
 def test_peak_memory_does_not_grow_with_the_trajectory_count(monkeypatch):
