@@ -3,15 +3,21 @@
 Independent quantum oracle: the generator L is assembled term by term from
 the effective-bath coefficients (the two thermal-like dissipators, the two
 anomalous M dissipator blocks, the oscillator commutator, and the
-squeeze-commutator feedback term) as a sparse superoperator over
-row-major-vectorized density matrices. The steady state is its null
-vector, found by one sparse LU solve with one equation swapped for the
-trace constraint; the solved state is checked for residual, trace,
-Hermiticity and truncation tail, and never repaired. The solve uses only
-the generator, never the closed forms or the Lyapunov route.
+squeeze-commutator feedback term) as a nine-point stencil on the density
+matrix, ``(L rho)[m, n] = sum_k C[k, m, n] * rho[m + dm_k, n + dn_k]``.
+Every term keeps the parity of m - n and moves m + n by 0 or 2, so L
+couples the anti-diagonal m + n = s of rho only to itself and to s +- 2,
+and the even and the odd anti-diagonals form two separate chains. The
+steady state is found by the matrix continued fraction (Risken, *The
+Fokker-Planck Equation*, ch. 9): with <0|rho|0> pinned, the even chain is
+eliminated block by block from the top anti-diagonal down and then
+back-substituted; the odd chain has no source, so its entries are exactly
+0, and it is eliminated only to refuse a singular sector. The solved
+state is checked for residual, trace, Hermiticity and truncation tail,
+and never repaired. The solve uses only the generator, never the closed
+forms or the Lyapunov route.
 
-``scipy.sparse`` is imported by the functions that build and solve the
-generator, so importing this module loads no scipy.
+The module is numpy only, so the ``fock`` verb loads no scipy.
 
 ``evolve_to_steady`` picks, grows and caps the truncation itself.
 Room-temperature occupations (~1e11) are out of numerical reach by
@@ -25,15 +31,11 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .bath import EffectiveBath, check_stability, require_stable
 from .errors import NumericalError, TruncationError, ValidationError
-
-if TYPE_CHECKING:
-    from scipy import sparse
 
 __all__ = [
     "FockConfig",
@@ -48,9 +50,19 @@ TAIL_GUARD = 1e-10   # population allowed in the last retained number state
 HERM_TOL = 1e-12
 TRACE_TOL = 1e-10
 # allowed normwise backward error max|L v| / (||L||_inf * max|v|) of the
-# solve; measured 0.6e-18 to 3e-18 on desk baths at dim 30 to 250
+# solve; measured 0.6e-19 to 3.4e-18 on desk, thermal and non-positive
+# baths at dim 30 to 250, and at most 2.5e-17 with a complex M
 RESIDUAL_RTOL = 1e-12
 MAX_DIM = 400  # refusal ceiling: n_bar above about 19.95 needs more levels
+
+# source offsets (dm, dn) of the generator stencil, in the order of its
+# first axis: (L rho)[m, n] = sum_k C[k, m, n] * rho[m + dm_k, n + dn_k]
+SHIFTS = (
+    (0, 0), (1, -1), (-1, 1),    # the same anti-diagonal m + n
+    (1, 1), (0, 2), (2, 0),      # the anti-diagonal above, m + n + 2
+    (-1, -1), (-2, 0), (0, -2),  # the anti-diagonal below, m + n - 2
+)
+_SAME, _ABOVE, _BELOW = slice(0, 3), slice(3, 6), slice(6, 9)
 
 
 @dataclass(frozen=True)
@@ -103,47 +115,45 @@ def required_dim(n_bar: float) -> int:
     return max(4, math.ceil(d))
 
 
-def build_generator(bath: EffectiveBath, dim: int) -> sparse.csr_matrix:
+def build_generator(bath: EffectiveBath, dim: int) -> np.ndarray:
     """Assemble the five term-groups of the feedback master equation.
 
-    The result is the sparse Liouvillian over row-major vec(rho). Signs
-    follow the printed generator: the M and M* blocks enter with a minus
-    sign, and the squeeze commutator carries the coefficient
-    (g*sin(phi) + gamma_m)/4.
+    The result is the ``(9, dim, dim)`` complex stencil ``C`` of the
+    Liouvillian, ``(L rho)[m, n] = sum_k C[k, m, n] * rho[m + dm_k, n + dn_k]``
+    with ``(dm_k, dn_k) = SHIFTS[k]``; a coefficient whose source lies
+    outside the retained levels is zero. Signs follow the printed
+    generator: the M and M* blocks enter with a minus sign, and the
+    squeeze commutator carries the coefficient (g*sin(phi) + gamma_m)/4.
     """
     if dim < 4:
         raise ValidationError("dim", "truncation dimension must be >= 4")
-    from scipy import sparse
-
-    a = sparse.csr_matrix(ladder(dim))
-    ad = a.conj().T.tocsr()
-    eye = sparse.identity(dim, format="csr")
-
-    def pre(op):
-        return sparse.kron(op, eye, format="csr")
-
-    def post(op):
-        return sparse.kron(eye, op.T, format="csr")
-
-    def sandwich(left, right):
-        return sparse.kron(left, right.T, format="csr")
-
-    def dissipator(lind):
-        ldl = (lind.conj().T @ lind).tocsr()
-        return 2 * sandwich(lind, lind.conj().T) - pre(ldl) - post(ldl)
-
     gamma, N, M = bath.gamma, bath.N, bath.M
     s = bath.squeeze_coeff
-    a2, ad2, num = (a @ a).tocsr(), (ad @ ad).tocsr(), (ad @ a).tocsr()
+    k = np.arange(dim, dtype=float)
+    # ladder amplitudes onto level k from the levels below and above it,
+    # <k|a^dag|k-1> = sqrt(k), <k|a^dag 2|k-2> = sqrt(k(k-1)), <k|a|k+1> =
+    # sqrt(k+1) and <k|a^2|k+2> = sqrt((k+1)(k+2)), zero where the source
+    # level is not retained
+    down1, down2 = np.sqrt(k), np.sqrt(k * (k - 1))
+    up1, up2 = np.sqrt(k + 1), np.sqrt((k + 1) * (k + 2))
+    up1[-1] = 0
+    up2[-2:] = 0
+    aad = k + 1  # diagonal of the truncated a a^dag
+    aad[-1] = 0
+    m, n = k[:, None], k[None, :]
 
-    L = (gamma / 2) * (N + 1) * dissipator(a)
-    L = L + (gamma / 2) * N * dissipator(ad)
-    L = L - (gamma / 2) * M * (2 * sandwich(ad, ad) - pre(ad2) - post(ad2))
-    L = L - (gamma / 2) * np.conj(M) * (2 * sandwich(a, a) - pre(a2) - post(a2))
-    L = L - 1j * bath.omega_m * (pre(num) - post(num))
-    L = L - s * ((pre(a2) - post(a2)) - (pre(ad2) - post(ad2)))
-
-    return L.tocsr()
+    C = np.empty((9, dim, dim), complex)
+    C[0] = (-(gamma / 2) * ((N + 1) * (m + n) + N * (aad[:, None] + aad[None, :]))
+            - 1j * bath.omega_m * (m - n))
+    C[1] = -gamma * np.conj(M) * np.outer(up1, down1)     # a rho a
+    C[2] = -gamma * M * np.outer(down1, up1)              # a^dag rho a^dag
+    C[3] = gamma * (N + 1) * np.outer(up1, up1)           # a rho a^dag
+    C[4] = (gamma / 2 * M - s) * up2[None, :]             # rho a^dag 2
+    C[5] = (gamma / 2 * np.conj(M) - s) * up2[:, None]    # a^2 rho
+    C[6] = gamma * N * np.outer(down1, down1)             # a^dag rho a
+    C[7] = (gamma / 2 * M + s) * down2[:, None]           # a^dag 2 rho
+    C[8] = (gamma / 2 * np.conj(M) + s) * down2[None, :]  # rho a^2
+    return C
 
 
 def evolve_to_steady(bath: EffectiveBath, cfg: FockConfig = FockConfig()) -> FockSolution:
@@ -179,50 +189,41 @@ def evolve_to_steady(bath: EffectiveBath, cfg: FockConfig = FockConfig()) -> Foc
             dim = min(dim + max(4, dim // 4), MAX_DIM)
 
 
-def _solve(bath: EffectiveBath, L: sparse.csr_matrix) -> FockSolution:
-    """Solve for the steady state of the generator ``L`` of ``bath``.
+def _solve(bath: EffectiveBath, C: np.ndarray) -> FockSolution:
+    """Solve for the steady state of the generator stencil ``C`` of ``bath``.
 
-    One sparse LU solve of ``L v = 0`` with the <0|rho|0> row of ``L``
-    replaced by the trace constraint ``sum_k v[k*dim+k] = 1``. The raw
-    solution is then checked, never repaired: it must be finite, its
-    residual ``max|L v|`` against the full, unmodified ``L`` must stay
-    within ``RESIDUAL_RTOL * ||L||_inf * max|v|`` (the replaced row is
-    implied by the others only if ``L`` preserves the trace), its trace
-    and Hermiticity errors within ``TRACE_TOL`` and ``HERM_TOL``
+    ``_sweep`` solves ``L v = 0`` without the <0|rho|0> row and normalizes
+    the trace. The raw solution is then checked, never repaired: it must
+    be finite (an exactly singular sector counts as non-finite), its
+    residual ``max|L v|`` with the full stencil, the dropped row included,
+    must stay within ``RESIDUAL_RTOL * ||L||_inf * max|v|`` (the dropped
+    row is implied by the others only if ``L`` preserves the trace), its
+    trace and Hermiticity errors within ``TRACE_TOL`` and ``HERM_TOL``
     (NumericalError otherwise), and the magnitude of its last-state
     population within the 1e-10 tail guard (TruncationError: the caller
     must raise ``dim``; a negative tail is truncation error too).
     """
-    from scipy import sparse
-    from scipy.sparse.linalg import MatrixRankWarning, spsolve
-
-    n = L.shape[0]
-    dim = math.isqrt(n)
-    diag = np.arange(dim) * (dim + 1)
-    trace_row = sparse.csr_matrix(
-        (np.ones(dim), (np.zeros(dim, dtype=int), diag)), shape=(1, n)
-    )
-    rhs = np.zeros(n, dtype=complex)
-    rhs[0] = 1.0
-    with warnings.catch_warnings():
-        # a singular system comes back as NaN and is refused below
-        warnings.simplefilter("ignore", MatrixRankWarning)
-        v = spsolve(sparse.vstack([trace_row, L[1:]], format="csc"), rhs)
-    if not np.all(np.isfinite(v)):
+    dim = C.shape[1]
+    # a failed solve comes back singular or non-finite and is refused below
+    with np.errstate(all="ignore"):
+        try:
+            rho = _sweep(C)
+        except np.linalg.LinAlgError:
+            rho = np.full((dim, dim), np.nan)
+    if not (np.all(np.isfinite(C)) and np.all(np.isfinite(rho))):
         raise NumericalError(
             "steady-state solve is singular or non-finite: generator bug or "
             "no unique steady state"
         )
 
-    residual = float(np.max(np.abs(L @ v)))
-    l_norm = float(abs(L).sum(axis=1).max())
-    residual_bound = RESIDUAL_RTOL * l_norm * float(np.max(np.abs(v)))
+    residual = float(np.max(np.abs(_apply(C, rho))))
+    l_norm = float(np.abs(C).sum(axis=0).max())
+    residual_bound = RESIDUAL_RTOL * l_norm * float(np.max(np.abs(rho)))
     if not residual <= residual_bound:
         raise NumericalError(
             f"steady-state residual {residual:g} exceeds {residual_bound:g}: "
             "generator not trace-preserving or solve inaccurate"
         )
-    rho = v.reshape(dim, dim)
     trace = complex(np.trace(rho))
     trace_err = abs(trace.real - 1.0) + abs(trace.imag)
     if trace_err > TRACE_TOL:
@@ -242,6 +243,7 @@ def _solve(bath: EffectiveBath, L: sparse.csr_matrix) -> FockSolution:
 
     # (<a>, <a^2>, <a^dag a>): Tr(O X) = vec(O^T) . vec(X) for row-major vec
     a = ladder(dim)
+    v = rho.ravel()
     mean_a, mean_a2, mean_n_c = np.stack([op.T.ravel() for op in (a, a @ a, a.T @ a)]) @ v
     mean_n = float(mean_n_c.real)
     # centered variances; <a> = 0 in the steady state, and keeping the
@@ -273,3 +275,88 @@ def _solve(bath: EffectiveBath, L: sparse.csr_matrix) -> FockSolution:
         tail_population=tail,
         dim=dim,
     )
+
+
+def _sweep(C: np.ndarray) -> np.ndarray:
+    """Steady state of the stencil ``C``, normalized to unit trace.
+
+    Writing rho_s for the anti-diagonal m + n = s, row s of ``L v = 0``
+    reads ``D_s rho_s + U_s rho_{s+2} + Lo_s rho_{s-2} = 0``. With
+    <0|rho|0> = 1 pinned and its row dropped, the even chain is eliminated
+    from the top, s = 2*dim - 2, down: ``X_s = S_s^-1 Lo_s`` and
+    ``S_{s-2} = D_{s-2} - U_{s-2} X_s``, starting from ``S = D``. Then
+    ``rho_s = -X_s rho_{s-2}`` upward from rho_0. The odd chain has a zero
+    right-hand side: its elimination ends in ``S_1 rho_1 = 0``, which is
+    solved only so that a singular sector raises ``LinAlgError``; every
+    odd entry is exactly 0.
+    """
+    dim = C.shape[1]
+    rho = np.zeros((dim, dim), complex)
+    top = 2 * dim - 2
+    S1, _ = _eliminate(C, top - 1, 1, keep=False)
+    rho[[0, 1], [1, 0]] = np.linalg.solve(S1, np.zeros(2))
+    _, xs = _eliminate(C, top, 0, keep=True)
+    v = np.ones(1, complex)
+    for s, X in zip(range(2, top + 1, 2), reversed(xs)):
+        v = -(X @ v)
+        m = _diagonal_rows(s, dim)
+        rho[m, s - m] = v
+    rho[0, 0] = 1.0
+    return rho / np.trace(rho)
+
+
+def _diagonal_rows(s: int, dim: int) -> np.ndarray:
+    """Row indices m of the anti-diagonal m + n = s of a ``dim`` x ``dim`` matrix."""
+    return np.arange(max(0, s - dim + 1), min(s, dim - 1) + 1)
+
+
+def _eliminate(C: np.ndarray, top: int, bottom: int, keep: bool):
+    """Eliminate anti-diagonals ``top``, ``top - 2``, .. ``bottom + 2`` of ``C``.
+
+    Returns ``S_bottom`` and, if ``keep``, the list of ``X_s`` from the
+    top down.
+    """
+    dim = C.shape[1]
+    xs = []
+    m = _diagonal_rows(top, dim)
+    coef = C[:, m, top - m]
+    S = _band(coef[_SAME], SHIFTS[_SAME], 0, len(m))
+    for s in range(top, bottom, -2):
+        below = _diagonal_rows(s - 2, dim)
+        below_coef = C[:, below, s - 2 - below]
+        X = np.linalg.solve(S, _band(coef[_BELOW], SHIFTS[_BELOW], m[0] - below[0], len(below)))
+        if keep:
+            xs.append(X)
+        # U_{s-2} X_s as one row-scaled slice of X_s per band: row i of the
+        # band reads row i + shift of X_s, and holds 0 where that is outside
+        S = _band(below_coef[_SAME], SHIFTS[_SAME], 0, len(below))
+        for c, (dm, _) in zip(below_coef[_ABOVE], SHIFTS[_ABOVE]):
+            shift = below[0] - m[0] + dm
+            lo, hi = max(0, -shift), min(len(below), len(m) - shift)
+            S[lo:hi] -= c[lo:hi, None] * X[lo + shift:hi + shift]
+        m, coef = below, below_coef
+    return S, xs
+
+
+def _band(coef: np.ndarray, shifts, offset: int, n_cols: int) -> np.ndarray:
+    """Dense block with ``coef[k, i]`` in row i, column ``i + offset + dm_k``.
+
+    Coefficients whose column falls outside ``n_cols`` are dropped: the
+    stencil holds 0 there.
+    """
+    rows = np.arange(coef.shape[1])
+    block = np.zeros((len(rows), n_cols + 4), complex)
+    for c, (dm, _) in zip(coef, shifts):
+        block[rows, rows + offset + dm + 2] = c
+    return block[:, 2:-2]
+
+
+def _apply(C: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """``L rho`` with the stencil ``C``."""
+    dim = rho.shape[0]
+    padded = np.zeros((dim + 4, dim + 4), complex)
+    padded[2:-2, 2:-2] = rho
+    out = np.zeros_like(rho)
+    for c, (dm, dn) in zip(C, SHIFTS):
+        out += c * padded[2 + dm:2 + dm + dim, 2 + dn:2 + dn + dim]
+    return out

@@ -390,9 +390,9 @@ def test_fock_numerical_failure_exit_code(tmp_path, monkeypatch, capsys):
     build = fock_mod.build_generator
 
     def broken(bath, dim):
-        matrix = build(bath, dim).tolil()
-        matrix[0, 0] *= 1 + 1e-6
-        return matrix.tocsr()
+        stencil = build(bath, dim)
+        stencil[fock_mod.SHIFTS.index((0, 0)), 0, 0] *= 1 + 1e-6
+        return stencil
 
     monkeypatch.setattr(fock_mod, "build_generator", broken)
     config = {**FOCK_DESK_BATH, "fock": {"dim": 66}}
@@ -794,6 +794,14 @@ def test_monte_carlo_verbs_load_no_scipy(tmp_path):
     assert_scipy_free(tmp_path, {
         "simulate": ["simulate", "--config", sim, "--dump-traj", "2"],
         "compare": ["compare", "--config", sim],
+    })
+
+
+def test_fock_loads_no_scipy(tmp_path):
+    fock = write_config(tmp_path, {**FOCK_DESK_BATH, "fock": {"dim": 66}})
+    assert_scipy_free(tmp_path, {
+        "fock": ["fock", "--config", fock],
+        "fock_dump": ["fock", "--config", fock, "--dump-rho"],
     })
 
 

@@ -19,13 +19,65 @@ from mirrorcool import (
     lyapunov_moments,
 )
 from mirrorcool import fock as fock_mod
-from mirrorcool.fock import TAIL_GUARD, _solve, ladder, required_dim
+from mirrorcool.fock import SHIFTS, TAIL_GUARD, _solve, _sweep, ladder, required_dim
 from mirrorcool.steady_state import drift_matrix
 
 
 def desk_bath(g=20.0, Gamma=40.0, n_bar=2.0, omega_m=10.0, phi=-math.pi / 2):
     return bath_from_rates(omega_m=omega_m, gamma_m=1.0, Gamma=Gamma, eta=1.0,
                            n_bar=n_bar, g=g, phi=phi)
+
+
+def to_csr(C):
+    """The stencil ``C`` as a sparse Liouvillian over row-major vec(rho)."""
+    dim = C.shape[1]
+    index = np.arange(dim * dim).reshape(dim, dim)
+    rows, cols, vals = [], [], []
+    for c, (dm, dn) in zip(C, SHIFTS):
+        m, n = np.nonzero(c)
+        rows.append(index[m, n])
+        cols.append(index[m + dm, n + dn])
+        vals.append(c[m, n])
+    return sparse.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(dim * dim, dim * dim),
+    )
+
+
+def generator(bath, dim):
+    return to_csr(build_generator(bath, dim))
+
+
+def kron_generator(bath, dim):
+    """Reference assembly: the five term-groups as Kronecker superoperators."""
+    a = sparse.csr_matrix(ladder(dim))
+    ad = a.conj().T.tocsr()
+    eye = sparse.identity(dim, format="csr")
+
+    def pre(op):
+        return sparse.kron(op, eye, format="csr")
+
+    def post(op):
+        return sparse.kron(eye, op.T, format="csr")
+
+    def sandwich(left, right):
+        return sparse.kron(left, right.T, format="csr")
+
+    def dissipator(lind):
+        ldl = (lind.conj().T @ lind).tocsr()
+        return 2 * sandwich(lind, lind.conj().T) - pre(ldl) - post(ldl)
+
+    gamma, N, M = bath.gamma, bath.N, bath.M
+    s = bath.squeeze_coeff
+    a2, ad2, num = (a @ a).tocsr(), (ad @ ad).tocsr(), (ad @ a).tocsr()
+
+    L = (gamma / 2) * (N + 1) * dissipator(a)
+    L = L + (gamma / 2) * N * dissipator(ad)
+    L = L - (gamma / 2) * M * (2 * sandwich(ad, ad) - pre(ad2) - post(ad2))
+    L = L - (gamma / 2) * np.conj(M) * (2 * sandwich(a, a) - pre(a2) - post(a2))
+    L = L - 1j * bath.omega_m * (pre(num) - post(num))
+    L = L - s * ((pre(a2) - post(a2)) - (pre(ad2) - post(ad2)))
+    return L.tocsr()
 
 
 def lindblad(L, rho):
@@ -73,7 +125,7 @@ def test_pure_decay_limit():
     bath = EffectiveBath(gamma=2.0, N=0.0, M=0j, squeeze_coeff=0.0, omega_m=0.0,
                          gamma_m=2.0, g=0.0, phi=-math.pi / 2, Gamma=0.0,
                          eta=1.0, n_bar=0.0)
-    L = build_generator(bath, 12)
+    L = generator(bath, 12)
     rho0 = np.zeros((12, 12), complex)
     rho0[1, 1] = 1.0
     for t in (0.1, 0.5, 1.0):
@@ -83,7 +135,7 @@ def test_pure_decay_limit():
 
 
 def test_generator_is_trace_preserving(rng):
-    L = build_generator(desk_bath(), 20)
+    L = generator(desk_bath(), 20)
     eye = np.eye(20, dtype=complex) / 20
     assert abs(np.trace(lindblad(L, eye))) < 1e-14
     for _ in range(5):
@@ -92,7 +144,7 @@ def test_generator_is_trace_preserving(rng):
 
 
 def test_generator_is_linear(rng):
-    L = build_generator(desk_bath(), 16)
+    L = generator(desk_bath(), 16)
     r1 = random_density(rng, 16, 12)
     r2 = random_density(rng, 16, 12)
     lhs = lindblad(L, 0.7 * r1 + 1.9 * r2)
@@ -101,7 +153,7 @@ def test_generator_is_linear(rng):
 
 
 def test_generator_preserves_hermiticity(rng):
-    L = build_generator(desk_bath(), 16)
+    L = generator(desk_bath(), 16)
     rho = random_density(rng, 16, 12)
     out = lindblad(L, rho)
     np.testing.assert_allclose(out, out.conj().T, atol=1e-13)
@@ -117,7 +169,7 @@ def test_moment_flow_matches_coefficient_odes(rng, phi, g):
     #   d<n>     = -gamma<n> + gamma*N + 2 s (<a^2> + <a^dag 2>)
     bath = desk_bath(g=g, phi=phi)
     dim = 30
-    L = build_generator(bath, dim)
+    L = generator(bath, dim)
     a = ladder(dim)
     for _ in range(5):
         rho = random_density(rng, dim, 12)
@@ -146,7 +198,7 @@ def test_quadrature_mean_flow_matches_drift_matrix(rng):
     # the first-moment flow of the generator must reproduce the drift used
     # by the Lyapunov and Monte Carlo routes
     bath = desk_bath()
-    L = build_generator(bath, 30)
+    L = generator(bath, 30)
     a = ladder(30)
     A = drift_matrix(bath)
     for _ in range(5):
@@ -205,7 +257,7 @@ def test_initial_state_independence():
     sol = evolve_to_steady(bath, FockConfig(dim=66))
     ground = np.zeros((66, 66), complex)
     ground[0, 0] = 1.0
-    v = expm_multiply(build_generator(bath, 66), ground.ravel())  # rho(t = 1)
+    v = expm_multiply(generator(bath, 66), ground.ravel())  # rho(t = 1)
     np.testing.assert_allclose(v.reshape(66, 66), sol.rho, rtol=0, atol=1e-8)
     mean_a, mean_a2, mean_n = moments(v)
     var_x = (2 * mean_n.real + 1 + 2 * mean_a2.real) / 4 - mean_a.real**2
@@ -218,23 +270,29 @@ def test_tail_guard_rejects_small_truncation():
         evolve_to_steady(bath, FockConfig(dim=40))
 
 
-def perturbed(L, row, col, factor):
+def perturbed(C, row, col, factor):
     """The generator with one matrix entry scaled by ``factor``."""
-    matrix = L.tolil()
-    matrix[row, col] = matrix[row, col] * factor
-    return matrix.tocsr()
+    dim = C.shape[1]
+    (m, n), (p, q) = divmod(row, dim), divmod(col, dim)
+    C = C.copy()
+    C[SHIFTS.index((p - m, q - n)), m, n] *= factor
+    return C
 
 
 def test_singular_or_nonfinite_solve_raises():
     bath = desk_bath()
-    L = build_generator(bath, 30)
+    C = build_generator(bath, 30)
     with pytest.raises(NumericalError, match="singular or non-finite"):
-        _solve(bath, perturbed(L, 5, 5, math.nan))
+        _solve(bath, perturbed(C, 5, 5, math.nan))
     # no equation left on the <0|rho|1> coherence: the system is singular
-    matrix = L.tolil()
-    matrix[:, 1] = 0
+    zeroed = C.copy()
+    for k, (dm, dn) in enumerate(SHIFTS):
+        m, n = 0 - dm, 1 - dn  # the entry of row (m, n) that reads rho[0, 1]
+        if 0 <= m < 30 and 0 <= n < 30:
+            zeroed[k, m, n] = 0
+    assert to_csr(zeroed)[:, 1].nnz == 0 < to_csr(C)[:, 1].nnz
     with pytest.raises(NumericalError, match="singular or non-finite"):
-        _solve(bath, matrix.tocsr())
+        _solve(bath, zeroed)
 
 
 def test_residual_over_bound_raises():
@@ -246,11 +304,7 @@ def test_residual_over_bound_raises():
 
 
 def test_trace_check_rejects_a_misnormalized_solve(monkeypatch):
-    # evolve_to_steady imports spsolve from scipy.sparse.linalg when it runs
-    import scipy.sparse.linalg
-
-    solve = scipy.sparse.linalg.spsolve
-    monkeypatch.setattr(scipy.sparse.linalg, "spsolve", lambda A, b: 1.001 * solve(A, b))
+    monkeypatch.setattr(fock_mod, "_sweep", lambda C: 1.001 * _sweep(C))
     with pytest.raises(NumericalError, match="trace error"):
         evolve_to_steady(desk_bath(), FockConfig(dim=66))
 
@@ -258,12 +312,57 @@ def test_trace_check_rejects_a_misnormalized_solve(monkeypatch):
 def test_hermiticity_check_rejects_a_non_hermitian_generator():
     # [n, rho] is trace-preserving but maps Hermitian to anti-Hermitian
     bath = desk_bath()
-    num = sparse.diags(np.arange(66.0))
-    eye = sparse.identity(66)
-    skew = sparse.kron(num, eye) - sparse.kron(eye, num)
-    bad = (build_generator(bath, 66) + 1e-3 * skew).tocsr()
+    k = np.arange(66.0)
+    bad = build_generator(bath, 66)
+    bad[SHIFTS.index((0, 0))] += 1e-3 * (k[:, None] - k[None, :])
     with pytest.raises(NumericalError, match="hermiticity"):
         _solve(bath, bad)
+
+
+# a bath of each kind: real M, complex M (cos(phi) != 0) and a stable bath
+# that is not Lindblad-positive
+STENCIL_BATHS = {
+    "real_M": desk_bath(),
+    "complex_M": desk_bath(g=0.5, phi=0.7),
+    "obtuse_phase": desk_bath(g=0.5, phi=2.0),
+    "not_positive": bath_from_rates(omega_m=10.0, gamma_m=1.0, Gamma=0.1, eta=1.0,
+                                    n_bar=0.0, g=0.1, phi=-math.pi / 2),
+}
+
+
+@pytest.mark.parametrize("name", STENCIL_BATHS)
+@pytest.mark.parametrize("dim", [4, 5, 11, 40])
+def test_generator_matches_the_kron_assembly(name, dim):
+    bath = STENCIL_BATHS[name]
+    C = build_generator(bath, dim)
+    assert C.shape == (len(SHIFTS), dim, dim)
+    # the stencil reads no level outside the box
+    k = np.arange(dim)
+    for c, (dm, dn) in zip(C, SHIFTS):
+        outside = ~(((k + dm >= 0) & (k + dm < dim))[:, None]
+                    & ((k + dn >= 0) & (k + dn < dim))[None, :])
+        assert not c[outside].any()
+    want = kron_generator(bath, dim).toarray()
+    # each coefficient is a product of a few rounded factors
+    np.testing.assert_allclose(to_csr(C).toarray(), want, rtol=0,
+                               atol=1e-15 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("name", STENCIL_BATHS)
+@pytest.mark.parametrize("dim", [8, 13, 20])
+def test_sweep_matches_a_dense_solve(name, dim):
+    # the full Liouvillian with the <0|rho|0> row replaced by the trace row
+    C = build_generator(STENCIL_BATHS[name], dim)
+    L = to_csr(C).toarray()
+    L[0] = np.eye(dim).ravel()
+    rhs = np.zeros(dim * dim, complex)
+    rhs[0] = 1.0
+    want = np.linalg.solve(L, rhs).reshape(dim, dim)
+    rho = _sweep(C)
+    np.testing.assert_allclose(rho, want, rtol=0, atol=1e-12)
+    # m - n odd: the odd chain has no source, so these entries are exactly 0
+    odd = np.add.outer(np.arange(dim), np.arange(dim)) % 2 == 1
+    assert np.all(rho[odd] == 0)
 
 
 def test_negative_eigenvalue_warning_outside_the_positive_region():

@@ -57,3 +57,11 @@ def test_fock_imports_only_bath_and_errors():
         elif isinstance(node, ast.Import):
             imported.update(a.name for a in node.names if a.name.split(".")[0] == "mirrorcool")
     assert imported == {"bath", "errors"}
+
+
+def test_no_module_imports_scipy():
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = [a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names]
+        imported += [n.module or "" for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)]
+        assert not [m for m in imported if m.split(".")[0] == "scipy"], path.name
