@@ -21,6 +21,7 @@ from .params import DerivedCoupling, PhysicalSetup
 
 __all__ = [
     "EffectiveBath",
+    "RATES",
     "StabilityReport",
     "build_bath",
     "bath_from_rates",
@@ -30,7 +31,7 @@ __all__ = [
 ]
 
 _BAND = 1e-12  # relative band within which a stability margin counts as zero
-_RATES = ("omega_m", "gamma_m", "Gamma", "eta", "n_bar", "g", "phi")  # bath_from_rates inputs
+RATES = ("omega_m", "gamma_m", "Gamma", "eta", "n_bar", "g", "phi")  # bath_from_rates inputs
 
 
 @dataclass(frozen=True)
@@ -141,7 +142,7 @@ def bath_from_rates(
     InvalidSetupError
         if the coefficient block, omega_m**2 or (gamma_m + g)**2 overflows.
     """
-    for name, value in zip(_RATES, (omega_m, gamma_m, Gamma, eta, n_bar, g, phi)):
+    for name, value in zip(RATES, (omega_m, gamma_m, Gamma, eta, n_bar, g, phi)):
         if not math.isfinite(value):
             raise ValidationError(name, "must be finite")
     if not omega_m > 0:
@@ -200,7 +201,7 @@ def bath_from_rates(
 
 def with_gain(bath: EffectiveBath, g: float) -> EffectiveBath:
     """Re-derive the coefficient block of ``bath`` at a different gain."""
-    rates = {key: getattr(bath, key) for key in _RATES}
+    rates = {key: getattr(bath, key) for key in RATES}
     return bath_from_rates(**{**rates, "g": g})
 
 

@@ -26,7 +26,7 @@ from typing import Any, Iterable
 import numpy as np
 
 from . import fock as fock_mod
-from .bath import EffectiveBath, bath_from_rates, build_bath, check_stability, with_gain
+from .bath import RATES, EffectiveBath, bath_from_rates, build_bath, check_stability, with_gain
 from .errors import (
     MirrorCoolError,
     StabilityError,
@@ -218,11 +218,10 @@ def _fields(cls) -> tuple[dict[str, type], set[str]]:
 
 _SWEEP_AXES = ("g", "phi", "Gamma", "eta", "T")
 _SWEEP_FLOATS = {"gamma", "var_x", "var_p", "cov_xp_sym", "t_eff", "positivity_gap"}
-_BATH_KEYS = ("omega_m", "gamma_m", "Gamma", "eta", "n_bar", "g", "phi")
 
 _SETUP = _fields(PhysicalSetup)
 _SIM = _fields(SimConfig)
-_BATH = (dict.fromkeys(_BATH_KEYS, float), set(_BATH_KEYS))
+_BATH = (dict.fromkeys(RATES, float), set(RATES))
 _GRID = ({"omega_min": float, "omega_max": float, "n_points": int}, set())
 _FOCK = ({"dim": int}, set())
 _SWEEP = (dict.fromkeys(_SWEEP_AXES, list), set())
@@ -431,7 +430,7 @@ def cmd_sweep(config: dict, args) -> dict:
     if not block:
         raise ValidationError("sweep", "need a nonempty 'sweep' block")
     axes = [(name, block[name]) for name in _SWEEP_AXES if name in block]
-    rates = {key: getattr(bath, key) for key in _BATH_KEYS}
+    rates = {key: getattr(bath, key) for key in RATES}
 
     header = (
         [name for name, _ in axes]

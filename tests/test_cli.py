@@ -903,6 +903,12 @@ MALFORMED = {
                            [], *failed("non-finite spectrum")),
     "sweep_T_underflow": ("sweep", {**with_bath(omega_m=1e-300), "sweep": {"T": [1.0]}}, [],
                           *failed("hbar*omega_m underflows")),
+    # |Xi|^2 is zero at the grid points w = +-omega_m once (gamma_m + g)^2 underflows:
+    # a refusal, not a divide-by-zero warning
+    "spectrum_denominator_underflow": ("spectrum",
+                                       {"bath": {**FOCK_DESK_BATH["bath"], "gamma_m": 1e-300,
+                                                 "g": 1e-300}},
+                                       [], *failed("non-finite spectrum value")),
     # the closed-form spectrum holds only at phi = -pi/2
     "spectrum_off_phase": ("spectrum", with_bath(phi=0.0), [], *refused("phi")),
     # gamma <= 0 is refused with a report whose omega_m**2 overflows to inf
@@ -915,8 +921,20 @@ MALFORMED = {
 def test_malformed_input_is_refused(tmp_path, capsys, verb, config, argv, code, text):
     assert run([verb, "--config", write_config(tmp_path, config), *argv]) == code
     err = capsys.readouterr().err
-    assert text in err
-    assert "Traceback" not in err
+    assert err.startswith(text)
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [[], ["--fig1"], ["--g-list", "0,5"]],
+                         ids=["plain", "fig1", "g_list"])
+def test_spectrum_at_rates_near_the_float_range_ends_in_a_value_or_one_error_line(
+        tmp_path, capsys, argv):
+    # cubes of omega_m = 1e101 overflow; the sum rule squares the rates at most
+    code = run(["spectrum", "--config", write_config(tmp_path, with_bath(omega_m=1e101)), *argv])
+    err = capsys.readouterr().err
+    assert code in {0, 4}
+    assert err.count("\n") == (code == 4)
+    assert not code or err.startswith("numerical failure:")
 
 
 @pytest.mark.parametrize("raw", [

@@ -17,10 +17,13 @@ def _tree(module: str) -> ast.Module:
     return ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
 
 
-def _references(module: str, function: str) -> set[str]:
-    """Names and attributes used by ``function`` and the module functions it reaches."""
+def _references(module: str, function: str, opaque: frozenset[str] = frozenset()) -> set[str]:
+    """Names and attributes used by ``function`` and the module functions it reaches.
+
+    The functions in ``opaque`` are named but not looked into.
+    """
     defs = {n.name: n for n in _tree(module).body if isinstance(n, ast.FunctionDef)}
-    seen, todo, names = set(), [function], set()
+    seen, todo, names = set(opaque), [function], set()
     while todo:
         name = todo.pop()
         if name in seen:
@@ -44,6 +47,13 @@ def test_closed_forms_use_no_oracle_code():
 
 def test_spectrum_evaluator_uses_no_closed_form():
     assert "closed_form_moments" not in _references("spectrum", "_x_spectrum")
+
+
+def test_sum_rule_reads_the_spectrum_only_through_its_evaluator():
+    # S reaches the sum rule through the values eval_spectrum writes, with no second formula
+    names = _references("spectrum", "sum_rule_check", opaque=frozenset({"_x_spectrum"}))
+    assert {"_x_spectrum", "closed_form_moments"} <= names
+    assert not names & {"noise_xx", "noise_pp", "noise_xp", "N", "M"}
 
 
 def test_fock_imports_only_bath_and_errors():

@@ -114,38 +114,55 @@ def test_sum_rule_random_sets(rng):
     for _ in range(100):
         _, _, rel = sum_rule_check(random_stable_bath(rng))
         worst = max(worst, rel)
-    assert worst < 1e-6
+    assert worst < 1e-13
 
 
 def test_sum_rule_at_reference_chain():
     for g in (0.0, 1.0, 1000.0):
         _, _, rel = sum_rule_check(reference_bath(g=g))
-        assert rel < 1e-6
+        assert rel < 1e-13
 
 
-def test_gauss_kronrod_body_matches_quadpack(rng):
+def test_gauss_kronrod_matches_quadpack_on_the_mapped_line(rng):
     from scipy import integrate
 
     baths = [random_stable_bath(rng) for _ in range(200)]
     baths += [reference_bath(g=g) for g in (0.0, 1.0, 1000.0)]
     for b in baths:
-        edges = spectrum._body_edges(b)
-        f = spectrum._x_spectrum(b)
-        body, err = spectrum._integrate(f, edges)
-        oracle, _ = integrate.quad(f, 0.0, edges[-1], points=edges[1:-1].tolist() or None,
+        _, edges, f = spectrum._mapped_sum_rule(b)
+        value, err = spectrum._integrate(f, edges)
+        oracle, _ = integrate.quad(f, 0.0, 1.0, points=edges[1:-1].tolist() or None,
                                    limit=400, epsabs=0.0, epsrel=1e-11)
-        assert body == pytest.approx(oracle, rel=1e-12)
-        assert err <= 1e-11 * body
+        assert value == pytest.approx(oracle, rel=1e-12)
+        assert err <= 1e-11 * value
+
+
+def test_mapped_integrand_is_finite_towards_the_end_of_the_line():
+    # t -> 1 is w -> inf: S*c/(1-t)^2 tends to c_xx/c, and the edges sit in [0, 1]
+    b = desk_bath(g=50.0)
+    scale, edges, f = spectrum._mapped_sum_rule(b)
+    assert edges[0] == 0.0 and edges[-1] == 1.0 and np.all(np.diff(edges) > 0)
+    assert f(np.array([1 - 1e-9]))[0] == pytest.approx(b.noise_xx / scale, rel=1e-6)
 
 
 def test_sum_rule_refuses_an_integrand_that_does_not_converge(monkeypatch):
-    # 1e9 oscillations over the body interval: 400 subintervals cannot resolve them
+    # unbounded oscillations over the whole line: 400 subintervals cannot resolve them
     monkeypatch.setattr(spectrum, "_x_spectrum", lambda bath: lambda w: 1.0 + np.cos(1e6 * w))
     with pytest.raises(NumericalError, match="within 400 subintervals"):
         sum_rule_check(desk_bath(g=50.0))
     monkeypatch.setattr(spectrum, "_x_spectrum", lambda bath: lambda w: np.where(w > 1, np.nan, 1.0))
     with pytest.raises(NumericalError, match="did not converge"):
         sum_rule_check(desk_bath(g=50.0))
+
+
+@pytest.mark.parametrize("omega_m", [1e101, 1e150])
+def test_sum_rule_near_the_float_range_returns_or_refuses(omega_m):
+    # a value or a NumericalError; an OverflowError would escape both
+    for g in (0.0, 5.0, 50.0):
+        try:
+            sum_rule_check(desk_bath(g=g, omega_m=omega_m))
+        except NumericalError:
+            pass
 
 
 def test_scaled_zero_gain_curve_integrates_to_one():
