@@ -11,8 +11,8 @@ Exit codes: 0 success, 2 validation, 3 instability, 4 numerical failure;
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
-import io
 import itertools
 import json
 import math
@@ -21,7 +21,7 @@ import sys
 import typing
 import warnings
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from . import fock as fock_mod
 from .bath import RATES, EffectiveBath, bath_from_rates, build_bath, check_stability, with_gain
 from .errors import (
     MirrorCoolError,
+    NumericalError,
     StabilityError,
     UnstableBathError,
     UnsupportedPhaseError,
@@ -60,8 +61,8 @@ def _jsonable(value: Any) -> Any:
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
-_MARK = "\ue000"  # private use: ensure_ascii always writes it as the escape \ue000
-_MARKED = re.compile(r'"\\ue000(\d+)"')
+_MARK = "\\ue000"  # the private-use character U+E000 as ensure_ascii writes it
+_CHUNK = 1024  # CSV rows, or JSON array elements, rendered per write
 
 
 def _is_float_array(value: Any) -> bool:
@@ -70,14 +71,16 @@ def _is_float_array(value: Any) -> bool:
             and value.dtype.itemsize <= 8)
 
 
-def _json_text(doc: Any) -> str:
-    """``json.dumps(doc, indent=1, default=_jsonable)``, each float array joined at once.
+def _json_pieces(doc: Any) -> Iterator[str]:
+    """``json.dumps(doc, indent=1, default=_jsonable) + "\\n"``, in pieces.
 
     ``json.dumps`` lays out the document with a placeholder string for each
-    nonempty, finite 1-D float array; one substitution then writes each
-    array as the same ``indent=1`` block of shortest round-trip floats.
-    Other values, non-finite arrays among them (``NaN``, ``Infinity``),
-    go through ``_jsonable``.
+    nonempty, finite 1-D float array: a run of U+E000 characters and the
+    array's index, made longer until no string of the document holds the
+    run. The text between placeholders is yielded as it stands, and each
+    array as the same ``indent=1`` block of shortest round-trip floats,
+    ``_CHUNK`` elements at a time. Other values, non-finite arrays among
+    them (``NaN``, ``Infinity``), go through ``_jsonable``.
     """
     arrays = []
 
@@ -85,24 +88,32 @@ def _json_text(doc: Any) -> str:
         if (_is_float_array(value) and value.ndim == 1 and value.size
                 and np.isfinite(value).all()):
             arrays.append(value)
-            return f"{_MARK}{len(arrays) - 1}"
+            return "\ue000" * run + str(len(arrays) - 1)
         return _jsonable(value)
 
-    text = json.dumps(doc, indent=1, default=placeholder)
-    if not arrays:
-        return text
-    if text.count("\\ue000") != len(arrays):
-        # a string of the document holds the mark as well
-        return json.dumps(doc, indent=1, default=_jsonable)
-
-    def splice(match):
+    for run in itertools.count(1):
+        arrays.clear()
+        text = json.dumps(doc, indent=1, default=placeholder)
+        # each placeholder holds one run; more runs are the document's own
+        if text.count(_MARK * run) == len(arrays):
+            break
+    pos = 0
+    for match in re.finditer(f'"(?:{re.escape(_MARK)}){{{run}}}(\\d+)"', text):
+        yield text[pos:match.start()]
+        pos = match.end()
         line = text[text.rfind("\n", 0, match.start()) + 1:match.start()]
-        lead = line[:len(line) - len(line.lstrip(" "))]
-        sep = ",\n" + lead + " "
-        values = arrays[int(match[1])].tolist()
-        return "[\n" + lead + " " + sep.join(map(repr, values)) + "\n" + lead + "]"
+        yield from _float_block(arrays[int(match[1])], line[:len(line) - len(line.lstrip(" "))])
+    yield text[pos:] + "\n"
 
-    return _MARKED.sub(splice, text)
+
+def _float_block(values: np.ndarray, indent: str) -> Iterator[str]:
+    """The ``indent=1`` JSON list of ``values`` on a line indented by ``indent``,
+    ``_CHUNK`` floats at a time."""
+    sep = ",\n" + indent + " "
+    yield "[\n" + indent + " "
+    for lo in range(0, values.size, _CHUNK):
+        yield (sep if lo else "") + sep.join(map(repr, values[lo:lo + _CHUNK].tolist()))
+    yield "\n" + indent + "]"
 
 
 def _csv_column(column) -> Iterable[str]:
@@ -112,6 +123,15 @@ def _csv_column(column) -> Iterable[str]:
     return map(_csv_cell, column)
 
 
+def _csv_pieces(doc: dict) -> Iterator[str]:
+    """The ``#`` lines and the header, then the rows, ``_CHUNK`` at a time."""
+    yield "".join(f"# {c}\n" for c in doc.get("comments", ())) + ",".join(doc["header"]) + "\n"
+    columns = doc["columns"]
+    for lo in range(0, min(map(len, columns), default=0), _CHUNK):
+        rows = zip(*(_csv_column(c[lo:lo + _CHUNK]) for c in columns))
+        yield "\n".join(map(",".join, rows)) + "\n"
+
+
 def _write(out: str | None, doc: dict, fmt: str = "json") -> None:
     """Write ``doc`` to the file ``out``, or to stdout, as JSON or CSV.
 
@@ -119,30 +139,31 @@ def _write(out: str | None, doc: dict, fmt: str = "json") -> None:
     floats (``repr``), ``NaN`` and ``Infinity`` included. A CSV document
     is a table given by columns: ``header``, ``columns`` and optional
     ``comments``, which lead the file as ``#`` lines; float cells are
-    ``repr`` floats and booleans ``true``/``false``. A file or stdout that
-    cannot be written is refused as a bad ``out``.
+    ``repr`` floats and booleans ``true``/``false``. The text is written
+    as it is rendered, a piece at a time, so the whole of it is never
+    held. A file or stdout that cannot be written is refused as a bad
+    ``out``; the file may then hold part of the text.
     """
-    if fmt == "json":
-        text = _json_text(doc) + "\n"
-    else:
-        lines = [f"# {c}" for c in doc.get("comments", ())]
-        lines.append(",".join(doc["header"]))
-        lines += map(",".join, zip(*map(_csv_column, doc["columns"])))
-        text = "\n".join(lines) + "\n"
+    pieces = _json_pieces(doc) if fmt == "json" else _csv_pieces(doc)
     if out:
-        _save(out, text.encode("utf-8"))
+        with _opened(out) as file:
+            for piece in pieces:
+                file.write(piece.encode("utf-8"))
         return
     try:
-        sys.stdout.write(text)
+        for piece in pieces:
+            sys.stdout.write(piece)
         sys.stdout.flush()
     except OSError as exc:
         raise ValidationError("out", f"cannot write to stdout: {exc}") from exc
 
 
-def _save(path: str, data: bytes) -> None:
-    """Write ``data`` to ``path``; a path that cannot be written is a bad --out."""
+@contextlib.contextmanager
+def _opened(path: str) -> Iterator[typing.BinaryIO]:
+    """``path`` opened for binary writing; a path that cannot be written is a bad --out."""
     try:
-        Path(path).write_bytes(data)
+        with open(path, "wb") as file:
+            yield file
     except OSError as exc:
         raise ValidationError("out", f"cannot write {path}: {exc}") from exc
 
@@ -215,6 +236,8 @@ def _fields(cls) -> tuple[dict[str, type], set[str]]:
     return ({f.name: hints[f.name] for f in fields},
             {f.name for f in fields if f.default is dataclasses.MISSING})
 
+
+_SUM_RULE_TOL = 1e-6  # largest relative sum-rule error a spectrum is written with
 
 _SWEEP_AXES = ("g", "phi", "Gamma", "eta", "T")
 _SWEEP_FLOATS = {"gamma", "var_x", "var_p", "cov_xp_sym", "t_eff", "positivity_gap"}
@@ -354,9 +377,13 @@ def cmd_spectrum(config: dict, args) -> dict:
         series[label] = values / scale if args.fig1 else values
         integral, var_x, rel = sum_rule_check(bath_col)
         # a dataset names each column's sum rule by its gain
-        sum_rules[f"g={bath_col.g:g}" if dataset else ""] = {
-            "integral": integral, "var_x": var_x, "rel_err": rel,
-        }
+        name = f"g={bath_col.g:g}" if dataset else ""
+        if not rel <= _SUM_RULE_TOL:  # refused before a byte of the document is written
+            raise NumericalError(
+                f"sum rule fails for {name or label}: (1/2pi)*integral of S = {integral!r}, "
+                f"<X^2> = {var_x!r}, rel_err {rel:.3e} > {_SUM_RULE_TOL:g}"
+            )
+        sum_rules[name] = {"integral": integral, "var_x": var_x, "rel_err": rel}
 
     if args.format == "csv":
         return {
@@ -402,9 +429,8 @@ def cmd_simulate(config: dict, args) -> dict | None:
     _write(base + ".stats.json", payload)
     _write(base + ".psd.csv", {"header": list(psd), "columns": list(psd.values())}, "csv")
     if stats.raw_trajectories is not None:
-        npz = io.BytesIO()
-        np.savez_compressed(npz, **stats.raw_trajectories)
-        _save(base + ".traj.npz", npz.getvalue())
+        with _opened(base + ".traj.npz") as file:
+            np.savez_compressed(file, **stats.raw_trajectories)
     return None
 
 
@@ -419,8 +445,8 @@ def cmd_fock(config: dict, args) -> dict:
         sol = fock_mod.evolve_to_steady(bath, fock_mod.FockConfig(**block))
     if args.dump_rho:
         # row-major complex128: interleaved (re, im) float64 pairs
-        _save(str(args.out) + ".rho.bin",
-              np.ascontiguousarray(sol.rho, dtype=np.complex128).tobytes())
+        with _opened(str(args.out) + ".rho.bin") as file:
+            file.write(np.ascontiguousarray(sol.rho, dtype=np.complex128).data)
     return {**_scalar_fields(sol), "warnings": [str(w.message) for w in caught]}
 
 

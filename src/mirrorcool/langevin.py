@@ -22,7 +22,11 @@ most ``_MAX_WORKERS`` (:func:`_pool_size`). A worker takes one
 trajectory at a time, runs it end to end in its own scratch buffers and
 writes only that trajectory's results; the draws are keyed by (seed,
 index), so results do not depend on the worker count, and memory grows
-with the workers, not with ``n_traj``.
+with the workers, not with ``n_traj``. The Welch transform, the
+spread of the PSD bins over the trajectories and the alias reference
+take ``_GROUP`` segments, trajectories or images at a time
+(:func:`_sum_rows`), so their transients are bounded by the group, not
+by the run; each keeps the order of the sums it replaces.
 
 Only the symmetric part of the input correlations is simulated; the
 antisymmetric i/4 cross term is a commutator artifact that no pair of
@@ -58,6 +62,7 @@ _MAX_WORKERS = 16
 _SERIES_S2 = 1e-6  # below this |s^2|, _expm2 sums the Taylor series of cosh(s) and sinh(s)/s
 _WELCH_OVERLAP = 0.5  # fraction of a Welch segment shared with the next
 _ALIAS_IMAGES = 200  # images k*2pi/dt on each side in the sampled-process spectrum
+_GROUP = 16  # rows of a sum made at a time (_sum_rows)
 _PEAK_FRACTION = 0.5  # peak region: bins at or above this fraction of the reference maximum
 _PEAK_REL_TOL = 0.10  # largest relative deviation in the peak region that passes
 
@@ -267,6 +272,25 @@ def _pool_size(n_traj: int) -> int:
     return max(1, min(cores, _MAX_WORKERS, n_traj))
 
 
+def _sum_rows(n_rows: int, shape: tuple, fill) -> np.ndarray:
+    """The sum of ``n_rows`` rows of ``shape``, made ``_GROUP`` rows at a time.
+
+    ``fill(lo, hi, out)`` writes rows ``lo`` to ``hi - 1`` into ``out``,
+    stacked on axis -2. Row 0 of the buffer carries the sum of the groups
+    before, and one reduce over the buffer adds the next group to it:
+    numpy reduces axis -2 of a C-contiguous array row after row, so the
+    rows are added in the order, and to the bit, of one ``np.add.reduce``
+    over all of them.
+    """
+    buf = np.empty(shape[:-1] + (min(n_rows, _GROUP) + 1, shape[-1]))
+    for lo in range(0, n_rows, _GROUP):
+        end = min(_GROUP, n_rows - lo) + 1  # the group's rows are 1..end-1
+        fill(lo, lo + end - 1, buf[..., 1:end, :])
+        first = 0 if lo else 1  # no sum to carry into the first group
+        buf[..., 0, :] = np.add.reduce(buf[..., first:end, :], axis=-2)
+    return buf[..., 0, :]
+
+
 def _welch(x: np.ndarray, fs: float, win: np.ndarray, noverlap: int) -> np.ndarray:
     """Hann-window Welch density of each row of ``x`` at the rfft bins 0..nperseg//2.
 
@@ -283,11 +307,15 @@ def _welch(x: np.ndarray, fs: float, win: np.ndarray, noverlap: int) -> np.ndarr
     # arithmetic of a short row
     segments = as_strided(x, x.shape[:-1] + (n_seg, nperseg), x.strides[:-1] + (step * size, size),
                           writeable=False)
-    spec = np.fft.rfft(segments * win, axis=-1)
-    power = np.square(spec.real)
-    power += np.square(spec.imag)
-    # the sum and division of power.mean(axis=-2), without its Python layer
-    return np.add.reduce(power, axis=-2) / n_seg / (fs * np.dot(win, win))
+
+    def power(lo, hi, out):
+        spec = np.fft.rfft(segments[..., lo:hi, :] * win, axis=-1)
+        np.square(spec.real, out=out)
+        out += np.square(spec.imag)
+
+    total = _sum_rows(n_seg, x.shape[:-1] + (nperseg // 2 + 1,), power)
+    # the division of power.mean(axis=-2), without its Python layer
+    return total / n_seg / (fs * np.dot(win, win))
 
 
 def _simulate_linear(
@@ -394,6 +422,16 @@ def _simulate_linear(
     tau_int = float((-np.linalg.inv(A) @ sigma)[0, 0] / sigma[0, 0])
     n_effective = n * cfg.t_sample / max(2 * tau_int, cfg.dt)
 
+    # the sums of np.std(psd_i, axis=0, ddof=1), without a temporary the
+    # size of psd_i
+    psd_mean = np.mean(psd_i, axis=0)
+
+    def squared_deviation(lo, hi, out):
+        np.subtract(psd_i[lo:hi], psd_mean, out=out)
+        out *= out
+
+    sq_dev = _sum_rows(n, psd_mean.shape, squared_deviation)
+
     raw = None
     if keep_trajectories > 0:
         raw = {"t": cfg.dt * np.arange(n_samp), **kept}
@@ -408,8 +446,8 @@ def _simulate_linear(
         # S(omega) = P_two_sided(f) at omega = 2*pi*f: the Jacobian of the
         # substitution cancels against the 1/2pi of the sum-rule convention
         psd_omega=2 * math.pi * freqs,
-        psd_values=np.mean(psd_i, axis=0),
-        psd_stderr=np.std(psd_i, axis=0, ddof=1) / sqrt_n,
+        psd_values=psd_mean,
+        psd_stderr=np.sqrt(sq_dev / (n - 1)) / sqrt_n,
         psd_var_integral=float(np.mean(integ_i)),
         psd_var_integral_stderr=float(np.std(integ_i, ddof=1) / sqrt_n),
         n_effective=n_effective,
@@ -472,8 +510,12 @@ def _sampled_spectrum(bath: EffectiveBath, omega: np.ndarray, dt: float) -> np.n
     c_xx*dt^2/(4*pi^2*_ALIAS_IMAGES) per side.
     """
     k = np.arange(-_ALIAS_IMAGES, _ALIAS_IMAGES + 1)[:, None]
-    images = (omega + k * (2 * math.pi / dt)).ravel()
-    return eval_spectrum(bath, images).reshape(k.size, -1).sum(axis=0)
+
+    def images(lo, hi, out):
+        values = eval_spectrum(bath, (omega + k[lo:hi] * (2 * math.pi / dt)).ravel())
+        out[...] = values.reshape(out.shape)
+
+    return _sum_rows(k.size, omega.shape, images)
 
 
 def psd_vs_analytic(stats: TrajectoryEnsembleStats) -> ComparisonReport:

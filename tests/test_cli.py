@@ -9,6 +9,7 @@ import os
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from importlib import resources
 from pathlib import Path
 
@@ -647,6 +648,45 @@ def test_csv_text_equals_the_cell_by_cell_table(doc):
     assert written(doc, "csv") == "\n".join(lines) + "\n"
 
 
+@pytest.mark.parametrize("chunk", [1, 2])
+def test_text_does_not_depend_on_the_chunk_size(monkeypatch, chunk):
+    # every chunk boundary falls inside the property tests' tables and arrays
+    monkeypatch.setattr(cli, "_CHUNK", chunk)
+    test_csv_text_equals_the_cell_by_cell_table()
+    test_json_text_equals_the_value_by_value_encoding()
+
+
+def test_long_tables_and_arrays_are_written_across_chunks():
+    rng = np.random.default_rng(5)
+    rows = 3 * cli._CHUNK - 72  # 3000: two whole chunks and a part
+    table = {"header": ["a", "b", "c", "d"],
+             "columns": [rng.standard_normal(rows), np.arange(rows), [True, False] * (rows // 2),
+                         rng.standard_normal(rows).astype(np.float32)],
+             "comments": ["long"]}
+    lines = ["# long", "a,b,c,d"] + [",".join(map(reference_cell, row))
+                                     for row in zip(*table["columns"])]
+    assert written(table, "csv") == "\n".join(lines) + "\n"
+    doc = {"x": rng.standard_normal(5000), "y": [{"z": rng.uniform(size=5000)}, "\ue0000"],
+           "w": rng.standard_normal(5000).astype(np.float32), "v": np.full(5000, 0.25)}
+    assert written(doc, "json") == json.dumps(doc, indent=1, default=reference_jsonable) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_writer_does_not_hold_the_text(tmp_path, fmt):
+    # 4 x 200,000 floats are about 16 MB of text; the writer holds a chunk of it
+    columns = list(np.random.default_rng(9).standard_normal((4, 200_000)))
+    doc = ({"header": ["a", "b", "c", "d"], "columns": columns} if fmt == "csv"
+           else dict(zip("abcd", columns)))
+    out = tmp_path / "doc"
+    tracemalloc.start()
+    try:
+        cli._write(str(out), doc, fmt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < out.stat().st_size / 4
+
+
 SWEEP_CONFIG = {**DESK_BATH, "sweep": {"g": [0.0, 10.0, 50.0], "phi": [-math.pi / 2, 1.2]}}
 CANONICAL_SIM = {**DESK_BATH, "sim": {"dt": 1.25e-3, "t_relax": 0.5, "t_sample": 2.0,
                                       "n_traj": 2, "welch_segment": 1024}}
@@ -935,6 +975,21 @@ def test_spectrum_at_rates_near_the_float_range_ends_in_a_value_or_one_error_lin
     assert code in {0, 4}
     assert err.count("\n") == (code == 4)
     assert not code or err.startswith("numerical failure:")
+
+
+@pytest.mark.parametrize("argv", [[], ["--fig1"], ["--g-list", "0,5"]],
+                         ids=["plain", "fig1", "g_list"])
+def test_spectrum_refuses_a_failed_sum_rule_before_writing(tmp_path, capsys, argv):
+    # at omega_m = 1e100 the resonance is narrower than the float spacing
+    # there: no quadrature node sees it, and the integral misses <X^2>
+    out = tmp_path / "spectrum.json"
+    config = write_config(tmp_path, with_bath(omega_m=1e100))
+    assert run(["spectrum", "--config", config, "--out", str(out), *argv]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: sum rule fails for ")
+    assert ("for S:" if not argv else "for g=0:") in err
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("raw", [

@@ -221,6 +221,69 @@ def test_welch_matches_scipy(nperseg, overlap, rows):
         np.testing.assert_allclose(got[:, half], want[:, f == -fs / 2][:, 0], rtol=1e-12, atol=0)
 
 
+def _welch_at_once(x, fs, win, noverlap):
+    # every segment transformed at once and summed in one reduce
+    nperseg, step = len(win), len(win) - noverlap
+    n_seg = (x.shape[-1] - nperseg) // step + 1
+    segments = np.lib.stride_tricks.sliding_window_view(x, nperseg, axis=-1)[..., ::step, :]
+    spec = np.fft.rfft(segments * win, axis=-1)
+    power = np.square(spec.real)
+    power += np.square(spec.imag)
+    return np.add.reduce(power, axis=-2) / n_seg / (fs * np.dot(win, win))
+
+
+@pytest.mark.parametrize("n_seg", [1, 15, 16, 17, 145])
+@pytest.mark.parametrize("rows", [1, 8])
+def test_welch_in_groups_equals_one_reduce_over_every_segment(n_seg, rows):
+    nperseg = 64
+    x = np.random.default_rng(n_seg).standard_normal((rows, nperseg + (n_seg - 1) * nperseg // 2))
+    if rows == 1:
+        x = x[0]  # the integrator's lone row
+    win = np.hanning(nperseg + 1)[:-1]
+    want = _welch_at_once(x, 20.0, win, nperseg // 2)
+    assert np.array_equal(_welch(x, 20.0, win, nperseg // 2), want)
+
+
+def test_welch_scratch_is_bounded_by_its_group():
+    # 145 half-overlapping segments of 1024: one copy of the windowed
+    # segments alone would be 1.2 MB
+    win = np.hanning(1025)[:-1]
+    x = np.random.default_rng(3).standard_normal(1024 + 144 * 512)
+    _welch(x, 1.0, win, 512)  # first-call allocations (FFT plans) out of the way
+    tracemalloc.start()
+    try:
+        _welch(x, 1.0, win, 512)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 145 * 1024 * 8
+
+
+def test_alias_images_in_groups_equal_the_flat_evaluation():
+    bath, dt = desk_bath(), 1.25e-3
+    omega = np.linspace(0.0, math.pi / dt, 257)
+    k = np.arange(-langevin._ALIAS_IMAGES, langevin._ALIAS_IMAGES + 1)[:, None]
+    want = eval_spectrum(bath, (omega + k * (2 * math.pi / dt)).ravel()).reshape(k.size, -1)
+    assert np.array_equal(_sampled_spectrum(bath, omega, dt), want.sum(axis=0))
+
+
+def test_psd_mean_and_spread_are_those_of_the_trajectory_rows(monkeypatch):
+    # one worker runs the trajectories in index order, so the rows come in that order
+    _force_workers(monkeypatch, 1)
+    rows, welch = [], langevin._welch
+
+    def recording(*args):
+        power = welch(*args)
+        rows.append(power[:(len(args[2]) + 1) // 2])
+        return power
+
+    monkeypatch.setattr(langevin, "_welch", recording)
+    stats = simulate(desk_bath(), quick_cfg(n_traj=6, t_sample=2.0, welch_segment=512))
+    assert len(rows) == 6
+    assert np.array_equal(stats.psd_values, np.mean(rows, axis=0))
+    assert np.array_equal(stats.psd_stderr, np.std(rows, axis=0, ddof=1) / math.sqrt(6))
+
+
 @pytest.mark.parametrize("segment", [512, 511])
 def test_psd_integral_is_the_windowed_mean_square(segment):
     # Parseval: the two-sided Welch sum times fs/segment is each segment's
