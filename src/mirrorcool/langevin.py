@@ -4,18 +4,24 @@ Integrates the classical counterpart of the quadrature Langevin equations
 with correlated white noise given by the symmetrized input correlations.
 The integration scheme is exact in distribution for this linear system:
 the one-step propagator E is the matrix exponential of the drift and the
-one-step noise covariance is the exact integrated Lyapunov increment, so
-results carry no time-step bias.
+one-step noise covariance is the integral of the propagated diffusion
+over one step, so results carry no time-step bias.
 
 The stepper is the 2x2 recursion Z_n = E Z_{n-1} + B xi_n, run in
 blocks of ``_BLOCK`` steps: one matrix product per quadrature maps each
-block's raw draws, plus the state entering the block, to every state of
-the block, so a whole trajectory takes two GEMMs. The states entering
+block's raw draws to every state of the block from a zero entry, and a
+rank-2 product adds the state entering the block. The states entering
 the blocks obey the same recursion over block ends with E^_BLOCK as
-propagator, solved the same way one level up. E is the closed-form 2x2
-exponential :func:`_expm2`. The spectrum is a numpy Welch estimate
-(periodic Hann window, mean of segment periodograms). This module imports
-no scipy.
+propagator, solved the same way one level up. Each worker's draw buffer
+is itself the input of those products, read in place, and every product
+is cut into row tiles small enough that OpenBLAS runs it on one thread
+(``_GEMM_ROWS``). E is the closed-form 2x2 exponential :func:`_expm2`,
+and B is the square root of the one-step noise covariance integrated
+from the drift and diffusion alone (:func:`_exact_step`), so the
+simulated moments owe nothing to the steady covariance they are checked
+against. The spectrum is a numpy Welch estimate (periodic Hann window,
+mean of segment periodograms). This module imports no scipy and calls no
+level-1 BLAS (``np.dot``), which OpenBLAS threads on long vectors.
 
 The trajectories run on a thread pool with a worker per usable core, at
 most ``_MAX_WORKERS`` (:func:`_pool_size`). A worker takes one
@@ -46,19 +52,20 @@ from numpy.lib.stride_tricks import as_strided
 from .bath import EffectiveBath, require_stable
 from .errors import NoiseModelError, StabilityError, ValidationError
 from .spectrum import eval_spectrum
-from .steady_state import diffusion_matrix, drift_matrix, _require_phase, _steady_covariance
+from .steady_state import diffusion_matrix, drift_matrix, _require_phase
 
 __all__ = ["SimConfig", "TrajectoryEnsembleStats", "ComparisonReport", "simulate", "psd_vs_analytic"]
 
-_BLOCK = 64  # time steps per row of the propagation GEMM; results depend on it only at roundoff
-# most block rows per GEMM call when several workers run: 24*(2*64 + 2)*64
-# multiply-adds stay below the 4*65536 at which OpenBLAS threads a GEMM, so
-# the workers do not contend for its threads. A lone worker leaves each
-# GEMM whole, and to OpenBLAS's threads.
-_GEMM_ROWS = 24
-# most worker threads: each holds about 48 bytes of scratch per time step
-# (draws, GEMM input and states), so 16 hold at most 768
+_BLOCK = 16  # time steps per row of the propagation GEMM; results depend on it only at roundoff
+# most block rows per GEMM call: OpenBLAS runs a GEMM of at most 4*65536
+# multiply-adds (GEMM_MULTITHREAD_THRESHOLD times 65536) on the calling
+# thread alone, and rows*(2*_BLOCK)*_BLOCK stays within that, 512 rows at
+# 16 steps a block, so the workers do not contend for OpenBLAS's threads
+_GEMM_ROWS = 4 * 65536 // (2 * _BLOCK * _BLOCK)
+# most worker threads: each holds about 32 bytes of scratch per time step
+# (draws, which are also the GEMM input, and states), so 16 hold at most 512
 _MAX_WORKERS = 16
+_QUAD_NODES = 12  # Gauss-Legendre nodes of the one-step noise integral (_exact_step)
 _SERIES_S2 = 1e-6  # below this |s^2|, _expm2 sums the Taylor series of cosh(s) and sinh(s)/s
 _WELCH_OVERLAP = 0.5  # fraction of a Welch segment shared with the next
 _ALIAS_IMAGES = 200  # images k*2pi/dt on each side in the sampled-process spectrum
@@ -165,15 +172,47 @@ def _expm2(M: np.ndarray) -> np.ndarray:
     return (scale * (cosh * np.eye(2, dtype=np.longdouble) + sinhc * N)).astype(float)
 
 
-def _exact_step(A: np.ndarray, sigma: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """One-step propagator and noise square root for dZ = A Z dt + noise.
+def _noise_covariance(A: np.ndarray, C: np.ndarray, dt: float) -> np.ndarray:
+    """Covariance that the noise of dZ = A Z dt + noise, of diffusion ``C``, adds over ``dt``.
 
-    Q(dt) = sigma - E sigma E^T with E = exp(A dt) and the steady
-    covariance ``sigma`` is the exact covariance accumulated over one step.
+    Q(dt) = int_0^dt e^(As) C e^(A^T s) ds (Van Loan, IEEE TAC 23, 1978),
+    summed by ``_QUAD_NODES``-node Gauss-Legendre quadrature on
+    :func:`_expm2`. Q is built from the drift and diffusion alone, with no
+    steady covariance, and as a sum of positive semidefinite terms it has
+    none of the cancellation of order gamma*dt in sigma - E sigma E^T.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(_QUAD_NODES)
+    Q = np.zeros((2, 2))
+    for s, w in zip(dt * (nodes + 1) / 2, dt * weights / 2):
+        F = _expm2(A * s)
+        Q += w * (F @ C @ F.T)
+    return Q
+
+
+def _exact_step(A: np.ndarray, C: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """One-step propagator E = exp(A dt) and noise square root B for dZ = A Z dt + noise.
+
+    B B^T is the one-step noise covariance Q(dt) of the diffusion ``C``
+    (:func:`_noise_covariance`).
     """
     E = _expm2(A * dt)
-    Q = sigma - E @ sigma @ E.T
-    return E, _sqrt_psd(Q, "per-step noise covariance")
+    return E, _sqrt_psd(_noise_covariance(A, C, dt), "per-step noise covariance")
+
+
+def _stationary_covariance(E: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Stationary covariance sum_k E^k B B^T E^kT of the recursion Z_n = E Z_{n-1} + B xi_n.
+
+    Summed by doubling: after j passes S holds the first 2^j terms and F
+    is E^(2^j), so a memory of N steps takes log2(N) passes. It stops when
+    a pass no longer changes S; 64 passes cover any stable E.
+    """
+    S, F = B @ B.T, E
+    for _ in range(64):
+        grown = S + F @ S @ F.T
+        if np.array_equal(grown, S):
+            break
+        S, F = grown, F @ F
+    return S
 
 
 def _traj_rng(seed: int, index: int) -> np.random.Generator:
@@ -184,15 +223,19 @@ def _traj_rng(seed: int, index: int) -> np.random.Generator:
     )
 
 
-def _block_matrices(E: np.ndarray, B: np.ndarray, n_steps: int, block: int) -> list[np.ndarray]:
-    """GEMM matrices of the block recursion for ``n_steps`` steps, one per level.
+def _block_matrices(
+    E: np.ndarray, B: np.ndarray, n_steps: int, block: int,
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """GEMM matrices of the block recursion for ``n_steps`` steps, one pair per level.
 
-    Level 0 propagates Z_n = E Z_{n-1} + B xi_n. Its matrix G, of shape
-    (2*block + 2, 2*block), maps a row [xi_0 .. xi_{block-1}, Z_in] of
-    interleaved (x, p) pairs to the block's states [x_0 .. x_{block-1},
-    p_0 .. p_{block-1}]: the block-Toeplitz E^(i-m) B above, E^(i+1) in the
-    last two rows. Level l+1 propagates the states entering the blocks of
-    level l, with E^block in place of E and the identity in place of B.
+    Level 0 propagates Z_n = E Z_{n-1} + B xi_n. Its matrix T, of shape
+    (2*block, 2*block), maps a row [xi_0 .. xi_{block-1}] of interleaved
+    (x, p) pairs to the block's states [x_0 .. x_{block-1}, p_0 ..
+    p_{block-1}] from a zero entry: the block-Toeplitz E^(i-m) B. The
+    second matrix, K of shape (2, 2*block), holds E^(i+1), which maps the
+    state entering the block to its share of the same states.
+    Level l+1 propagates the states entering the blocks of level l, with
+    E^block in place of E and the identity in place of B.
     """
     levels = []
     lag = np.arange(block)[None, :] - np.arange(block)[:, None]  # [m, i] -> i - m
@@ -205,48 +248,65 @@ def _block_matrices(E: np.ndarray, B: np.ndarray, n_steps: int, block: int) -> l
         T[lag < 0] = 0.0
         toeplitz = T.transpose(0, 3, 2, 1).reshape(2 * block, 2 * block)
         carry = P[1:].transpose(2, 1, 0).reshape(2, 2 * block)
-        levels.append(np.vstack([toeplitz, carry]))
+        levels.append((toeplitz, carry))
         if n_steps <= block:
             return levels
         n_steps = -(-n_steps // block) - 1  # the states entering blocks 1, 2, ...
         E, B = P[block], np.eye(2)
 
 
+def _tiles(n_rows: int, tile: int) -> list[tuple[int, int]]:
+    """Row ranges of at most ``tile`` rows, of nearly equal height, covering ``n_rows``.
+
+    Equal heights keep every tile above one row, where a lone row would go
+    to GEMV, which sums differently, whenever ``n_rows`` is above one.
+    """
+    n_tiles = -(-n_rows // tile)
+    edges = [n_rows * t // n_tiles for t in range(n_tiles + 1)]
+    return list(zip(edges, edges[1:]))
+
+
 def _propagate(
     u: np.ndarray,
-    levels: list[np.ndarray],
+    levels: list[tuple[np.ndarray, np.ndarray]],
     out: np.ndarray | None = None,
-    tile: int | None = None,
+    tile: int = _GEMM_ROWS,
 ) -> np.ndarray:
     """States Z_n = E Z_{n-1} + B u_n from Z_{-1} = 0 for the rows u_n of ``u`` (n, 2).
 
     Returns (2, n_blocks*block): x in row 0, p in row 1; past the last
-    step the recursion continues on zero input. ``out`` may be passed in
-    for reuse. With ``tile``, each GEMM is cut into row tiles of at most
-    that many rows; the tiles do not change the product.
+    step the recursion continues on zero input. A ``u`` whose length is a
+    whole number of blocks is read in place as (n_blocks, 2*block) GEMM
+    rows; any other is first padded with zero rows into a copy. ``out``
+    may be passed in for reuse. Every product is cut into row tiles of at
+    most ``tile`` rows (:func:`_tiles`); the tiles do not change the
+    product.
     """
-    G = levels[0]
-    width = G.shape[1]
-    block = width // 2
+    toeplitz, carry = levels[0]
+    block = carry.shape[1] // 2
     n_blocks = -(-len(u) // block)
-    rows = np.zeros((n_blocks, width + 2))
-    full, part = divmod(2 * len(u), width)
-    rows[:full, :width] = u[:full * block].reshape(full, width)
-    if part:
-        rows[full, :part] = u[full * block:].ravel()
-    if n_blocks > 1:
-        # each block's last state from a zero entry; recursing on them gives the entries
-        ends = rows[:-1, :width] @ G[:width, block - 1::block]
-        rows[1:, width:] = _propagate(ends, levels[1:])[:, :n_blocks - 1].T
+    if len(u) % block:
+        u = np.pad(u, ((0, n_blocks * block - len(u)), (0, 0)))
+    rows = u.reshape(n_blocks, 2 * block)
     if out is None:
         out = np.empty((2, n_blocks * block))
-    # tiles of nearly equal height: a lone row would go to GEMV, which sums differently
-    n_tiles = -(-n_blocks // tile) if tile else 1
-    edges = [n_blocks * t // n_tiles for t in range(n_tiles + 1)]
-    for q in range(2):
-        G_q, out_q = G[:, q * block:(q + 1) * block], out[q].reshape(n_blocks, block)
-        for lo, hi in zip(edges, edges[1:]):
-            np.matmul(rows[lo:hi], G_q, out=out_q[lo:hi])
+    blocks = [out[q].reshape(n_blocks, block) for q in range(2)]
+    tiles = _tiles(n_blocks, tile)
+    for q in range(2):  # every state from a zero entry
+        for lo, hi in tiles:
+            np.matmul(rows[lo:hi], toeplitz[:, q * block:(q + 1) * block],
+                      out=blocks[q][lo:hi])
+    if n_blocks > 1:
+        # each block's last state from a zero entry; recursing on them, padded
+        # to whole blocks of the next level, gives the states entering the blocks
+        n_ends = n_blocks - 1
+        ends = np.zeros((-(-n_ends // block) * block, 2))
+        ends[:n_ends, 0], ends[:n_ends, 1] = blocks[0][:-1, -1], blocks[1][:-1, -1]
+        entries = _propagate(ends, levels[1:], tile=tile)[:, :n_ends].T.copy()
+        for q in range(2):  # plus E^(i+1) times the state entering block i >= 1
+            K_q = carry[:, q * block:(q + 1) * block]
+            for lo, hi in _tiles(n_ends, tile):
+                blocks[q][1 + lo:1 + hi] += np.matmul(entries[lo:hi], K_q)
     return out
 
 
@@ -315,7 +375,7 @@ def _welch(x: np.ndarray, fs: float, win: np.ndarray, noverlap: int) -> np.ndarr
 
     total = _sum_rows(n_seg, x.shape[:-1] + (nperseg // 2 + 1,), power)
     # the division of power.mean(axis=-2), without its Python layer
-    return total / n_seg / (fs * np.dot(win, win))
+    return total / n_seg / (fs * np.einsum("i,i->", win, win))
 
 
 def _simulate_linear(
@@ -358,11 +418,10 @@ def _simulate_linear(
         psd_i = np.empty((cfg.n_traj, half))
     except (ValueError, MemoryError) as exc:
         raise ValidationError("n_traj", f"cannot allocate the trajectories: {exc}") from None
-    n_blocks = -(-n_steps // _BLOCK)
+    n_padded = -(-n_steps // _BLOCK) * _BLOCK
     n_workers = _pool_size(cfg.n_traj)
-    tile = _GEMM_ROWS if n_workers > 1 else None
-    try:  # each worker's draws and states
-        scratch = [(np.empty((n_steps, 2)), np.empty((2, n_blocks * _BLOCK)))
+    try:  # each worker's draws, zero-padded to whole blocks, and states
+        scratch = [(np.zeros((n_padded, 2)), np.empty((2, n_padded)))
                    for _ in range(n_workers)]
     except (ValueError, MemoryError) as exc:
         raise ValidationError("t_sample" if n_samp >= n_relax else "t_relax",
@@ -374,8 +433,7 @@ def _simulate_linear(
         raise ValidationError("keep_trajectories",
                               f"cannot allocate the kept trajectories: {exc}") from None
 
-    sigma = _steady_covariance(A, C)
-    E, B = _exact_step(A, sigma, cfg.dt)
+    E, B = _exact_step(A, C, cfg.dt)
     levels = _block_matrices(E, B, n_steps, _BLOCK)
 
     # each worker takes the next trajectory index from this shared iterator
@@ -387,8 +445,9 @@ def _simulate_linear(
     def work(draws: np.ndarray, states: np.ndarray) -> None:
         try:
             for j in indices:
-                _traj_rng(cfg.seed, j).standard_normal((n_steps, 2), out=draws)
-                _propagate(draws, levels, out=states, tile=tile)
+                # the padding rows past n_steps stay zero
+                _traj_rng(cfg.seed, j).standard_normal((n_steps, 2), out=draws[:n_steps])
+                _propagate(draws, levels, out=states)
                 z = states[:, n_relax:n_steps]  # x in row 0, p in row 1
 
                 # raw second moments about zero: the fluctuation process is
@@ -418,7 +477,9 @@ def _simulate_linear(
     n = cfg.n_traj
     sqrt_n = math.sqrt(n)
 
-    # integrated autocorrelation time of X from the analytic drift
+    # integrated autocorrelation time of X: the analytic drift on the
+    # recursion's own stationary covariance
+    sigma = _stationary_covariance(E, B)
     tau_int = float((-np.linalg.inv(A) @ sigma)[0, 0] / sigma[0, 0])
     n_effective = n * cfg.t_sample / max(2 * tau_int, cfg.dt)
 

@@ -25,11 +25,11 @@ from mirrorcool import (
     psd_vs_analytic,
     simulate,
 )
-from mirrorcool import langevin
+from mirrorcool import langevin, steady_state
 from mirrorcool.errors import UnsupportedPhaseError
 from mirrorcool.langevin import (
-    _SERIES_S2, _block_matrices, _exact_step, _expm2, _propagate, _sampled_spectrum,
-    _simulate_linear, _traj_rng, _welch,
+    _SERIES_S2, _block_matrices, _exact_step, _expm2, _noise_covariance, _propagate,
+    _sampled_spectrum, _simulate_linear, _stationary_covariance, _traj_rng, _welch,
 )
 from mirrorcool.steady_state import _steady_covariance
 
@@ -53,6 +53,25 @@ def test_fixed_seed_is_bit_identical():
     assert a.var_x_hat == b.var_x_hat
     assert a.var_p_hat == b.var_p_hat
     assert np.array_equal(a.psd_values, b.psd_values)
+
+
+def test_simulated_moments_do_not_follow_a_wrong_steady_covariance(monkeypatch):
+    # a per-step noise taken as sigma - E sigma E^T reproduces whatever sigma
+    # it is given: 1.3 times the steady covariance read var_x 0.385 here
+    # against the true 0.298
+    solve = steady_state._steady_covariance
+
+    def inflated(A, C):
+        return 1.3 * solve(A, C)
+
+    monkeypatch.setattr(steady_state, "_steady_covariance", inflated)
+    monkeypatch.setattr(langevin, "_steady_covariance", inflated, raising=False)
+    bath = desk_bath()
+    stats = simulate(bath, quick_cfg())
+    exact = closed_form_moments(bath)
+    assert abs(stats.var_x_hat - exact.var_x) < 3 * stats.var_x_stderr
+    assert abs(stats.var_p_hat - exact.var_p) < 3 * stats.var_p_stderr
+    assert abs(stats.cov_xp_hat - exact.cov_xp_sym) < 3 * stats.cov_xp_stderr
 
 
 def test_thermal_equipartition_target():
@@ -301,7 +320,7 @@ def test_psd_integral_is_the_windowed_mean_square(segment):
 
 def _stepped_rows(A, C, cfg, n_traj):
     # the per-step recursion Z_n = E Z_{n-1} + w_n on the integrator's draws
-    E, B = _exact_step(A, _steady_covariance(A, C), cfg.dt)
+    E, B = _exact_step(A, C, cfg.dt)
     n_relax = int(round(cfg.t_relax / cfg.dt))
     n_steps = n_relax + int(round(cfg.t_sample / cfg.dt))
     noise = np.stack([_traj_rng(cfg.seed, j).standard_normal((n_steps, 2)) @ B.T
@@ -371,8 +390,12 @@ def test_results_do_not_depend_on_the_worker_count(monkeypatch):
             runs.append(simulate(bath, cfg, keep_trajectories=7))
     finally:
         sys.setswitchinterval(interval)
+    assert runs[0].raw_trajectories["x"].shape == (7, 2400)
+    _assert_identical(runs)
+
+
+def _assert_identical(runs):
     alone = runs[0]
-    assert alone.raw_trajectories["x"].shape == (7, 2400)
     for pooled in runs[1:]:
         for f in dataclasses.fields(alone):
             a, b = getattr(alone, f.name), getattr(pooled, f.name)
@@ -385,11 +408,61 @@ def test_results_do_not_depend_on_the_worker_count(monkeypatch):
                 assert a == b, f.name
 
 
+def test_results_do_not_depend_on_the_worker_count_over_several_tiles(monkeypatch):
+    # 26,000 steps are 1625 blocks: four GEMM tiles of at most _GEMM_ROWS
+    # rows, which the 2,800 steps above fit in one
+    cfg = quick_cfg(n_traj=6, t_sample=32.0, welch_segment=512)
+    n_blocks = -(-round((cfg.t_relax + cfg.t_sample) / cfg.dt) // langevin._BLOCK)
+    assert len(langevin._tiles(n_blocks, langevin._GEMM_ROWS)) > 3
+    runs = []
+    for workers in (1, 2, 3):
+        _force_workers(monkeypatch, workers)
+        runs.append(simulate(desk_bath(), cfg, keep_trajectories=4))
+    _assert_identical(runs)
+
+
+class _RecordingNumpy:
+    """numpy, with the operand shapes of every np.matmul call recorded."""
+
+    def __init__(self):
+        self.products = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def matmul(self, a, b, *args, **kwargs):
+        self.products.append((a.shape, b.shape))
+        return np.matmul(a, b, *args, **kwargs)
+
+
+def test_every_gemm_stays_on_one_openblas_thread(monkeypatch):
+    # OpenBLAS threads a GEMM above 4*65536 multiply-adds; 300,000 steps
+    # take five levels, and the first two need several tiles
+    A, C = _bath_pair(omega_m=62.8, gamma_m=1.0, Gamma=200.0, n_bar=100.0, g=50.0)
+    n_steps = 300_000
+    levels = _block_matrices(*_exact_step(A, C, 1.25e-3), n_steps, langevin._BLOCK)
+    assert len(levels) == 5
+    u = np.random.default_rng(4).standard_normal((n_steps, 2))
+    recording = _RecordingNumpy()
+    with monkeypatch.context() as patch:
+        patch.setattr(langevin, "np", recording)
+        _propagate(u, levels)
+    for (m, k), (_, n) in recording.products:
+        assert m * k * n <= 4 * 65536, (m, k, n)
+    # the Toeplitz GEMMs cover both quadratures of every level's blocks
+    block = langevin._BLOCK
+    main = [m for (m, k), _ in recording.products if k == 2 * block]
+    n_blocks = [-(-n_steps // block)]
+    while n_blocks[-1] > 1:
+        n_blocks.append(-(-(n_blocks[-1] - 1) // block))
+    assert sum(main) == 2 * sum(n_blocks)
+
+
 @THREE_BATHS
 def test_gemm_tiles_do_not_change_the_states(A, C, dt):
     # 6037 steps: 95 blocks, the last one partial
     n_steps = 6037
-    E, B = _exact_step(A, _steady_covariance(A, C), dt)
+    E, B = _exact_step(A, C, dt)
     levels = _block_matrices(E, B, n_steps, 64)
     u = np.random.default_rng(8).standard_normal((n_steps, 2))
     whole = _propagate(u, levels)
@@ -458,6 +531,30 @@ def test_peak_memory_does_not_grow_with_the_trajectory_count(monkeypatch):
     assert grown <= 3 * results
 
 
+def test_worker_scratch_is_two_buffers_of_the_time_steps(monkeypatch):
+    # each worker holds its draws, which are also the GEMM input, and its
+    # states: 16 B a step each. The slack per worker covers the upper levels
+    # (their block ends, entries and states, about 3 B a step at 16-step
+    # blocks) and the carry product of one tile. A copy of the draws as
+    # GEMM rows adds another 16 B a step per worker.
+    _force_workers(monkeypatch, 2)
+    bath = desk_bath()
+
+    def peak(t_sample):
+        cfg = quick_cfg(n_traj=4, t_sample=t_sample, welch_segment=64)
+        tracemalloc.start()
+        try:
+            simulate(bath, cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(16.0)  # first-call allocations (imports, caches) out of the way
+    added = round(16.0 / 1.25e-3)
+    grown = peak(32.0) - peak(16.0)
+    assert grown <= 2 * (added * (2 * 16 + 4) + langevin._GEMM_ROWS * langevin._BLOCK * 8)
+
+
 def test_results_do_not_depend_on_the_block_size(monkeypatch):
     # 3600 steps in blocks of 4 recurse through six levels of block entries
     bath = desk_bath()
@@ -485,7 +582,7 @@ def test_trajectory_matches_a_long_double_loop_on_the_high_q_bath():
     got = _simulate_linear(A, C, cfg, keep_trajectories=2).raw_trajectories
 
     E = scipy.linalg.expm(A * dt).astype(np.longdouble)
-    _, B = _exact_step(A, _steady_covariance(A, C), dt)
+    _, B = _exact_step(A, C, dt)
     noise = np.stack([_traj_rng(cfg.seed, j).standard_normal((n_steps, 2)) for j in range(2)])
     noise = noise.astype(np.longdouble) @ B.T.astype(np.longdouble)
     Z = np.zeros((2, 2), dtype=np.longdouble)
@@ -496,6 +593,49 @@ def test_trajectory_matches_a_long_double_loop_on_the_high_q_bath():
     for q, name in enumerate("xp"):
         ref = want[:, :, q].T.astype(float)
         assert np.max(np.abs(got[name] - ref)) <= 1e-11 * np.max(np.abs(ref)), name
+
+
+def _van_loan_noise(A, C, dt):
+    # Q(dt) = F22^T F12 from exp([[-A, C], [0, A^T]] dt) at 50 digits
+    import mpmath
+
+    with mpmath.workdps(50):
+        M = mpmath.matrix(4, 4)
+        for i, j in itertools.product(range(2), range(2)):
+            M[i, j], M[i, j + 2], M[i + 2, j + 2] = -A[i, j] * dt, C[i, j] * dt, A[j, i] * dt
+        F = mpmath.expm(M)
+        Q = F[2:4, 2:4].T * F[0:2, 2:4]
+        return np.array([[float(Q[i, j]) for j in range(2)] for i in range(2)])
+
+
+@pytest.mark.parametrize(
+    "rates",
+    [
+        dict(omega_m=62.8, gamma_m=1.0, Gamma=200.0, n_bar=100.0, g=50.0),
+        dict(omega_m=1.0, gamma_m=1.0, Gamma=40.0, n_bar=3.0, g=50.0),
+        dict(omega_m=10.0, gamma_m=1e-3, Gamma=1e-3, n_bar=3.0, g=0.01),
+    ],
+    ids=["criterion4", "overdamped", "high_q"],
+)
+def test_one_step_noise_quadrature_is_converged_at_the_resolution_edge(rates):
+    # at dt*max(omega_m, gamma_m + g) = 0.099, the coarsest step simulate
+    # allows, the quadrature is within 2 ulp of the integral (12 nodes gave
+    # at most 2.4e-16 of max|Q|; 4 nodes gave up to 1.0e-15)
+    A, C = _bath_pair(**rates)
+    dt = 0.099 / max(rates["omega_m"], rates["gamma_m"] + rates["g"])
+    want = _van_loan_noise(A, C, dt)
+    assert np.max(np.abs(_noise_covariance(A, C, dt) - want)) <= 5e-16 * np.max(np.abs(want))
+
+
+@THREE_BATHS
+def test_stationary_covariance_of_the_recursion_is_the_steady_covariance(A, C, dt):
+    # the recursion's own fixed point, summed by doubling, is the continuous
+    # Lyapunov solution: the one-step noise is the exact integral
+    E, B = _exact_step(A, C, dt)
+    S = _stationary_covariance(E, B)
+    scale = np.max(np.abs(S))
+    assert np.max(np.abs(E @ S @ E.T + B @ B.T - S)) <= 1e-12 * scale
+    assert np.max(np.abs(S - _steady_covariance(A, C))) <= 1e-9 * scale
 
 
 def _critical(s2):
@@ -525,6 +665,17 @@ def test_langevin_imports_no_scipy():
     imported = [a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names]
     imported += [n.module or "" for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)]
     assert not [m for m in imported if m.split(".")[0] == "scipy"]
+
+
+def test_langevin_calls_no_level_1_blas():
+    # OpenBLAS threads ddot on long vectors, so under the worker pool it
+    # oversubscribes the cores: summing the x series with np.dot in the
+    # workers made simulate 2.2 times slower on 2 cores. Reductions over a
+    # trajectory are einsum, which numpy runs on the calling thread.
+    tree = ast.parse(Path(langevin.__file__).read_text(encoding="utf-8"))
+    called = {n.func.attr for n in ast.walk(tree)
+              if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)}
+    assert not called & {"dot", "vdot", "inner"}
 
 
 def test_simulate_does_not_call_scipy_welch(monkeypatch):

@@ -45,6 +45,15 @@ def test_closed_forms_use_no_oracle_code():
         assert not _references("steady_state", function) & oracle, function
 
 
+def test_monte_carlo_noise_model_uses_no_steady_state_solve():
+    # the one-step noise covariance is integrated from the drift and the
+    # diffusion: built from a steady covariance, it would make the simulated
+    # moments return that covariance, right or wrong
+    solves = {"_steady_covariance", "lyapunov_moments", "closed_form_moments"}
+    for function in ("_simulate_linear", "_exact_step"):
+        assert not _references("langevin", function) & solves, function
+
+
 def test_spectrum_evaluator_uses_no_closed_form():
     assert "closed_form_moments" not in _references("spectrum", "_x_spectrum")
 
