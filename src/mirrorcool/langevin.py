@@ -25,10 +25,14 @@ level-1 BLAS (``np.dot``), which OpenBLAS threads on long vectors.
 
 The trajectories run on a thread pool with a worker per usable core, at
 most ``_MAX_WORKERS`` (:func:`_pool_size`). A worker takes one
-trajectory at a time, runs it end to end in its own scratch buffers and
-writes only that trajectory's results; the draws are keyed by (seed,
-index), so results do not depend on the worker count, and memory grows
-with the workers, not with ``n_traj``. The Welch transform, the
+trajectory at a time and streams it through time chunks of at most
+``_CHUNK`` steps in its own scratch buffers: one chunk of draws, and one
+chunk of states behind the samples of the Welch segment left unfinished
+by the chunk before. The state leaving a chunk enters the next, the
+moment and Welch sums run on across chunks, and the worker writes only
+that trajectory's results. The draws are keyed by (seed, index), so
+results do not depend on the worker count, and memory grows with the
+workers, not with ``n_traj`` or ``t_sample``. The Welch transform, the
 spread of the PSD bins over the trajectories and the alias reference
 take ``_GROUP`` segments, trajectories or images at a time
 (:func:`_sum_rows`), so their transients are bounded by the group, not
@@ -62,8 +66,14 @@ _BLOCK = 16  # time steps per row of the propagation GEMM; results depend on it 
 # thread alone, and rows*(2*_BLOCK)*_BLOCK stays within that, 512 rows at
 # 16 steps a block, so the workers do not contend for OpenBLAS's threads
 _GEMM_ROWS = 4 * 65536 // (2 * _BLOCK * _BLOCK)
-# most worker threads: each holds about 32 bytes of scratch per time step
-# (draws, which are also the GEMM input, and states), so 16 hold at most 512
+# most time steps a worker propagates at once. Each chunk costs fixed work
+# (the upper levels of the propagation, the Welch set-up), about 0.1 ms on
+# one thread and more when the workers contend, so shorter chunks slow a
+# run down and longer ones only add scratch
+_CHUNK = 4 * _GEMM_ROWS * _BLOCK
+# most worker threads: each holds 32 bytes of scratch per step of a chunk
+# (draws, which are also the GEMM input, and states) plus 16 per step of a
+# Welch segment, about 1.1 MB at the default segment, so 16 hold about 17 MB
 _MAX_WORKERS = 16
 _QUAD_NODES = 12  # Gauss-Legendre nodes of the one-step noise integral (_exact_step)
 _SERIES_S2 = 1e-6  # below this |s^2|, _expm2 sums the Taylor series of cosh(s) and sinh(s)/s
@@ -271,8 +281,9 @@ def _propagate(
     levels: list[tuple[np.ndarray, np.ndarray]],
     out: np.ndarray | None = None,
     tile: int = _GEMM_ROWS,
+    entry: np.ndarray | None = None,
 ) -> np.ndarray:
-    """States Z_n = E Z_{n-1} + B u_n from Z_{-1} = 0 for the rows u_n of ``u`` (n, 2).
+    """States Z_n = E Z_{n-1} + B u_n from Z_{-1} = ``entry`` for the rows u_n of ``u`` (n, 2).
 
     Returns (2, n_blocks*block): x in row 0, p in row 1; past the last
     step the recursion continues on zero input. A ``u`` whose length is a
@@ -281,6 +292,12 @@ def _propagate(
     may be passed in for reuse. Every product is cut into row tiles of at
     most ``tile`` rows (:func:`_tiles`); the tiles do not change the
     product.
+
+    ``entry=None`` starts from zero. A given ``entry`` (2,), the state
+    before u_0, is the first input of the level above, whose B is the
+    identity, so it enters block 0 as the states leaving the blocks enter
+    the blocks after them; ``levels`` must then cover one block more than
+    ``u`` (:func:`_block_matrices` for ``len(u) + block`` steps).
     """
     toeplitz, carry = levels[0]
     block = carry.shape[1] // 2
@@ -296,17 +313,21 @@ def _propagate(
         for lo, hi in tiles:
             np.matmul(rows[lo:hi], toeplitz[:, q * block:(q + 1) * block],
                       out=blocks[q][lo:hi])
-    if n_blocks > 1:
-        # each block's last state from a zero entry; recursing on them, padded
-        # to whole blocks of the next level, gives the states entering the blocks
-        n_ends = n_blocks - 1
+    lead = 0 if entry is None else 1  # a given entry is the first input of the level above
+    n_ends = n_blocks - 1 + lead
+    if n_ends:
+        # each block's last state from a zero entry, after the given entry if
+        # any; recursing on them, padded to whole blocks of the next level,
+        # gives the states entering the blocks
         ends = np.zeros((-(-n_ends // block) * block, 2))
-        ends[:n_ends, 0], ends[:n_ends, 1] = blocks[0][:-1, -1], blocks[1][:-1, -1]
+        if lead:
+            ends[0] = entry
+        ends[lead:n_ends, 0], ends[lead:n_ends, 1] = blocks[0][:-1, -1], blocks[1][:-1, -1]
         entries = _propagate(ends, levels[1:], tile=tile)[:, :n_ends].T.copy()
-        for q in range(2):  # plus E^(i+1) times the state entering block i >= 1
+        for q in range(2):  # plus E^(i+1) times the state entering block i >= 1 - lead
             K_q = carry[:, q * block:(q + 1) * block]
             for lo, hi in _tiles(n_ends, tile):
-                blocks[q][1 + lo:1 + hi] += np.matmul(entries[lo:hi], K_q)
+                blocks[q][1 - lead + lo:1 - lead + hi] += np.matmul(entries[lo:hi], K_q)
     return out
 
 
@@ -332,7 +353,7 @@ def _pool_size(n_traj: int) -> int:
     return max(1, min(cores, _MAX_WORKERS, n_traj))
 
 
-def _sum_rows(n_rows: int, shape: tuple, fill) -> np.ndarray:
+def _sum_rows(n_rows: int, shape: tuple, fill, start: np.ndarray | None = None) -> np.ndarray:
     """The sum of ``n_rows`` rows of ``shape``, made ``_GROUP`` rows at a time.
 
     ``fill(lo, hi, out)`` writes rows ``lo`` to ``hi - 1`` into ``out``,
@@ -340,25 +361,32 @@ def _sum_rows(n_rows: int, shape: tuple, fill) -> np.ndarray:
     before, and one reduce over the buffer adds the next group to it:
     numpy reduces axis -2 of a C-contiguous array row after row, so the
     rows are added in the order, and to the bit, of one ``np.add.reduce``
-    over all of them.
+    over all of them. A ``start`` is a sum of rows before these, which
+    they are added to in the same order.
     """
     buf = np.empty(shape[:-1] + (min(n_rows, _GROUP) + 1, shape[-1]))
+    if start is not None:
+        buf[..., 0, :] = start
     for lo in range(0, n_rows, _GROUP):
         end = min(_GROUP, n_rows - lo) + 1  # the group's rows are 1..end-1
         fill(lo, lo + end - 1, buf[..., 1:end, :])
-        first = 0 if lo else 1  # no sum to carry into the first group
+        first = 0 if lo or start is not None else 1  # no sum to carry into the first group
         buf[..., 0, :] = np.add.reduce(buf[..., first:end, :], axis=-2)
     return buf[..., 0, :]
 
 
-def _welch(x: np.ndarray, fs: float, win: np.ndarray, noverlap: int) -> np.ndarray:
-    """Hann-window Welch density of each row of ``x`` at the rfft bins 0..nperseg//2.
+def _segment_powers(
+    x: np.ndarray, win: np.ndarray, noverlap: int, total: np.ndarray | None = None,
+) -> tuple[np.ndarray, int]:
+    """Sum of the windowed segment powers of each row of ``x``, and their count.
 
-    ``win`` is the periodic Hann window of ``nperseg`` points,
-    ``np.hanning(nperseg + 1)[:-1]``. The two-sided density (scipy's
-    ``welch`` with ``window="hann"``, ``detrend=False``,
-    ``return_onesided=False``) of a real series is even in f, so these
-    bins hold all of it: bin k stands for +-k*fs/nperseg.
+    The segments are ``len(win)`` samples long and start every
+    ``len(win) - noverlap`` samples; a segment's power is
+    |rfft(segment*win)|^2 at the bins 0..nperseg//2. The powers are added
+    to ``total``, the sum over earlier segments of the same series, in
+    order: a series cut into pieces, each passed on from the first sample
+    of the segment that the piece before did not finish, gives the sum of
+    the whole to the bit.
     """
     nperseg, step = len(win), len(win) - noverlap
     n_seg = (x.shape[-1] - nperseg) // step + 1
@@ -373,7 +401,19 @@ def _welch(x: np.ndarray, fs: float, win: np.ndarray, noverlap: int) -> np.ndarr
         np.square(spec.real, out=out)
         out += np.square(spec.imag)
 
-    total = _sum_rows(n_seg, x.shape[:-1] + (nperseg // 2 + 1,), power)
+    return _sum_rows(n_seg, x.shape[:-1] + (nperseg // 2 + 1,), power, total), n_seg
+
+
+def _welch_density(total: np.ndarray, n_seg: int, fs: float, win: np.ndarray) -> np.ndarray:
+    """Hann-window Welch density at the rfft bins 0..nperseg//2 from ``n_seg`` segment powers.
+
+    ``win`` is the periodic Hann window of ``nperseg`` points,
+    ``np.hanning(nperseg + 1)[:-1]``, and ``total`` the
+    :func:`_segment_powers` of a series. The two-sided density (scipy's
+    ``welch`` with ``window="hann"``, ``detrend=False``,
+    ``return_onesided=False``) of a real series is even in f, so these
+    bins hold all of it: bin k stands for +-k*fs/nperseg.
+    """
     # the division of power.mean(axis=-2), without its Python layer
     return total / n_seg / (fs * np.einsum("i,i->", win, win))
 
@@ -399,6 +439,9 @@ def _simulate_linear(
             "welch_segment", f"segment ({cfg.welch_segment}) exceeds samples ({n_samp})"
         )
     n_steps = n_relax + n_samp
+    if n_steps > np.iinfo(np.intp).max:  # past any array index
+        raise ValidationError("t_sample" if n_samp >= n_relax else "t_relax",
+                              f"{n_steps} time steps are more than an array can index")
 
     fs = 1.0 / cfg.dt
     seg = cfg.welch_segment
@@ -418,14 +461,17 @@ def _simulate_linear(
         psd_i = np.empty((cfg.n_traj, half))
     except (ValueError, MemoryError) as exc:
         raise ValidationError("n_traj", f"cannot allocate the trajectories: {exc}") from None
-    n_padded = -(-n_steps // _BLOCK) * _BLOCK
+    # the time steps in chunks of whole blocks, of nearly equal length and at
+    # most _CHUNK steps; only the last chunk may end in a partial block
+    n_blocks = -(-n_steps // _BLOCK)
+    n_chunks = -(-n_blocks // max(1, _CHUNK // _BLOCK))
+    chunk = -(-n_blocks // n_chunks) * _BLOCK  # the longest chunk
+    # the states of a chunk follow the samples of the Welch segment that the
+    # chunk before left unfinished, fewer than one segment
+    spare = seg if n_chunks > 1 else 0
     n_workers = _pool_size(cfg.n_traj)
-    try:  # each worker's draws, zero-padded to whole blocks, and states
-        scratch = [(np.zeros((n_padded, 2)), np.empty((2, n_padded)))
-                   for _ in range(n_workers)]
-    except (ValueError, MemoryError) as exc:
-        raise ValidationError("t_sample" if n_samp >= n_relax else "t_relax",
-                              f"cannot allocate the time steps: {exc}") from None
+    # each worker's draws, zero-padded to whole blocks, and states
+    scratch = [(np.zeros((chunk, 2)), np.empty((2, spare + chunk))) for _ in range(n_workers)]
     n_keep = max(0, min(keep_trajectories, cfg.n_traj))
     try:
         kept = {"x": np.empty((n_keep, n_samp)), "p": np.empty((n_keep, n_samp))}
@@ -434,7 +480,8 @@ def _simulate_linear(
                               f"cannot allocate the kept trajectories: {exc}") from None
 
     E, B = _exact_step(A, C, cfg.dt)
-    levels = _block_matrices(E, B, n_steps, _BLOCK)
+    levels = _block_matrices(E, B, chunk + _BLOCK, _BLOCK)  # a block more for the entering state
+    step = seg - noverlap  # Welch segment starts
 
     # each worker takes the next trajectory index from this shared iterator
     # (next() on a range iterator is atomic under the GIL): one job per
@@ -445,25 +492,51 @@ def _simulate_linear(
     def work(draws: np.ndarray, states: np.ndarray) -> None:
         try:
             for j in indices:
-                # the padding rows past n_steps stay zero
-                _traj_rng(cfg.seed, j).standard_normal((n_steps, 2), out=draws[:n_steps])
-                _propagate(draws, levels, out=states)
-                z = states[:, n_relax:n_steps]  # x in row 0, p in row 1
+                rng = _traj_rng(cfg.seed, j)
+                entry, carried, total, n_seg = None, 0, None, 0
+                xx = pp = xp = 0.0  # sums of x*x, p*p and x*p over the sampled steps
+                for c in range(n_chunks):
+                    lo = n_blocks * c // n_chunks * _BLOCK
+                    m = min(n_blocks * (c + 1) // n_chunks * _BLOCK, n_steps) - lo
+                    rows = -(-m // _BLOCK) * _BLOCK
+                    # one Philox stream per trajectory, drawn on chunk after chunk
+                    rng.standard_normal((m, 2), out=draws[:m])
+                    if m < rows:
+                        draws[m:rows] = 0.0  # the padding of a partial last block
+                    out = states[:, carried:carried + rows]
+                    _propagate(draws[:rows], levels, out=out, entry=entry)
+                    first = min(max(n_relax - lo, 0), m)  # the chunk's first sampled step
+                    z = out[:, first:m]  # x in row 0, p in row 1
 
-                # raw second moments about zero: the fluctuation process is
-                # zero-mean. Two rows per einsum call, as for a batch of
-                # trajectories: einsum sums a lone row in another order.
-                var_x_i[j], var_p_i[j] = np.einsum("ij,ij->i", z, z) / n_samp
-                cov_i[j] = np.einsum("ij,ij->i", z, z[::-1])[0] / n_samp
+                    # raw second moments about zero: the fluctuation process is
+                    # zero-mean. Two rows per einsum call, as for a batch of
+                    # trajectories: einsum sums a lone row in another order.
+                    sx, sp = np.einsum("ij,ij->i", z, z)
+                    xx, pp = xx + sx, pp + sp
+                    xp += np.einsum("ij,ij->i", z, z[::-1])[0]
 
-                p_one = _welch(z[0], fs, win, noverlap)
+                    if j < n_keep:
+                        span = slice(lo + first - n_relax, lo + m - n_relax)
+                        kept["x"][j, span], kept["p"][j, span] = z
+
+                    # the carried samples and this chunk's: nothing is carried
+                    # into a chunk that holds relaxation steps
+                    x = states[0, first:carried + m]
+                    if x.size >= seg:
+                        total, n_new = _segment_powers(x, win, noverlap, total)
+                        n_seg += n_new
+                        x = x[n_new * step:]
+                    if c + 1 < n_chunks:  # the state and the unfinished segment go on
+                        entry = out[:, m - 1].copy()
+                        carried = x.size
+                        states[0, :carried] = x
+
+                var_x_i[j], var_p_i[j], cov_i[j] = xx / n_samp, pp / n_samp, xp / n_samp
+                p_one = _welch_density(total, n_seg, fs, win)
                 # sum over the two-sided bins: 0 and Nyquist once, the others at +-f
                 two_sided = p_one[0] + 2 * p_one[1:half].sum() + p_one[half:].sum()
                 integ_i[j] = two_sided * (fs / seg)
                 psd_i[j] = p_one[:half]
-
-                if j < n_keep:
-                    kept["x"][j], kept["p"][j] = z
         except BaseException:
             for _ in indices:  # the other workers stop after their current trajectory
                 pass

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,6 +13,9 @@ from mirrorcool import (
     derive_coupling,
     with_gain,
 )
+
+from mirrorcool import bath as bath_module
+from mirrorcool.bath import EffectiveBath, _positivity_gap
 
 from conftest import random_stable_bath, reference_setup
 
@@ -235,3 +239,50 @@ def test_unstable_bath_error_carries_gamma_sign():
         bath_from_rates(omega_m=10.0, gamma_m=0.5, Gamma=10.0, eta=1.0,
                         n_bar=5.0, g=3.0, phi=math.pi / 2)
     assert err.value.gamma < 0
+
+
+def symbolic_block():
+    """The raw coefficient block gamma, N, M of bath_from_rates at a symbolic phase."""
+    import sympy as sp
+
+    gm, Gamma, eta, n_bar, g = sp.symbols("gamma_m Gamma eta n_bar g", positive=True)
+    phi = sp.Symbol("phi", real=True)
+    gamma = gm - g * sp.sin(phi)
+    fb_noise = g**2 / (4 * eta * Gamma)
+    N = (gm * (n_bar - sp.Rational(1, 2)) + Gamma / 4 + fb_noise + g * sp.sin(phi) / 2) / gamma
+    M = -(gm * n_bar + Gamma / 4 - fb_noise - sp.I * g * sp.cos(phi) / 2) / gamma
+    return SimpleNamespace(gamma=gamma, N=N, M=M, gamma_m=gm, Gamma=Gamma, eta=eta,
+                           n_bar=n_bar, g=g, phi=phi)
+
+
+def test_symbolic_block_is_the_one_bath_from_rates_builds():
+    sym = symbolic_block()
+    rates = dict(gamma_m=1.3, Gamma=200.0, eta=0.7, n_bar=100.0, g=40.0, phi=-1.1)
+    b = bath_from_rates(omega_m=62.8, **rates)
+    point = {getattr(sym, name): value for name, value in rates.items()}
+    assert float(sym.gamma.subs(point)) == pytest.approx(b.gamma, rel=1e-14)
+    assert float(sym.N.subs(point)) == pytest.approx(b.N, rel=1e-13)
+    assert complex(sym.M.subs(point)) == pytest.approx(b.M, rel=1e-13)
+
+
+def test_reduced_noise_and_gap_equal_their_raw_forms_at_every_phase(monkeypatch):
+    # the reductions of gamma(2N+1 +- 2Re M)/4, gamma*Im M/2 and
+    # N(N+1) - |M|^2, checked on symbols: phi, the gain and the rates are
+    # all free, so the identities hold at every phase, not only at -pi/2
+    import sympy as sp
+
+    sym = symbolic_block()
+    monkeypatch.setattr(bath_module, "math", SimpleNamespace(cos=sp.cos))
+    gamma, N, M = sym.gamma, sym.N, sym.M
+    raw = {
+        "noise_xx": gamma * (2 * N + 1 + 2 * sp.re(M)) / 4,
+        "noise_pp": gamma * (2 * N + 1 - 2 * sp.re(M)) / 4,
+        "noise_xp": gamma * sp.im(M) / 2,
+    }
+    for name, form in raw.items():
+        assert sp.simplify(getattr(EffectiveBath, name).fget(sym) - form) == 0, name
+    raw_gap = N * (N + 1) - M * sp.conjugate(M)
+    assert sp.simplify(_positivity_gap(sym) - raw_gap) == 0
+    # the g = 0 branches return the raw forms' values there
+    assert sp.simplify(raw["noise_xx"].subs(sym.g, 0)) == 0
+    assert sp.simplify(raw_gap.subs(sym.g, 0)) == sp.Rational(-1, 4)

@@ -890,9 +890,13 @@ MALFORMED = {
                            *refused("n_traj")),
     "sim_n_traj_huge": ("simulate", {**DESK_BATH, "sim": {**SIM, "n_traj": 10**400}}, [],
                         *refused("n_traj")),
+    # step counts past any array index, refused before any work
     "sim_t_sample_huge": ("simulate",
                           {**DESK_BATH, "sim": {**SIM, "dt": 1e-3, "t_sample": 1e300}}, [],
                           *refused("t_sample")),
+    "sim_t_relax_huge": ("simulate",
+                         {**DESK_BATH, "sim": {**SIM, "dt": 1e-3, "t_relax": 1e300}}, [],
+                         *refused("t_relax")),
     # step counts t/dt that overflow to inf
     "sim_t_sample_overflow": ("simulate",
                               {**DESK_BATH, "sim": {**SIM, "dt": 1e-20, "t_sample": 1e300}}, [],

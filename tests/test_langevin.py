@@ -29,7 +29,8 @@ from mirrorcool import langevin, steady_state
 from mirrorcool.errors import UnsupportedPhaseError
 from mirrorcool.langevin import (
     _SERIES_S2, _block_matrices, _exact_step, _expm2, _noise_covariance, _propagate,
-    _sampled_spectrum, _simulate_linear, _stationary_covariance, _traj_rng, _welch,
+    _sampled_spectrum, _segment_powers, _simulate_linear, _stationary_covariance, _traj_rng,
+    _welch_density,
 )
 from mirrorcool.steady_state import _steady_covariance
 
@@ -222,6 +223,11 @@ def test_stats_without_bath_snapshot_rejected():
     assert err.value.field == "stats"
 
 
+def _welch(x, fs, win, noverlap):
+    # the integrator's Welch density of a whole series
+    return _welch_density(*_segment_powers(x, win, noverlap), fs, win)
+
+
 @pytest.mark.parametrize("nperseg", [256, 255])
 @pytest.mark.parametrize("overlap", [0.0, 0.3, 0.5])
 @pytest.mark.parametrize("rows", [1, 8])
@@ -263,6 +269,26 @@ def test_welch_in_groups_equals_one_reduce_over_every_segment(n_seg, rows):
     assert np.array_equal(_welch(x, 20.0, win, nperseg // 2), want)
 
 
+@pytest.mark.parametrize("nperseg", [64, 63])
+def test_segment_powers_of_pieces_run_on_to_the_sum_of_the_whole(nperseg):
+    # each piece starts at the first segment the piece before did not
+    # finish, as the integrator carries its samples from chunk to chunk;
+    # cuts land mid-segment, mid-group and on a piece with no whole segment
+    x = np.random.default_rng(nperseg).standard_normal(5000)
+    win, noverlap = np.hanning(nperseg + 1)[:-1], nperseg // 2
+    step = nperseg - noverlap
+    want, n_want = _segment_powers(x, win, noverlap)
+    total, n_seg, start = None, 0, 0
+    for cut in (40, 1000, 1010, 3333, 5000):
+        piece = x[start:cut]
+        if piece.size >= nperseg:
+            total, n_new = _segment_powers(piece, win, noverlap, total)
+            n_seg += n_new
+            start += n_new * step
+    assert n_seg == n_want
+    assert np.array_equal(total, want)
+
+
 def test_welch_scratch_is_bounded_by_its_group():
     # 145 half-overlapping segments of 1024: one copy of the windowed
     # segments alone would be 1.2 MB
@@ -289,14 +315,14 @@ def test_alias_images_in_groups_equal_the_flat_evaluation():
 def test_psd_mean_and_spread_are_those_of_the_trajectory_rows(monkeypatch):
     # one worker runs the trajectories in index order, so the rows come in that order
     _force_workers(monkeypatch, 1)
-    rows, welch = [], langevin._welch
+    rows, welch = [], langevin._welch_density
 
     def recording(*args):
         power = welch(*args)
-        rows.append(power[:(len(args[2]) + 1) // 2])
+        rows.append(power[:(len(args[3]) + 1) // 2])
         return power
 
-    monkeypatch.setattr(langevin, "_welch", recording)
+    monkeypatch.setattr(langevin, "_welch_density", recording)
     stats = simulate(desk_bath(), quick_cfg(n_traj=6, t_sample=2.0, welch_segment=512))
     assert len(rows) == 6
     assert np.array_equal(stats.psd_values, np.mean(rows, axis=0))
@@ -477,7 +503,7 @@ def test_simulate_leaves_no_threads_behind(monkeypatch):
     simulate(desk_bath(), cfg)
     assert threading.enumerate() == before
 
-    calls, welch = itertools.count(), langevin._welch
+    calls, welch = itertools.count(), langevin._welch_density
 
     def failing_welch(*args, **kwargs):
         if next(calls) == 2:
@@ -485,7 +511,7 @@ def test_simulate_leaves_no_threads_behind(monkeypatch):
         return welch(*args, **kwargs)
 
     _force_workers(monkeypatch, 2)
-    monkeypatch.setattr(langevin, "_welch", failing_welch)
+    monkeypatch.setattr(langevin, "_welch_density", failing_welch)
     with pytest.raises(RuntimeError, match="welch failed"):
         simulate(desk_bath(), cfg)
     assert threading.enumerate() == before
@@ -494,7 +520,7 @@ def test_simulate_leaves_no_threads_behind(monkeypatch):
 def test_a_failing_trajectory_stops_the_other_workers(monkeypatch):
     # the first Welch call raises; the other worker finishes at most the
     # trajectory it is on, not the 62 left
-    calls, welch = itertools.count(), langevin._welch
+    calls, welch = itertools.count(), langevin._welch_density
 
     def failing_welch(*args, **kwargs):
         if next(calls) == 0:
@@ -502,7 +528,7 @@ def test_a_failing_trajectory_stops_the_other_workers(monkeypatch):
         return welch(*args, **kwargs)
 
     _force_workers(monkeypatch, 2)
-    monkeypatch.setattr(langevin, "_welch", failing_welch)
+    monkeypatch.setattr(langevin, "_welch_density", failing_welch)
     with pytest.raises(RuntimeError, match="welch failed"):
         simulate(desk_bath(), quick_cfg(n_traj=64, t_sample=2.0, welch_segment=512))
     assert next(calls) <= 8
@@ -532,13 +558,14 @@ def test_peak_memory_does_not_grow_with_the_trajectory_count(monkeypatch):
 
 
 def test_worker_scratch_is_two_buffers_of_the_time_steps(monkeypatch):
-    # each worker holds its draws, which are also the GEMM input, and its
-    # states: 16 B a step each. The slack per worker covers the upper levels
-    # (their block ends, entries and states, about 3 B a step at 16-step
-    # blocks) and the carry product of one tile. A copy of the draws as
-    # GEMM rows adds another 16 B a step per worker.
+    # within one chunk, each worker holds its draws, which are also the GEMM
+    # input, and its states: 16 B a step each. The slack per worker covers
+    # the upper levels (their block ends, entries and states, about 3 B a
+    # step at 16-step blocks) and the carry product of one tile. A copy of
+    # the draws as GEMM rows adds another 16 B a step per worker.
     _force_workers(monkeypatch, 2)
     bath = desk_bath()
+    assert round(32.5 / 1.25e-3) <= langevin._CHUNK  # both runs are one chunk
 
     def peak(t_sample):
         cfg = quick_cfg(n_traj=4, t_sample=t_sample, welch_segment=64)
@@ -569,6 +596,95 @@ def test_results_do_not_depend_on_the_block_size(monkeypatch):
     for name in ("var_x_hat", "var_p_hat", "cov_xp_hat", "psd_var_integral"):
         assert getattr(narrow, name) == pytest.approx(getattr(wide, name), rel=1e-12, abs=0)
     np.testing.assert_allclose(narrow.psd_values, wide.psd_values, rtol=1e-12, atol=0)
+
+
+@THREE_BATHS
+@pytest.mark.parametrize("split", [16, 3008, 6032], ids=["one_block", "middle", "partial_rest"])
+def test_propagation_from_an_entering_state_continues_the_whole(A, C, dt, split):
+    # 6037 steps cut at a block boundary: the second piece starts from the
+    # last state of the first. The rest of a cut at 6032 is a partial block.
+    n_steps, block = 6037, langevin._BLOCK
+    levels = _block_matrices(*_exact_step(A, C, dt), n_steps + block, block)
+    u = np.random.default_rng(split).standard_normal((n_steps, 2))
+    whole = _propagate(u, levels)[:, :n_steps]
+    head = _propagate(u[:split], levels)
+    rest = _propagate(u[split:], levels, entry=head[:, split - 1])
+    pieces = np.concatenate([head[:, :split], rest[:, :n_steps - split]], axis=1)
+    assert np.max(np.abs(pieces - whole)) <= 1e-12 * np.max(np.abs(whole))
+
+
+def test_propagation_without_an_entering_state_is_unchanged_by_the_extra_level():
+    # the entering state needs the levels of one block more; a run from a zero
+    # entry uses only the levels it needs, so its states are the same to the bit
+    A, C = _bath_pair(omega_m=62.8, gamma_m=1.0, Gamma=200.0, n_bar=100.0, g=50.0)
+    E, B = _exact_step(A, C, 1.25e-3)
+    u = np.random.default_rng(6).standard_normal((4096, 2))
+    block = langevin._BLOCK
+    want = _propagate(u, _block_matrices(E, B, 4096, block))
+    assert np.array_equal(_propagate(u, _block_matrices(E, B, 4096 + block, block)), want)
+
+
+@pytest.mark.parametrize("segment", [512, 511])
+@pytest.mark.parametrize("chunk", [48, 1000, 4096])
+def test_chunks_continue_the_trajectory(monkeypatch, chunk, segment):
+    # 1200 relaxation and 6403 sampled steps, 476 blocks with a partial last
+    # one. Chunks of 3 blocks (48 steps) end inside the relaxation and inside
+    # every Welch segment; chunks of 62 blocks (1000 steps) end in the
+    # relaxation and then inside segments; 4096 steps make two chunks.
+    dt = 1.25e-3
+    cfg = SimConfig(dt=dt, t_relax=1200 * dt, t_sample=6403 * dt, n_traj=3, seed=17,
+                    welch_segment=segment)
+    bath = desk_bath()
+    n_blocks = -(-7603 // langevin._BLOCK)
+    assert n_blocks > chunk // langevin._BLOCK  # more than one chunk
+    assert 7603 <= langevin._CHUNK  # the reference is one chunk
+    whole = simulate(bath, cfg, keep_trajectories=3)
+    monkeypatch.setattr(langevin, "_CHUNK", chunk)
+    chunked = simulate(bath, cfg, keep_trajectories=3)
+    for q in "xp":
+        want = whole.raw_trajectories[q]
+        assert np.max(np.abs(chunked.raw_trajectories[q] - want)) <= 1e-12 * np.max(np.abs(want))
+    for name in ("var_x_hat", "var_p_hat", "cov_xp_hat", "psd_var_integral",
+                 "var_x_stderr", "var_p_stderr", "cov_xp_stderr", "psd_var_integral_stderr"):
+        assert getattr(chunked, name) == pytest.approx(getattr(whole, name), rel=1e-12, abs=0), name
+    np.testing.assert_allclose(chunked.psd_values, whole.psd_values, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(chunked.psd_stderr, whole.psd_stderr, rtol=1e-12, atol=0)
+
+
+def test_results_do_not_depend_on_the_worker_count_over_several_chunks(monkeypatch):
+    # 3600 steps in chunks of 62 blocks are four chunks
+    monkeypatch.setattr(langevin, "_CHUNK", 1000)
+    cfg = quick_cfg(n_traj=6, t_sample=4.0, welch_segment=512)
+    assert -(-3600 // langevin._BLOCK) > 3 * (1000 // langevin._BLOCK)
+    runs = []
+    for workers in (1, 2, 3):
+        _force_workers(monkeypatch, workers)
+        runs.append(simulate(desk_bath(), cfg, keep_trajectories=4))
+    _assert_identical(runs)
+
+
+def test_worker_scratch_does_not_grow_with_the_run_length(monkeypatch):
+    # a trajectory streams through chunks: going from two chunks of steps to
+    # four adds no scratch. A worker that held the whole trajectory would add
+    # 32 B a step, 4 MB here for the two workers.
+    _force_workers(monkeypatch, 2)
+    bath, dt = desk_bath(), 1.25e-3
+
+    def peak(n_chunks):
+        n_samp = n_chunks * langevin._CHUNK - 400
+        cfg = quick_cfg(n_traj=4, t_sample=n_samp * dt, welch_segment=512)
+        tracemalloc.start()
+        try:
+            simulate(bath, cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(2)  # first-call allocations (imports, caches) out of the way
+    # the two workers' transients (a Welch group, a carry product) meet at
+    # different times in different runs; a longer run has more chances to
+    # meet at their largest, so the shorter one takes the best of three
+    assert peak(4) - max(peak(2) for _ in range(3)) <= 64 * 1024
 
 
 def test_trajectory_matches_a_long_double_loop_on_the_high_q_bath():
