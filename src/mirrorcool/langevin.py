@@ -16,12 +16,17 @@ propagator, solved the same way one level up. Each worker's draw buffer
 is itself the input of those products, read in place, and every product
 is cut into row tiles small enough that OpenBLAS runs it on one thread
 (``_GEMM_ROWS``). E is the closed-form 2x2 exponential :func:`_expm2`,
-and B is the square root of the one-step noise covariance integrated
-from the drift and diffusion alone (:func:`_exact_step`), so the
-simulated moments owe nothing to the steady covariance they are checked
-against. The spectrum is a numpy Welch estimate (periodic Hann window,
-mean of segment periodograms). This module imports no scipy and calls no
-level-1 BLAS (``np.dot``), which OpenBLAS threads on long vectors.
+and B is the closed-form square root (:func:`_sqrt_psd`) of the one-step
+noise covariance integrated from the drift and diffusion alone
+(:func:`_exact_step`), so the simulated moments owe nothing to the
+steady covariance they are checked against. The spectrum is a numpy
+Welch estimate (periodic Hann window, mean of segment periodograms).
+This module imports no scipy and calls no level-1 BLAS (``np.dot``),
+which OpenBLAS threads on long vectors. Nor does it call LAPACK: every
+matrix is 2x2, so the stability check and slowest rate
+(:func:`_slowest_rate`), the square root, the inverse behind
+``tau_int`` and the Gauss-Legendre rule (:func:`_gauss_legendre`) are
+closed forms.
 
 The trajectories run on a thread pool with a worker per usable core, at
 most ``_MAX_WORKERS`` (:func:`_pool_size`). A worker takes one
@@ -142,13 +147,31 @@ class TrajectoryEnsembleStats:
 
 
 def _sqrt_psd(mat: np.ndarray, what: str) -> np.ndarray:
-    """Symmetric PSD square root; raises NoiseModelError when indefinite."""
-    sym = 0.5 * (mat + mat.T)
-    vals, vecs = np.linalg.eigh(sym)
-    scale = max(abs(vals[0]), abs(vals[-1]), 1e-300)
-    if vals[0] < -1e-12 * scale:
-        raise NoiseModelError(float(vals[0]), what)
-    return vecs @ np.diag(np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
+    """Symmetric PSD square root of a 2x2 matrix; raises NoiseModelError when indefinite.
+
+    With eigenvalues lo <= hi, sqrt(M) = (M + s I)/t where s = sqrt(det M)
+    and t = sqrt(tr M + 2 s), since M^2 = tr(M) M - det(M) I. Roundoff in
+    det M enters B B^T only as (s^2 - det M)/t^2, so a near-singular M
+    loses nothing. M is refused when lo < -1e-12*max(|lo|, |hi|, 1e-300);
+    a smaller negative lo is clipped to zero, which leaves
+    sqrt(hi) (M - lo I)/(hi - lo). lo is det M over hi when the trace is
+    positive, so it does not cancel. The root is evaluated in long
+    double, whose range holds every product of two double entries, and
+    rounded once, as in :func:`_expm2`.
+    """
+    (a, b), (c, d) = np.asarray(mat, dtype=np.longdouble)
+    b = (b + c) / 2
+    half, r, det = (a + d) / 2, np.hypot((a - d) / 2, b), a * d - b * b
+    hi = half + r
+    lo = det / hi if half > 0 else half - r
+    if lo < -1e-12 * max(abs(lo), abs(hi), 1e-300):
+        raise NoiseModelError(float(lo), what)
+    if lo < 0:  # clipped: hi > 0 here
+        shift, k = -lo, np.sqrt(hi) / (hi - lo)
+    else:
+        shift = np.sqrt(det)
+        k = 1 / np.sqrt(a + d + 2 * shift) if half > 0 else 0  # else M is zero
+    return (np.array([[a + shift, b], [b, d + shift]]) * k).astype(float)
 
 
 def _expm2(M: np.ndarray) -> np.ndarray:
@@ -182,6 +205,34 @@ def _expm2(M: np.ndarray) -> np.ndarray:
     return (scale * (cosh * np.eye(2, dtype=np.longdouble) + sinhc * N)).astype(float)
 
 
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the ``n``-point Gauss-Legendre rule on [-1, 1].
+
+    Each node x > 0 is Newton's iteration on P_n from the guess
+    cos(pi (i + 3/4)/(n + 1/2)), with P_n and P_(n-1) from the recurrence
+    k P_k = (2k - 1) x P_(k-1) - (k - 1) P_(k-2) and the derivative
+    P_n' = n (P_(n-1) - x P_n)/(1 - x^2); its weight is
+    2 (1 - x^2)/(n P_(n-1))^2, which takes no derivative. Both are
+    evaluated in long double and rounded once, and the rule is made
+    symmetric about 0.
+    """
+    one = np.longdouble(1)
+    nodes, weights = np.zeros(n), np.zeros(n)
+    for i in range((n + 1) // 2):
+        x = np.longdouble(math.cos(math.pi * (i + 0.75) / (n + 0.5)))
+        for _ in range(16):  # quadratic convergence from the guess: about 5 passes
+            p, q = one, np.longdouble(0)  # P_n and P_(n-1)
+            for k in range(1, n + 1):
+                p, q = ((2 * k - 1) * x * p - (k - 1) * q) / k, p
+            step = p * (one - x) * (one + x) / (n * (q - x * p))
+            if x - step == x:
+                break
+            x -= step
+        nodes[n - 1 - i], nodes[i] = x, -x
+        weights[i] = weights[n - 1 - i] = 2 * (one - x) * (one + x) / (n * q) ** 2
+    return nodes, weights
+
+
 def _noise_covariance(A: np.ndarray, C: np.ndarray, dt: float) -> np.ndarray:
     """Covariance that the noise of dZ = A Z dt + noise, of diffusion ``C``, adds over ``dt``.
 
@@ -191,7 +242,7 @@ def _noise_covariance(A: np.ndarray, C: np.ndarray, dt: float) -> np.ndarray:
     steady covariance, and as a sum of positive semidefinite terms it has
     none of the cancellation of order gamma*dt in sigma - E sigma E^T.
     """
-    nodes, weights = np.polynomial.legendre.leggauss(_QUAD_NODES)
+    nodes, weights = _gauss_legendre(_QUAD_NODES)
     Q = np.zeros((2, 2))
     for s, w in zip(dt * (nodes + 1) / 2, dt * weights / 2):
         F = _expm2(A * s)
@@ -207,6 +258,25 @@ def _exact_step(A: np.ndarray, C: np.ndarray, dt: float) -> tuple[np.ndarray, np
     """
     E = _expm2(A * dt)
     return E, _sqrt_psd(_noise_covariance(A, C, dt), "per-step noise covariance")
+
+
+def _slowest_rate(A: np.ndarray) -> float:
+    """Smallest decay rate -Re(lambda) over the eigenvalues of the 2x2 drift ``A``.
+
+    From the trace and determinant alone: it is positive, the drift
+    strictly stable, iff tr A < 0 < det A (Routh-Hurwitz). With
+    h = tr(A)/2, a complex pair or a double root (h^2 <= det) decays at
+    -h; real roots are h +- sqrt(h^2 - det), and the one nearer zero is
+    det over the other, so nothing cancels. Evaluated in long double,
+    where no product of the entries overflows.
+    """
+    (a, b), (c, d) = np.asarray(A, dtype=np.longdouble)
+    half, det = (a + d) / 2, a * d - b * c
+    disc = half * half - det
+    if disc <= 0:
+        return float(-half)
+    far = half + np.copysign(np.sqrt(disc), half)
+    return float(-max(far, det / far))
 
 
 def _stationary_covariance(E: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -427,9 +497,9 @@ def _simulate_linear(
     """Core integrator over an arbitrary stable 2x2 drift/diffusion pair."""
     from concurrent.futures import ThreadPoolExecutor
 
-    eigs = np.linalg.eigvals(A)
-    if eigs.real.max() >= 0:
-        raise StabilityError(f"drift eigenvalues not strictly stable: {eigs}")
+    rate = _slowest_rate(A)
+    if not rate > 0:
+        raise StabilityError(f"drift not strictly stable: slowest decay rate {rate:g}")
     _sqrt_psd(C, f"input noise covariance C={C.tolist()}")
 
     n_samp = _step_count("t_sample", cfg.t_sample, cfg.dt)
@@ -552,8 +622,10 @@ def _simulate_linear(
 
     # integrated autocorrelation time of X: the analytic drift on the
     # recursion's own stationary covariance
-    sigma = _stationary_covariance(E, B)
-    tau_int = float((-np.linalg.inv(A) @ sigma)[0, 0] / sigma[0, 0])
+    # (-A^-1 sigma)[0, 0]/sigma[0, 0], with A^-1 = adj(A)/det(A)
+    (s_xx, _), (s_px, _) = _stationary_covariance(E, B).tolist()
+    (a, b), (c, d) = A.tolist()
+    tau_int = (b * s_px - d * s_xx) / ((a * d - b * c) * s_xx)
     n_effective = n * cfg.t_sample / max(2 * tau_int, cfg.dt)
 
     # the sums of np.std(psd_i, axis=0, ddof=1), without a temporary the
@@ -614,7 +686,7 @@ def simulate(
         raise ValidationError(
             "dt", f"dt*max(omega_m, gamma_m+g) = {cfg.dt * fastest:g} must be < 0.1"
         )
-    gamma_slow = float(np.min(np.abs(np.linalg.eigvals(A).real)))
+    gamma_slow = _slowest_rate(A)
     if cfg.t_relax < 10.0 / gamma_slow:
         raise ValidationError(
             "t_relax", f"must be at least 10/gamma_slow = {10.0 / gamma_slow:g} s"

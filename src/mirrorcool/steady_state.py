@@ -15,7 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bath import EffectiveBath, require_stable, with_gain
-from .errors import StabilityError, UnsupportedPhaseError, ValidationError
+from .errors import (
+    NumericalError, StabilityBoundaryError, StabilityError, UnsupportedPhaseError, ValidationError,
+)
 from .params import HBAR, K_B
 
 __all__ = [
@@ -106,15 +108,47 @@ def diffusion_matrix(bath: EffectiveBath) -> np.ndarray:
     )
 
 
-def _steady_covariance(A: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """Symmetric S = [[x, z], [z, y]] solving A*S + S*A^T + C = 0, C symmetric.
+def _lyapunov_terms(a, b, c, d, p, q, r):
+    """Numerators of (x, y, z) and their common denominator -2*tr(A)*det(A).
 
-    Three real equations in (x, y, z), with determinant 4*trace(A)*det(A):
-    regular for every stable drift.
+    For A = [[a, b], [c, d]] and C = [[p, q], [q, r]], the solution
+    S = [[x, z], [z, y]] of A*S + S*A^T + C = 0 is
+    S = -(det(A) C + Abar C Abar^T)/(2 tr(A) det(A)) with
+    Abar = A - tr(A) I = [[-d, b], [c, -a]]. Its entries are expanded
+    here into sums of products of the inputs: the product form, evaluated
+    as written, cancels when one rate dwarfs the others (b^2 q against
+    b^2 q in z when b is omega_m). Plain arithmetic, so it runs on floats
+    and symbols alike.
     """
-    (a, b), (c, d) = A
-    system = np.array([[2 * a, 0.0, 2 * b], [0.0, 2 * d, 2 * c], [c, b, a + d]])
-    x, y, z = np.linalg.solve(system, -np.array([C[0, 0], C[1, 1], C[0, 1]]))
+    det = a * d - b * c
+    numerators = (
+        det * p + d * d * p - 2 * b * d * q + b * b * r,
+        det * r + c * c * p - 2 * a * c * q + a * a * r,
+        2 * a * d * q - c * d * p - a * b * r,
+    )
+    return numerators, -2 * (a + d) * det
+
+
+def _steady_covariance(A: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """Symmetric S solving A*S + S*A^T + C = 0, C symmetric, in closed form.
+
+    The closed form (:func:`_lyapunov_terms`) is regular for every
+    stable drift (tr A < 0 < det A). It is evaluated in long double,
+    whose range holds every product of three double inputs, so no product
+    over- or underflows at any scale of the rates, and rounded once. A
+    singular system (tr(A)*det(A) = 0) is refused as the stability
+    boundary, and a solution past the double range with NumericalError.
+    """
+    (a, b), (c, d) = A.tolist()
+    (p, q), (_, r) = C.tolist()
+    (x, y, z), denom = _lyapunov_terms(*map(np.longdouble, (a, b, c, d, p, q, r)))
+    if denom == 0:
+        raise StabilityBoundaryError("Lyapunov system is singular: trace(A)*det(A) = 0")
+    x, y, z = (float(v / denom) for v in (x, y, z))
+    if not all(map(math.isfinite, (x, y, z))):
+        raise NumericalError(
+            f"steady covariance leaves the float range: var_x = {x:g}, var_p = {y:g}"
+        )
     return np.array([[x, z], [z, y]])
 
 

@@ -845,6 +845,49 @@ def test_fock_loads_no_scipy(tmp_path):
     })
 
 
+def _refuse_linalg(monkeypatch):
+    """Make every numpy.linalg function raise."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.linalg called")
+
+    for name in dir(np.linalg):
+        if not name.startswith("_") and callable(getattr(np.linalg, name)) \
+                and not isinstance(getattr(np.linalg, name), type):
+            monkeypatch.setattr(np.linalg, name, refuse)
+
+
+def test_monte_carlo_and_lyapunov_routes_call_no_linalg(tmp_path, capsys, monkeypatch):
+    # every matrix of these routes is 2x2 and solved in closed form; only
+    # fock and optimize_gain (np.roots) keep LAPACK
+    _refuse_linalg(monkeypatch)
+    with pytest.raises(AssertionError, match="numpy.linalg called"):
+        np.linalg.eigvals(np.eye(2))
+    bath = bath_from_rates(**DESK_BATH["bath"])
+    stats = mirrorcool.simulate(bath, mirrorcool.SimConfig(**SIM))
+    assert math.isfinite(mirrorcool.psd_vs_analytic(stats).peak_rel_dev)
+    assert math.isfinite(mirrorcool.lyapunov_moments(with_gain(bath, 10.0)).var_x)
+    sim = write_config(tmp_path, {**DESK_BATH, "sim": SIM}, "sim.json")
+    sweep = write_config(tmp_path, {**DESK_BATH, "sweep": {"g": [10.0, 50.0], "phi": [-1.0, 0.3]}},
+                         "sweep.json")
+    for argv in (["compare", "--config", sim], ["variance", "--config", sim],
+                 ["sweep", "--config", sweep]):
+        assert run(argv) == 0, argv
+    capsys.readouterr()
+
+
+def test_cold_compare_imports_no_numpy_polynomial(tmp_path):
+    sim = write_config(tmp_path, {**DESK_BATH, "sim": SIM})
+    script = ("import sys, mirrorcool.cli\n"
+              "code = mirrorcool.cli.main(sys.argv[1:])\n"
+              "print(code, 'numpy.polynomial' in sys.modules)\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", script, "compare", "--config", sim,
+                           "--out", str(tmp_path / "compare.json")],
+                          capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+    assert proc.stdout.split() == ["0", "False"]
+
+
 SIM = {"dt": 1.25e-3, "t_relax": 0.5, "t_sample": 4.0, "n_traj": 8, "seed": 5,
        "welch_segment": 1024}
 SETUP = json.loads(REFERENCE_CONFIG.read_text())["setup"]
@@ -942,6 +985,9 @@ MALFORMED = {
                          *failed("bath coefficients")),
     "sweep_g_overflow": ("sweep", {**DESK_BATH, "sweep": {"g": [1e200]}}, [],
                          *failed("bath coefficients")),
+    # a finite bath whose Lyapunov var_p (about 1e322) is past the float range
+    "lyapunov_overflow": ("variance", with_bath(omega_m=1e-160, gamma_m=0.0, g=1.0, phi=-1.0), [],
+                          *failed("steady covariance leaves the float range")),
     "grid_span_overflow": ("spectrum",
                            {**DESK_BATH, "grid": {"omega_min": -1e308, "omega_max": 1e308}},
                            [], *failed("non-finite spectrum")),

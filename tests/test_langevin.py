@@ -28,9 +28,9 @@ from mirrorcool import (
 from mirrorcool import langevin, steady_state
 from mirrorcool.errors import UnsupportedPhaseError
 from mirrorcool.langevin import (
-    _SERIES_S2, _block_matrices, _exact_step, _expm2, _noise_covariance, _propagate,
-    _sampled_spectrum, _segment_powers, _simulate_linear, _stationary_covariance, _traj_rng,
-    _welch_density,
+    _QUAD_NODES, _SERIES_S2, _block_matrices, _exact_step, _expm2, _gauss_legendre,
+    _noise_covariance, _propagate, _sampled_spectrum, _segment_powers, _simulate_linear,
+    _slowest_rate, _sqrt_psd, _stationary_covariance, _traj_rng, _welch_density,
 )
 from mirrorcool.steady_state import _steady_covariance
 
@@ -776,6 +776,177 @@ def test_expm2_matches_scipy_expm(M):
     assert np.max(np.abs(_expm2(M) - want)) <= 1e-14 * np.max(np.abs(want))
 
 
+def _eigh_sqrt(M):
+    # the eigendecomposition reference: clip, refusal and root as eigh gives them
+    vals, vecs = np.linalg.eigh(0.5 * (M + M.T))
+    scale = max(abs(vals[0]), abs(vals[-1]), 1e-300)
+    refused = vals[0] < -1e-12 * scale
+    return vals[0], refused, vecs @ np.diag(np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
+
+
+def _rotated(lo, hi, angle):
+    R = np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
+    return R @ np.diag([lo, hi]) @ R.T
+
+
+def _spd_matrices(rng, kind, n=200):
+    for _ in range(n):
+        G = rng.normal(size=(2, 2))
+        v, u = rng.normal(size=2), rng.normal(size=2)
+        yield {
+            "random": G @ G.T,
+            "near_singular": np.outer(v, v) + 1e-10 * np.outer(u, u),
+            "rank_one": np.outer(v, v),
+            "diagonal": np.diag(rng.uniform(0.0, 1.0, 2)),
+            "scaled_up": G @ G.T * 1e150,
+            "scaled_down": G @ G.T * 1e-150,
+        }[kind]
+
+
+@pytest.mark.parametrize("kind", ["random", "near_singular", "rank_one", "diagonal",
+                                  "scaled_up", "scaled_down"])
+def test_closed_form_square_root_squares_back(kind):
+    # (M + sqrt(det M) I)/sqrt(tr M + 2 sqrt(det M)) in long double: B B^T is
+    # within 4 ulp of max|M| (at most 3.8 over 20000 draws of each kind)
+    rng = np.random.default_rng(7)
+    for M in _spd_matrices(rng, kind):
+        B = _sqrt_psd(M, "M")
+        assert np.array_equal(B, B.T)
+        assert np.max(np.abs(B @ B.T - M)) <= 4 * np.spacing(np.max(np.abs(M)))
+
+
+@pytest.mark.parametrize("ratio", [-1e-11, -2e-12, -1.1e-12, -0.9e-12, -5e-13, -1e-13, 0.0, 1e-13])
+@pytest.mark.parametrize("scale", [1.0, 1e-150, 1e150])
+def test_square_root_refuses_and_clips_as_eigh_does(ratio, scale):
+    # refused below -1e-12 of the spectral radius, clipped to zero above it:
+    # the clipped root is eigh's rank-one root. An unclipped root is not
+    # compared with eigh's, as sqrt amplifies an ulp of a tiny eigenvalue.
+    M = _rotated(ratio * scale, scale, 0.7)
+    lo, refused, root = _eigh_sqrt(M)
+    if refused:
+        with pytest.raises(NoiseModelError) as err:
+            _sqrt_psd(M, "M")
+        assert err.value.min_eigenvalue == pytest.approx(lo, rel=1e-3)
+        return
+    B = _sqrt_psd(M, "M")
+    if ratio < 0:
+        assert np.max(np.abs(B - root)) <= 4 * np.spacing(np.max(np.abs(root)))
+    else:
+        assert np.max(np.abs(B @ B.T - M)) <= 4 * np.spacing(np.max(np.abs(M)))
+
+
+def test_square_root_of_zero_is_zero():
+    assert np.array_equal(_sqrt_psd(np.zeros((2, 2)), "M"), np.zeros((2, 2)))
+
+
+def _exact_slowest_rate(A):
+    import mpmath
+
+    with mpmath.workdps(50):
+        return float(-max(mpmath.re(v) for v in mpmath.eig(mpmath.matrix(A.tolist()))[0]))
+
+
+@pytest.mark.parametrize(
+    "A",
+    [
+        np.array([[-1.0, 5.0], [-5.0, -1.0]]),           # complex pair, stable
+        np.array([[1.0, 5.0], [-5.0, -0.5]]),            # complex pair, unstable
+        np.array([[0.0, 5.0], [-5.0, 0.0]]),             # undamped: not strictly stable
+        np.array([[-2.0, 1.0], [0.0, -2.0]]),            # double root, defective
+        np.array([[-1.0, 1.0], [-0.25, 0.0]]),           # double root -1/2, dense
+        np.array([[-3.0, 0.0], [0.0, -3.0]]),            # double root, diagonal
+        np.array([[-1.0, 1e-4], [-1e-6, -1e-9]]),        # det << tr^2
+        np.array([[-1e3, 2.0], [3.0, -1e-3]]),           # det << tr^2, both real
+        np.array([[-1.0, 1.0], [1.0, 1e-3]]),            # a saddle
+        np.array([[1.0, 0.0], [0.0, 2.0]]),              # both roots positive
+        _bath_pair(omega_m=62.8, gamma_m=1.0, Gamma=200.0, n_bar=100.0, g=50.0)[0],
+        _bath_pair(omega_m=1.0, gamma_m=1.0, Gamma=40.0, n_bar=3.0, g=50.0)[0],
+        _bath_pair(omega_m=10.0, gamma_m=1e-3, Gamma=1e-3, n_bar=3.0, g=0.01)[0],
+    ],
+    ids=["complex_stable", "complex_unstable", "undamped", "defective", "double_dense",
+         "double_diagonal", "det_tiny", "det_tiny_real", "saddle", "unstable_node",
+         "criterion4", "overdamped", "high_q"],
+)
+def test_slowest_rate_is_that_of_the_eigenvalues(A):
+    # the trace/determinant verdict is the eigenvalue verdict, and the rate
+    # is within 4 ulp of the 50-digit one; eigvals itself is only as good as
+    # the conditioning of the roots (about 1e-8 at a defective double root)
+    rate = _slowest_rate(A)
+    eigvals = -np.linalg.eigvals(A).real.max()
+    exact = _exact_slowest_rate(A)
+    assert (rate > 0) == (eigvals > 0) == (exact > 0)
+    assert abs(rate - exact) <= 4 * np.spacing(abs(exact))
+    assert rate == pytest.approx(eigvals, rel=1e-7)
+
+
+def test_slowest_rate_verdict_matches_eigvals_on_random_drifts():
+    rng = np.random.default_rng(3)
+    for _ in range(2000):
+        A = rng.normal(size=(2, 2)) * 10.0 ** rng.uniform(-3, 3, size=(2, 2))
+        eigvals = -np.linalg.eigvals(A).real.max()
+        rate = _slowest_rate(A)
+        assert (rate > 0) == (eigvals > 0)
+        assert rate == pytest.approx(eigvals, rel=1e-9)
+
+
+def test_square_root_form_squares_to_the_matrix():
+    # ((M + s I)/t)^2 = M for every symmetric M once s^2 = det M and
+    # t^2 = tr M + 2 s: Cayley-Hamilton, M^2 = tr(M) M - det(M) I
+    import sympy as sp
+
+    m1, m2, m3, s = sp.symbols("m1 m2 m3 s")
+    M = sp.Matrix([[m1, m2], [m2, m3]])
+    t_squared = M.trace() + 2 * s
+    residual = ((M + s * sp.eye(2)) ** 2 - t_squared * M).expand()  # t^2 (B^2 - M)
+    assert residual.subs(s**2, M.det()).expand() == sp.zeros(2, 2)
+
+
+def test_trace_determinant_verdict_is_the_eigenvalue_verdict():
+    # every real 2x2 drift has a complex pair alpha +- i*beta or two real
+    # roots; in each case "tr < 0 and det > 0" holds exactly when both roots
+    # have negative real part (tr and det are sum and product of the roots)
+    import sympy as sp
+
+    def verdict(roots):
+        tr, det = sp.expand(sum(roots)), sp.expand(roots[0] * roots[1])
+        return sp.And(tr < 0, det > 0)
+
+    neg, pos = sp.symbols("u", negative=True), sp.symbols("v", positive=True)
+    nonneg, real = sp.symbols("w", nonnegative=True), sp.symbols("x", real=True)
+    beta = sp.symbols("beta", positive=True)
+    # complex pair: stable iff alpha < 0
+    assert verdict([neg + sp.I * beta, neg - sp.I * beta]) == sp.true
+    assert verdict([nonneg + sp.I * beta, nonneg - sp.I * beta]) == sp.false
+    # real roots: stable iff both are negative
+    assert verdict([neg, -pos]) == sp.true
+    assert verdict([nonneg, -pos]) == sp.false  # det <= 0
+    assert verdict([nonneg, pos]) == sp.false   # tr > 0
+    assert verdict([nonneg, nonneg]) == sp.false
+    # the real root nearer zero is det over the other (Vieta): with
+    # h = tr/2 and d = h^2 - det, (h + sqrt(d)) (h - sqrt(d)) = det
+    h, det = sp.symbols("h det", real=True)
+    root = sp.sqrt(h**2 - det)
+    assert sp.expand((h + root) * (h - root)) == det
+
+
+def test_gauss_legendre_rule_is_the_50_digit_rule():
+    # nodes within 2 ulp of leggauss; the weights within 2 ulp of the
+    # 50-digit rule, which leggauss(12) misses by up to 60 ulp at the end nodes
+    import mpmath
+
+    nodes, weights = _gauss_legendre(_QUAD_NODES)
+    ref_nodes, _ = np.polynomial.legendre.leggauss(_QUAD_NODES)
+    assert np.all(np.abs(nodes - ref_nodes) <= 2 * np.spacing(np.abs(ref_nodes)))
+    with mpmath.workdps(50):
+        rule = sorted(mpmath.calculus.quadrature.GaussLegendre(mpmath.mp).calc_nodes(3, 50))
+    assert len(rule) == _QUAD_NODES
+    exact_nodes = np.array([float(x) for x, _ in rule])
+    exact_weights = np.array([float(w) for _, w in rule])
+    assert np.all(np.abs(nodes - exact_nodes) <= 2 * np.spacing(np.abs(exact_nodes)))
+    assert np.all(np.abs(weights - exact_weights) <= 2 * np.spacing(exact_weights))
+    assert np.array_equal(nodes, -nodes[::-1]) and np.array_equal(weights, weights[::-1])
+
+
 def test_langevin_imports_no_scipy():
     tree = ast.parse(Path(langevin.__file__).read_text(encoding="utf-8"))
     imported = [a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names]
@@ -833,3 +1004,15 @@ def test_sim_config_validation(kwargs, field):
 def test_n_effective_reported():
     stats = simulate(desk_bath(), quick_cfg(n_traj=8, t_sample=4.0))
     assert stats.n_effective > stats.n_traj
+
+
+@THREE_BATHS
+def test_n_effective_uses_the_integrated_autocorrelation_time(A, C, dt):
+    # tau_int = (-A^-1 sigma)[0, 0]/sigma[0, 0] on the recursion's own
+    # stationary covariance; the inverse here is numpy's
+    cfg = SimConfig(dt=dt, t_relax=400 * dt, t_sample=2048 * dt, n_traj=2, seed=3,
+                    welch_segment=512)
+    sigma = _stationary_covariance(*_exact_step(A, C, dt))
+    tau_int = (-np.linalg.inv(A) @ sigma)[0, 0] / sigma[0, 0]
+    stats = _simulate_linear(A, C, cfg)
+    assert stats.n_effective == pytest.approx(2 * cfg.t_sample / max(2 * tau_int, dt), rel=1e-12)

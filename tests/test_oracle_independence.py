@@ -84,3 +84,27 @@ def test_no_module_imports_scipy():
         imported = [a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names]
         imported += [n.module or "" for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)]
         assert not [m for m in imported if m.split(".")[0] == "scipy"], path.name
+
+
+def _dotted_names(tree: ast.AST) -> set[str]:
+    """Every name, attribute and part of an imported module path in ``tree``."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Import):
+            names.update(part for a in node.names for part in a.name.split("."))
+        elif isinstance(node, ast.ImportFrom):
+            names.update((node.module or "").split("."))
+            names.update(a.name for a in node.names)
+    return names
+
+
+def test_two_by_two_routes_take_nothing_from_lapack():
+    # every matrix of the Monte Carlo set-up and of the Lyapunov route is
+    # 2x2 and solved in closed form: no numpy.linalg, no numpy.polynomial
+    lapack = {"linalg", "polynomial"}
+    assert not _dotted_names(_tree("langevin")) & lapack
+    assert not _references("steady_state", "_steady_covariance") & lapack
