@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -23,10 +24,12 @@ import warnings
 from pathlib import Path
 from typing import Any, Iterable, Iterator
 
-import numpy as np
-
+# layer functions are called through their modules, which run on first
+# use, and numpy is imported only by the verbs that build arrays: so a
+# verb runs only the modules it calls, and derive loads no numpy
+from . import bath as bath_mod
 from . import fock as fock_mod
-from .bath import RATES, EffectiveBath, bath_from_rates, build_bath, check_stability, with_gain
+from . import langevin, params, spectrum, steady_state
 from .errors import (
     MirrorCoolError,
     NumericalError,
@@ -35,10 +38,9 @@ from .errors import (
     UnsupportedPhaseError,
     ValidationError,
 )
-from .langevin import SimConfig, psd_vs_analytic, simulate
-from .params import DerivedCoupling, PhysicalSetup, derive_coupling, thermal_occupation
-from .spectrum import default_grid, eval_spectrum, sum_rule_check
-from .steady_state import closed_form_moments, high_gain_moments, lyapunov_moments
+
+if typing.TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["main"]
 
@@ -50,13 +52,20 @@ EXIT_NUMERICAL = 4
 # ---------------------------------------------------------------------------
 # serialization helpers
 
+def _numpy_types(*names: str) -> tuple[type, ...]:
+    """The named numpy types, or none while numpy is not loaded: no array or
+    numpy scalar exists until it is, so the encoders never load it."""
+    np = sys.modules.get("numpy")
+    return tuple(getattr(np, name) for name in names) if np else ()
+
+
 def _jsonable(value: Any) -> Any:
     """The JSON form of a dataclass, complex number, array or numpy scalar."""
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         return {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
     if isinstance(value, complex):
         return {"real": value.real, "imag": value.imag}
-    if isinstance(value, (np.ndarray, np.generic)):
+    if isinstance(value, _numpy_types("ndarray", "generic")):
         return value.tolist()
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
@@ -67,7 +76,7 @@ _CHUNK = 1024  # CSV rows, or JSON array elements, rendered per write
 
 def _is_float_array(value: Any) -> bool:
     """A float16/32/64 array: its ``tolist()`` holds Python floats."""
-    return (isinstance(value, np.ndarray) and value.dtype.kind == "f"
+    return (isinstance(value, _numpy_types("ndarray")) and value.dtype.kind == "f"
             and value.dtype.itemsize <= 8)
 
 
@@ -86,7 +95,7 @@ def _json_pieces(doc: Any) -> Iterator[str]:
 
     def placeholder(value):
         if (_is_float_array(value) and value.ndim == 1 and value.size
-                and np.isfinite(value).all()):
+                and sys.modules["numpy"].isfinite(value).all()):
             arrays.append(value)
             return "\ue000" * run + str(len(arrays) - 1)
         return _jsonable(value)
@@ -97,12 +106,16 @@ def _json_pieces(doc: Any) -> Iterator[str]:
         # each placeholder holds one run; more runs are the document's own
         if text.count(_MARK * run) == len(arrays):
             break
+    # json's encoder holds placeholder, and so its list, in a reference
+    # cycle that only a collection frees: the arrays are not left in it
+    found = arrays.copy()
+    arrays.clear()
     pos = 0
     for match in re.finditer(f'"(?:{re.escape(_MARK)}){{{run}}}(\\d+)"', text):
         yield text[pos:match.start()]
         pos = match.end()
         line = text[text.rfind("\n", 0, match.start()) + 1:match.start()]
-        yield from _float_block(arrays[int(match[1])], line[:len(line) - len(line.lstrip(" "))])
+        yield from _float_block(found[int(match[1])], line[:len(line) - len(line.lstrip(" "))])
     yield text[pos:] + "\n"
 
 
@@ -171,7 +184,7 @@ def _opened(path: str) -> Iterator[typing.BinaryIO]:
 def _csv_cell(v: Any) -> str:
     if isinstance(v, bool):
         return str(v).lower()
-    if isinstance(v, (float, np.floating)):
+    if isinstance(v, float) or isinstance(v, _numpy_types("floating")):
         return repr(float(v))
     return str(v)
 
@@ -229,6 +242,7 @@ def _block(config: dict, name: str, kinds: dict[str, type], required: set[str]) 
     return {k: _value(k, v, kinds[k]) for k, v in block.items()}
 
 
+@functools.cache  # get_type_hints compiles each string annotation on every call
 def _fields(cls) -> tuple[dict[str, type], set[str]]:
     """Field kinds and required names of a config dataclass."""
     hints = typing.get_type_hints(cls)
@@ -242,16 +256,16 @@ _SUM_RULE_TOL = 1e-6  # largest relative sum-rule error a spectrum is written wi
 _SWEEP_AXES = ("g", "phi", "Gamma", "eta", "T")
 _SWEEP_FLOATS = {"gamma", "var_x", "var_p", "cov_xp_sym", "t_eff", "positivity_gap"}
 
-_SETUP = _fields(PhysicalSetup)
-_SIM = _fields(SimConfig)
-_BATH = (dict.fromkeys(RATES, float), set(RATES))
+_SETUP = _fields(params.PhysicalSetup)
+_BATH = (dict.fromkeys(bath_mod.RATES, float), set(bath_mod.RATES))
 _GRID = ({"omega_min": float, "omega_max": float, "n_points": int}, set())
 _FOCK = ({"dim": int}, set())
 _SWEEP = (dict.fromkeys(_SWEEP_AXES, list), set())
 _BLOCKS = ("setup", "bath", "grid", "sim", "fock", "sweep")
 
 
-def _inputs(config: dict) -> tuple[PhysicalSetup | None, DerivedCoupling | None]:
+def _inputs(config: dict) -> tuple[params.PhysicalSetup | None,
+                                   params.DerivedCoupling | None]:
     """The setup and its coupling when ``setup`` is given; every verb checks its config here."""
     has_setup = "setup" in config
     if has_setup == ("bath" in config):
@@ -267,16 +281,16 @@ def _inputs(config: dict) -> tuple[PhysicalSetup | None, DerivedCoupling | None]
         )
     if not has_setup:
         return None, None
-    setup = PhysicalSetup(**_block(config, "setup", *_SETUP))
-    return setup, derive_coupling(setup)
+    setup = params.PhysicalSetup(**_block(config, "setup", *_SETUP))
+    return setup, params.derive_coupling(setup)
 
 
-def _resolve_bath(config: dict) -> EffectiveBath:
+def _resolve_bath(config: dict) -> bath_mod.EffectiveBath:
     """Build the effective bath from exactly one of setup / bath override."""
     setup, coupling = _inputs(config)
     if setup is None:
-        return bath_from_rates(**_block(config, "bath", *_BATH))
-    return build_bath(coupling, setup)
+        return bath_mod.bath_from_rates(**_block(config, "bath", *_BATH))
+    return bath_mod.build_bath(coupling, setup)
 
 
 def _scalar_fields(result) -> dict:
@@ -286,6 +300,8 @@ def _scalar_fields(result) -> dict:
 
 def _grid(config: dict, default: np.ndarray) -> np.ndarray:
     """The ``grid`` block's grid; its omitted fields are taken from ``default``."""
+    import numpy as np
+
     if config.get("grid") is None:
         return default
     block = _block(config, "grid", *_GRID)
@@ -310,13 +326,13 @@ def cmd_derive(config: dict, args) -> dict:
         raise ValidationError("setup", "derive requires a physical setup block")
     setup, coupling = _inputs(config)
     try:
-        bath = build_bath(coupling, setup)
+        bath = bath_mod.build_bath(coupling, setup)
     except UnstableBathError as exc:
         # reporting is not an error: emit the margins even where the bath
         # coefficients themselves are ill-defined (gamma <= 0)
         return {"coupling": coupling, "bath": None, "bath_error": str(exc),
                 "stability": exc.report}
-    return {"coupling": coupling, "bath": bath, "stability": check_stability(bath)}
+    return {"coupling": coupling, "bath": bath, "stability": bath_mod.check_stability(bath)}
 
 
 def cmd_variance(config: dict, args) -> dict:
@@ -325,15 +341,15 @@ def cmd_variance(config: dict, args) -> dict:
     # covers every stable phase
     report = {}
     try:
-        report["closed_form"] = closed_form_moments(bath)
+        report["closed_form"] = steady_state.closed_form_moments(bath)
     except UnsupportedPhaseError:
         pass
-    report["lyapunov"] = lyapunov_moments(bath)
+    report["lyapunov"] = steady_state.lyapunov_moments(bath)
     # the closed forms have accepted the phase and the drift, so the
     # high-gain form can refuse only its domain g > 0, gamma_m*g^2 > 0
     if "closed_form" in report:
         try:
-            report["high_gain"] = high_gain_moments(bath)
+            report["high_gain"] = steady_state.high_gain_moments(bath)
         except ValidationError:
             pass
     if args.format == "csv":
@@ -347,6 +363,8 @@ def cmd_variance(config: dict, args) -> dict:
 
 
 def cmd_spectrum(config: dict, args) -> dict:
+    import numpy as np
+
     bath = _resolve_bath(config)
 
     # one column per bath: the single series, or the dataset's gains
@@ -366,16 +384,17 @@ def cmd_spectrum(config: dict, args) -> dict:
                 )
         grid = _grid(config, np.linspace(0.0, 8 * bath.omega_m, 2048))
         if args.fig1:
-            scale = 2 * math.pi * closed_form_moments(with_gain(bath, 0.0)).var_x
-        columns = {f"S_g{g:g}": with_gain(bath, g) for g in gains}
+            scale = 2 * math.pi * steady_state.closed_form_moments(
+                bath_mod.with_gain(bath, 0.0)).var_x
+        columns = {f"S_g{g:g}": bath_mod.with_gain(bath, g) for g in gains}
     else:
-        grid, columns = _grid(config, default_grid(bath)), {"S": bath}
+        grid, columns = _grid(config, spectrum.default_grid(bath)), {"S": bath}
 
     series, sum_rules = {}, {}
     for label, bath_col in columns.items():
-        values = eval_spectrum(bath_col, grid)
+        values = spectrum.eval_spectrum(bath_col, grid)
         series[label] = values / scale if args.fig1 else values
-        integral, var_x, rel = sum_rule_check(bath_col)
+        integral, var_x, rel = spectrum.sum_rule_check(bath_col)
         # a dataset names each column's sum rule by its gain
         name = f"g={bath_col.g:g}" if dataset else ""
         if not rel <= _SUM_RULE_TOL:  # refused before a byte of the document is written
@@ -406,11 +425,11 @@ def cmd_spectrum(config: dict, args) -> dict:
     }
 
 
-def _sim_config(config: dict, args) -> SimConfig:
-    block = _block(config, "sim", *_SIM)
+def _sim_config(config: dict, args) -> langevin.SimConfig:
+    block = _block(config, "sim", *_fields(langevin.SimConfig))
     if args.seed is not None:
         block["seed"] = args.seed
-    return SimConfig(**block)
+    return langevin.SimConfig(**block)
 
 
 def cmd_simulate(config: dict, args) -> dict | None:
@@ -419,7 +438,7 @@ def cmd_simulate(config: dict, args) -> dict | None:
     if args.dump_traj and not args.out:
         raise ValidationError("out", "--dump-traj needs --out for the npz file")
     bath = _resolve_bath(config)
-    stats = simulate(bath, _sim_config(config, args), keep_trajectories=args.dump_traj)
+    stats = langevin.simulate(bath, _sim_config(config, args), keep_trajectories=args.dump_traj)
     payload = _scalar_fields(stats)
     psd = {"omega": stats.psd_omega, "S": stats.psd_values, "stderr": stats.psd_stderr}
     if not args.out:
@@ -429,6 +448,8 @@ def cmd_simulate(config: dict, args) -> dict | None:
     _write(base + ".stats.json", payload)
     _write(base + ".psd.csv", {"header": list(psd), "columns": list(psd.values())}, "csv")
     if stats.raw_trajectories is not None:
+        import numpy as np
+
         with _opened(base + ".traj.npz") as file:
             np.savez_compressed(file, **stats.raw_trajectories)
     return None
@@ -444,6 +465,8 @@ def cmd_fock(config: dict, args) -> dict:
         warnings.simplefilter("always")
         sol = fock_mod.evolve_to_steady(bath, fock_mod.FockConfig(**block))
     if args.dump_rho:
+        import numpy as np
+
         # row-major complex128: interleaved (re, im) float64 pairs
         with _opened(str(args.out) + ".rho.bin") as file:
             file.write(np.ascontiguousarray(sol.rho, dtype=np.complex128).data)
@@ -456,7 +479,7 @@ def cmd_sweep(config: dict, args) -> dict:
     if not block:
         raise ValidationError("sweep", "need a nonempty 'sweep' block")
     axes = [(name, block[name]) for name in _SWEEP_AXES if name in block]
-    rates = {key: getattr(bath, key) for key in RATES}
+    rates = {key: getattr(bath, key) for key in bath_mod.RATES}
 
     header = (
         [name for name, _ in axes]
@@ -467,17 +490,17 @@ def cmd_sweep(config: dict, args) -> dict:
     for combo in itertools.product(*(values for _, values in axes)):
         point = dict(zip((name for name, _ in axes), combo))
         if "T" in point:
-            point["n_bar"] = thermal_occupation(point.pop("T"), bath.omega_m)
+            point["n_bar"] = params.thermal_occupation(point.pop("T"), bath.omega_m)
         try:
-            bath_pt = bath_from_rates(**{**rates, **point})
-            report = check_stability(bath_pt)
+            bath_pt = bath_mod.bath_from_rates(**{**rates, **point})
+            report = bath_mod.check_stability(bath_pt)
         except UnstableBathError as exc:
             report = exc.report
         if not report.stable:
             row_tail = [math.nan] * 5 + [False, False, math.nan]
         else:
             try:
-                m = lyapunov_moments(bath_pt)
+                m = steady_state.lyapunov_moments(bath_pt)
                 moments = [m.var_x, m.var_p, m.cov_xp_sym, m.t_eff]
             except StabilityError:
                 # stable drift, but the moments break the Heisenberg bound:
@@ -487,6 +510,8 @@ def cmd_sweep(config: dict, args) -> dict:
                         report.positivity_gap]
         rows.append(list(combo) + row_tail)
     if args.format == "csv":
+        import numpy as np
+
         # computed float columns as arrays, rendered in one pass; the axis
         # and boolean columns keep their cells (an integer axis value prints as 1)
         columns = [np.array(col, dtype=float) if name in _SWEEP_FLOATS else col
@@ -497,9 +522,9 @@ def cmd_sweep(config: dict, args) -> dict:
 
 def cmd_compare(config: dict, args) -> dict:
     bath = _resolve_bath(config)
-    stats = simulate(bath, _sim_config(config, args))
-    closed = closed_form_moments(bath)
-    psd_report = psd_vs_analytic(stats)
+    stats = langevin.simulate(bath, _sim_config(config, args))
+    closed = steady_state.closed_form_moments(bath)
+    psd_report = langevin.psd_vs_analytic(stats)
 
     def z(hat, stderr, ref):
         return (hat - ref) / stderr if stderr > 0 else math.inf

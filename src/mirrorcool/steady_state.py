@@ -165,6 +165,11 @@ def closed_form_moments(bath: EffectiveBath) -> SteadyMoments:
     g, gm, om = bath.g, bath.gamma_m, bath.omega_m
     c_x, c_p = bath.noise_xx, bath.noise_pp
     denom = 2 * (gm + g) * (om**2 + gm * g)
+    if denom == 0:  # positive for a stable drift, so it has underflowed
+        raise NumericalError(
+            "closed-form denominator 2*(gamma_m + g)*(omega_m^2 + gamma_m*g) underflows to 0 "
+            f"(omega_m = {om:g}, gamma_m = {gm:g}, g = {g:g})"
+        )
     # identical to the textbook form with the thermal bracket
     # (n_bar/2 + Gamma/(8*gamma_m)) multiplied through by gamma_m, which
     # keeps the gamma_m -> 0 limit finite

@@ -2,6 +2,7 @@ import contextlib
 import copy
 import dataclasses
 import errno
+import gc
 import io
 import json
 import math
@@ -10,8 +11,10 @@ import shlex
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from importlib import resources
 from pathlib import Path
+from typing import Any
 
 import numpy as np
 import pytest
@@ -687,6 +690,20 @@ def test_writer_does_not_hold_the_text(tmp_path, fmt):
     assert peak < out.stat().st_size / 4
 
 
+def test_written_arrays_are_freed_without_a_collection(tmp_path):
+    # json's encoder is a reference cycle; the arrays of a written document
+    # must not wait in it for the garbage collector
+    values = np.linspace(0.0, 1.0, 5)
+    freed = weakref.ref(values)
+    gc.disable()
+    try:
+        cli._write(str(tmp_path / "doc.json"), {"S": values})
+        del values
+        assert freed() is None
+    finally:
+        gc.enable()
+
+
 SWEEP_CONFIG = {**DESK_BATH, "sweep": {"g": [0.0, 10.0, 50.0], "phi": [-math.pi / 2, 1.2]}}
 CANONICAL_SIM = {**DESK_BATH, "sim": {"dt": 1.25e-3, "t_relax": 0.5, "t_sample": 2.0,
                                       "n_traj": 2, "welch_segment": 1024}}
@@ -790,15 +807,27 @@ def test_missing_config_file(tmp_path, capsys):
     assert run(["derive", "--config", str(tmp_path / "nope.json")]) == 2
 
 
-# imports the package and the CLI, then runs each verb in the same process,
+def _fresh_python(script: str, *argv: str) -> Any:
+    """The JSON that ``script`` prints, run in a fresh interpreter on this checkout."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", script, *argv],
+                          capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+    return json.loads(proc.stdout)
+
+
+# runs every submodule of the package, then each verb in the same process,
 # printing the scipy modules loaded after each step
 _SCIPY_FREE_SCRIPT = """
-import json, sys
+import importlib, json, pkgutil, sys
 
 def scipy_modules():
     return sorted(m for m in sys.modules if m.startswith("scipy"))
 
-import mirrorcool, mirrorcool.cli, mirrorcool.langevin
+import mirrorcool
+for module in pkgutil.iter_modules(mirrorcool.__path__):
+    if not module.name.startswith("_"):  # __main__ runs the CLI on import
+        importlib.import_module(f"mirrorcool.{module.name}")
 loaded = {"import": [0, scipy_modules()]}
 for name, argv in json.loads(sys.argv[1]).items():
     loaded[name] = [mirrorcool.cli.main(argv), scipy_modules()]
@@ -809,11 +838,7 @@ print(json.dumps(loaded))
 def assert_scipy_free(tmp_path, verbs):
     """Run ``verbs`` in one fresh process: each exits 0 and none loads a scipy module."""
     runs = {name: [*argv, "--out", str(tmp_path / f"{name}.out")] for name, argv in verbs.items()}
-    src = Path(__file__).resolve().parents[1] / "src"
-    proc = subprocess.run([sys.executable, "-c", _SCIPY_FREE_SCRIPT, json.dumps(runs)],
-                          capture_output=True, text=True, check=True,
-                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
-    loaded = json.loads(proc.stdout)
+    loaded = _fresh_python(_SCIPY_FREE_SCRIPT, json.dumps(runs))
     assert loaded == {name: [0, []] for name in ["import", *runs]}
 
 
@@ -875,22 +900,71 @@ def test_monte_carlo_and_lyapunov_routes_call_no_linalg(tmp_path, capsys, monkey
     capsys.readouterr()
 
 
-def test_cold_compare_imports_no_numpy_polynomial(tmp_path):
-    sim = write_config(tmp_path, {**DESK_BATH, "sim": SIM})
-    script = ("import sys, mirrorcool.cli\n"
-              "code = mirrorcool.cli.main(sys.argv[1:])\n"
-              "print(code, 'numpy.polynomial' in sys.modules)\n")
-    src = Path(__file__).resolve().parents[1] / "src"
-    proc = subprocess.run([sys.executable, "-c", script, "compare", "--config", sim,
-                           "--out", str(tmp_path / "compare.json")],
-                          capture_output=True, text=True, check=True,
-                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
-    assert proc.stdout.split() == ["0", "False"]
-
-
 SIM = {"dt": 1.25e-3, "t_relax": 0.5, "t_sample": 4.0, "n_traj": 8, "seed": 5,
        "welch_segment": 1024}
 SETUP = json.loads(REFERENCE_CONFIG.read_text())["setup"]
+
+
+# the mirrorcool modules whose body has run, and the numpy modules loaded;
+# a registered module that has not run still has the lazy module class
+_RAN_SCRIPT = """
+import json, sys, types
+
+def ran():
+    return sorted(n.removeprefix("mirrorcool.") for n, m in list(sys.modules.items())
+                  if n.startswith("mirrorcool.") and type(m) is types.ModuleType)
+
+def numpy_modules():
+    return sorted(m for m in ("numpy", "numpy.polynomial") if m in sys.modules)
+"""
+
+_COLD_VERB = _RAN_SCRIPT + """
+import mirrorcool.cli
+code = mirrorcool.cli.main(sys.argv[1:])
+print(json.dumps([code, ran(), numpy_modules()]))
+"""
+
+_BASE = ["bath", "cli", "errors", "params"]
+_MONTE_CARLO = sorted([*_BASE, "langevin", "spectrum", "steady_state"])
+
+# verb -> (config, the modules it runs); derive alone runs without numpy
+COLD_VERBS = {
+    "derive": ({"setup": SETUP}, _BASE),
+    "variance": (DESK_BATH, sorted([*_BASE, "steady_state"])),
+    "spectrum": ({**DESK_BATH, "grid": {"n_points": 64}},
+                 sorted([*_BASE, "spectrum", "steady_state"])),
+    "sweep": ({**DESK_BATH, "sweep": {"g": [10.0, 50.0]}}, sorted([*_BASE, "steady_state"])),
+    "simulate": ({**DESK_BATH, "sim": SIM}, _MONTE_CARLO),
+    "compare": ({**DESK_BATH, "sim": SIM}, _MONTE_CARLO),
+    "fock": ({**FOCK_DESK_BATH, "fock": {"dim": 66}}, sorted([*_BASE, "fock"])),
+}
+
+
+@pytest.mark.parametrize("verb", COLD_VERBS)
+def test_cold_verb_runs_only_the_modules_it_calls(tmp_path, verb):
+    config, modules = COLD_VERBS[verb]
+    code, ran, numpy = _fresh_python(_COLD_VERB, verb, "--config",
+                                     write_config(tmp_path, config),
+                                     "--out", str(tmp_path / f"{verb}.out"))
+    assert code == 0
+    assert ran == modules
+    # no verb loads numpy.polynomial
+    assert numpy == ([] if verb == "derive" else ["numpy"])
+
+
+def test_package_import_runs_no_submodule_and_registers_every_traced_layer():
+    # the benchmark's tracer (bench/tracing.py) finds each traced layer in
+    # sys.modules right after importing the CLI, and wraps it there
+    script = _RAN_SCRIPT + """
+import mirrorcool
+package = ran()
+import mirrorcool.cli
+print(json.dumps([package, sorted(n for n in sys.modules if n.startswith("mirrorcool."))]))
+"""
+    package, registered = _fresh_python(script)
+    assert package == []
+    layers = {"params", "bath", "steady_state", "spectrum", "langevin", "fock"}
+    assert {f"mirrorcool.{n}" for n in layers} <= set(registered)
 
 
 def with_bath(**fields):
@@ -988,6 +1062,11 @@ MALFORMED = {
     # a finite bath whose Lyapunov var_p (about 1e322) is past the float range
     "lyapunov_overflow": ("variance", with_bath(omega_m=1e-160, gamma_m=0.0, g=1.0, phi=-1.0), [],
                           *failed("steady covariance leaves the float range")),
+    # the closed forms' 2*(gamma_m + g)*(omega_m^2 + gamma_m*g) underflows to 0
+    "closed_form_denominator_underflow": ("variance",
+                                          with_bath(omega_m=1e-150, gamma_m=1e-300, Gamma=0.0,
+                                                    n_bar=3.0, g=0.0),
+                                          [], *failed("closed-form denominator")),
     "grid_span_overflow": ("spectrum",
                            {**DESK_BATH, "grid": {"omega_min": -1e308, "omega_max": 1e308}},
                            [], *failed("non-finite spectrum")),
@@ -1163,7 +1242,8 @@ def test_readme_config_fields_match_the_parser():
         block, fields = row.split("|")[1:3]
         documented[block.split("`")[1]] = set(fields.split("`")[1::2])
     accepted = {"setup": cli._SETUP, "bath": cli._BATH, "grid": cli._GRID,
-                "sim": cli._SIM, "fock": cli._FOCK, "sweep": cli._SWEEP}
+                "sim": cli._fields(mirrorcool.langevin.SimConfig), "fock": cli._FOCK,
+                "sweep": cli._SWEEP}
     assert set(documented) == set(accepted)
     for block, (kinds, _) in accepted.items():
         assert documented[block] == set(kinds), block
