@@ -71,7 +71,7 @@ def _jsonable(value: Any) -> Any:
 
 
 _MARK = "\\ue000"  # the private-use character U+E000 as ensure_ascii writes it
-_CHUNK = 1024  # CSV rows, or JSON array elements, rendered per write
+_CHUNK = 1024  # CSV rows, JSON array elements or JSON table cells, rendered per write
 
 
 def _is_float_array(value: Any) -> bool:
@@ -80,21 +80,32 @@ def _is_float_array(value: Any) -> bool:
             and value.dtype.itemsize <= 8)
 
 
+class _Rows:
+    """A table that JSON writes as the list of its rows, from its columns:
+    equal-length 1-D float or boolean arrays."""
+
+    def __init__(self, columns: list):
+        self.columns = columns
+
+
 def _json_pieces(doc: Any) -> Iterator[str]:
     """``json.dumps(doc, indent=1, default=_jsonable) + "\\n"``, in pieces.
 
     ``json.dumps`` lays out the document with a placeholder string for each
-    nonempty, finite 1-D float array: a run of U+E000 characters and the
-    array's index, made longer until no string of the document holds the
-    run. The text between placeholders is yielded as it stands, and each
-    array as the same ``indent=1`` block of shortest round-trip floats,
-    ``_CHUNK`` elements at a time. Other values, non-finite arrays among
-    them (``NaN``, ``Infinity``), go through ``_jsonable``.
+    nonempty, finite 1-D float array and each ``_Rows`` table: a run of
+    U+E000 characters and the value's index, made longer until no string
+    of the document holds the run. The text between placeholders is
+    yielded as it stands, each array as the same ``indent=1`` block of
+    shortest round-trip floats, ``_CHUNK`` elements at a time, and each
+    table as the ``indent=1`` list of its rows, about ``_CHUNK`` cells at
+    a time. Other values, non-finite arrays among them (``NaN``,
+    ``Infinity``), go through ``_jsonable``.
     """
     arrays = []
 
     def placeholder(value):
-        if (_is_float_array(value) and value.ndim == 1 and value.size
+        if isinstance(value, _Rows) or (
+                _is_float_array(value) and value.ndim == 1 and value.size
                 and sys.modules["numpy"].isfinite(value).all()):
             arrays.append(value)
             return "\ue000" * run + str(len(arrays) - 1)
@@ -115,7 +126,9 @@ def _json_pieces(doc: Any) -> Iterator[str]:
         yield text[pos:match.start()]
         pos = match.end()
         line = text[text.rfind("\n", 0, match.start()) + 1:match.start()]
-        yield from _float_block(found[int(match[1])], line[:len(line) - len(line.lstrip(" "))])
+        value = found[int(match[1])]
+        block = _rows_block if isinstance(value, _Rows) else _float_block
+        yield from block(value, line[:len(line) - len(line.lstrip(" "))])
     yield text[pos:] + "\n"
 
 
@@ -129,10 +142,36 @@ def _float_block(values: np.ndarray, indent: str) -> Iterator[str]:
     yield "\n" + indent + "]"
 
 
+def _rows_block(table: _Rows, indent: str) -> Iterator[str]:
+    """The ``indent=1`` JSON list of ``table``'s rows on a line indented by
+    ``indent``, about ``_CHUNK`` cells at a time.
+
+    json's own encoder writes each group of rows as a list of rows, cells
+    as it writes them (``NaN`` and ``Infinity`` for non-finite floats,
+    ``true`` and ``false``), and the separators are then laid out on their
+    lines.
+    """
+    rows = len(table.columns[0]) if table.columns else 0
+    if not rows:
+        yield "[]"
+        return
+    step = max(1, _CHUNK // len(table.columns))
+    cell = indent + "  "
+    row = "\n" + indent + " ],\n" + indent + " [\n" + cell
+    yield "[\n" + indent + " [\n" + cell
+    for lo in range(0, rows, step):
+        text = json.dumps(list(zip(*(c[lo:lo + step].tolist() for c in table.columns))))
+        # "[[a, b], [c, d]]": no cell holds "], [" or ", "
+        yield (row if lo else "") + text[2:-2].replace("], [", row).replace(", ", ",\n" + cell)
+    yield "\n" + indent + " ]\n" + indent + "]"
+
+
 def _csv_column(column) -> Iterable[str]:
-    """The cells of one CSV column; a float array is rendered in one pass."""
+    """The cells of one CSV column; a float or text array is rendered in one pass."""
     if _is_float_array(column):
         return map(repr, column.tolist())
+    if isinstance(column, _numpy_types("ndarray")) and column.dtype.kind == "U":
+        return column.tolist()
     return map(_csv_cell, column)
 
 
@@ -254,7 +293,6 @@ def _fields(cls) -> tuple[dict[str, type], set[str]]:
 _SUM_RULE_TOL = 1e-6  # largest relative sum-rule error a spectrum is written with
 
 _SWEEP_AXES = ("g", "phi", "Gamma", "eta", "T")
-_SWEEP_FLOATS = {"gamma", "var_x", "var_p", "cov_xp_sym", "t_eff", "positivity_gap"}
 
 _SETUP = _fields(params.PhysicalSetup)
 _BATH = (dict.fromkeys(bath_mod.RATES, float), set(bath_mod.RATES))
@@ -479,45 +517,16 @@ def cmd_sweep(config: dict, args) -> dict:
     if not block:
         raise ValidationError("sweep", "need a nonempty 'sweep' block")
     axes = [(name, block[name]) for name in _SWEEP_AXES if name in block]
-    rates = {key: getattr(bath, key) for key in bath_mod.RATES}
-
-    header = (
-        [name for name, _ in axes]
-        + ["gamma", "var_x", "var_p", "cov_xp_sym", "t_eff", "stable",
-           "lindblad_positive", "positivity_gap"]
-    )
-    rows = []
-    for combo in itertools.product(*(values for _, values in axes)):
-        point = dict(zip((name for name, _ in axes), combo))
-        if "T" in point:
-            point["n_bar"] = params.thermal_occupation(point.pop("T"), bath.omega_m)
-        try:
-            bath_pt = bath_mod.bath_from_rates(**{**rates, **point})
-            report = bath_mod.check_stability(bath_pt)
-        except UnstableBathError as exc:
-            report = exc.report
-        if not report.stable:
-            row_tail = [math.nan] * 5 + [False, False, math.nan]
-        else:
-            try:
-                m = steady_state.lyapunov_moments(bath_pt)
-                moments = [m.var_x, m.var_p, m.cov_xp_sym, m.t_eff]
-            except StabilityError:
-                # stable drift, but the moments break the Heisenberg bound:
-                # the coefficient block is unphysical here, the report is not
-                moments = [math.nan] * 4
-            row_tail = [bath_pt.gamma, *moments, True, report.lindblad_positive,
-                        report.positivity_gap]
-        rows.append(list(combo) + row_tail)
+    columns = steady_state.sweep_grid(bath, axes)
+    header = list(columns)
     if args.format == "csv":
         import numpy as np
 
-        # computed float columns as arrays, rendered in one pass; the axis
-        # and boolean columns keep their cells (an integer axis value prints as 1)
-        columns = [np.array(col, dtype=float) if name in _SWEEP_FLOATS else col
-                   for name, col in zip(header, zip(*rows))]
-        return {"header": header, "columns": columns}
-    return {"header": header, "rows": rows}
+        # a boolean cell is written true/false; a bool array's cells print as True/False
+        for name in ("stable", "lindblad_positive"):
+            columns[name] = np.where(columns[name], "true", "false")
+        return {"header": header, "columns": list(columns.values())}
+    return {"header": header, "rows": _Rows(list(columns.values()))}
 
 
 def cmd_compare(config: dict, args) -> dict:

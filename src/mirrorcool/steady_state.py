@@ -9,16 +9,23 @@ phase and serves as the independent oracle for the closed forms.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bath import EffectiveBath, require_stable, with_gain
-from .errors import (
-    NumericalError, StabilityBoundaryError, StabilityError, UnsupportedPhaseError, ValidationError,
+from . import bath as bath_module
+from .bath import (
+    RATES, EffectiveBath, _coefficients, _constraints_hold, _must_be_finite, _noise_pp, _noise_xp,
+    _noise_xx, _positivity_gap, _square, _stability_margins, _where, require_stable, with_gain,
 )
-from .params import HBAR, K_B
+from .errors import (
+    NumericalError, StabilityBoundaryError, StabilityError, UnstableBathError,
+    UnsupportedPhaseError, ValidationError,
+)
+from .params import HBAR, K_B, thermal_occupation
 
 __all__ = [
     "SteadyMoments",
@@ -31,6 +38,12 @@ __all__ = [
 ]
 
 _PHASE_TOL = 1e-9  # |phi + pi/2| below this counts as the closed-form phase
+
+
+def _physical(var_x, var_p):
+    """Whether both variances are positive and var_x*var_p >= 1/16 holds to
+    1e-12; floats or arrays."""
+    return (var_x > 0) & (var_p > 0) & (var_x * var_p >= 1.0 / 16.0 - 1e-12)
 
 
 @dataclass(frozen=True)
@@ -52,7 +65,7 @@ class SteadyMoments:
             raise StabilityError(
                 f"non-positive variance (var_x={self.var_x:g}, var_p={self.var_p:g})"
             )
-        if self.var_x * self.var_p < 1.0 / 16.0 - 1e-12:
+        if not _physical(self.var_x, self.var_p):
             raise StabilityError(
                 "Heisenberg bound violated: var_x*var_p = "
                 f"{self.var_x * self.var_p:g} < 1/16"
@@ -67,14 +80,22 @@ def _require_phase(bath: EffectiveBath) -> None:
         )
 
 
-def _t_eff(bath: EffectiveBath) -> float:
+def _t_eff(n_bar, omega_m, g):
+    """Effective temperature T*(omega_m/g)^2 (K), T at g = 0; floats or arrays."""
     # bath temperature reconstructed from n_bar = k_B*T/(hbar*omega_m)
-    T = bath.n_bar * HBAR * bath.omega_m / K_B
-    if bath.g > 0:
-        # T*(omega_m/g)^2 leaves the float range as g -> 0, where g**2 underflows
-        g2 = bath.g**2
-        return T * bath.omega_m**2 / g2 if g2 > 0 else math.inf
-    return T
+    T = n_bar * HBAR * omega_m / K_B
+    return _where(g > 0, _cooled, T, T, omega_m, g)
+
+
+def _cooled(T, omega_m, g):
+    # T*(omega_m/g)^2 leaves the float range as g -> 0, where g**2 underflows
+    g2 = _square(g)
+    return _where(g2 > 0, operator.truediv, math.inf, T * _square(omega_m), g2)
+
+
+def _drift(omega_m, gamma_m, g, sin_phi):
+    """Entries ((a, b), (c, d)) of the drift A; floats or arrays."""
+    return (g * sin_phi, omega_m), (-omega_m, -gamma_m)
 
 
 def drift_matrix(bath: EffectiveBath) -> np.ndarray:
@@ -84,12 +105,7 @@ def drift_matrix(bath: EffectiveBath) -> np.ndarray:
     general-phase form [[g*sin(phi), omega_m], [-omega_m, -gamma_m]]
     follows from the moment flow of the full generator and reduces to it.
     """
-    return np.array(
-        [
-            [bath.g * math.sin(bath.phi), bath.omega_m],
-            [-bath.omega_m, -bath.gamma_m],
-        ]
-    )
+    return np.array(_drift(bath.omega_m, bath.gamma_m, bath.g, math.sin(bath.phi)))
 
 
 def diffusion_matrix(bath: EffectiveBath) -> np.ndarray:
@@ -129,19 +145,28 @@ def _lyapunov_terms(a, b, c, d, p, q, r):
     return numerators, -2 * (a + d) * det
 
 
-def _steady_covariance(A: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """Symmetric S solving A*S + S*A^T + C = 0, C symmetric, in closed form.
+def _long_double_terms(a, b, c, d, p, q, r):
+    """:func:`_lyapunov_terms` of A = [[a, b], [c, d]] and C = [[p, q], [q, r]]
+    in long double; floats or arrays.
 
-    The closed form (:func:`_lyapunov_terms`) is regular for every
-    stable drift (tr A < 0 < det A). It is evaluated in long double,
-    whose range holds every product of three double inputs, so no product
-    over- or underflows at any scale of the rates, and rounded once. A
-    singular system (tr(A)*det(A) = 0) is refused as the stability
+    The closed form is regular for every stable drift (tr A < 0 < det A).
+    Long double's range holds every product of three double inputs, so no
+    product over- or underflows at any scale of the rates; each quotient
+    is then rounded once to double.
+    """
+    return _lyapunov_terms(*map(np.longdouble, (a, b, c, d, p, q, r)))
+
+
+def _steady_covariance(A: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """Symmetric S solving A*S + S*A^T + C = 0, C symmetric, in closed form
+    (:func:`_long_double_terms`).
+
+    A singular system (tr(A)*det(A) = 0) is refused as the stability
     boundary, and a solution past the double range with NumericalError.
     """
     (a, b), (c, d) = A.tolist()
     (p, q), (_, r) = C.tolist()
-    (x, y, z), denom = _lyapunov_terms(*map(np.longdouble, (a, b, c, d, p, q, r)))
+    (x, y, z), denom = _long_double_terms(a, b, c, d, p, q, r)
     if denom == 0:
         raise StabilityBoundaryError("Lyapunov system is singular: trace(A)*det(A) = 0")
     x, y, z = (float(v / denom) for v in (x, y, z))
@@ -181,7 +206,7 @@ def closed_form_moments(bath: EffectiveBath) -> SteadyMoments:
         var_x=var_x,
         var_p=var_p,
         cov_xp_sym=cov,
-        t_eff=_t_eff(bath),
+        t_eff=_t_eff(bath.n_bar, bath.omega_m, bath.g),
         method="closed_form",
     )
 
@@ -220,7 +245,7 @@ def high_gain_moments(bath: EffectiveBath) -> SteadyMoments:
         var_x=var_x,
         var_p=exact.var_p,
         cov_xp_sym=exact.cov_xp_sym,
-        t_eff=_t_eff(bath),
+        t_eff=_t_eff(bath.n_bar, bath.omega_m, bath.g),
         method="high_gain",
     )
 
@@ -238,7 +263,7 @@ def lyapunov_moments(bath: EffectiveBath) -> SteadyMoments:
         var_x=var_x,
         var_p=var_p,
         cov_xp_sym=cov,
-        t_eff=_t_eff(bath),
+        t_eff=_t_eff(bath.n_bar, bath.omega_m, bath.g),
         method="lyapunov",
     )
 
@@ -292,8 +317,110 @@ def optimize_gain(
     gains = {g_lo, g_hi}
     if g_lo < g_hi:
         roots = np.roots(_gain_quartic(bath_template))
-        gains.update(r.real for r in roots if r.imag == 0 and g_lo < r.real < g_hi)
+        # as floats: the candidates are re-derived on the one-point float route
+        gains.update(float(r.real) for r in roots if r.imag == 0 and g_lo < r.real < g_hi)
     var_min, g_opt = min(
         (closed_form_moments(with_gain(bath_template, g)).var_x, g) for g in gains
     )
     return float(g_opt), float(var_min)
+
+
+def sweep_grid(bath: EffectiveBath, axes: list[tuple[str, list[float]]]) -> dict:
+    """The rows of a sweep of ``bath`` over the Cartesian product of ``axes``.
+
+    ``axes`` pairs each swept field (``g``, ``phi``, ``Gamma``, ``eta``, or
+    the temperature ``T``, which sets ``n_bar``) with its values. The
+    result maps each axis and each of ``gamma``, ``var_x``, ``var_p``,
+    ``cov_xp_sym``, ``t_eff``, ``stable``, ``lindblad_positive`` and
+    ``positivity_gap`` to an array over the points, in row order (the
+    last axis fastest). A point that is not stable has NaN in all but
+    its axes and ``stable``/``lindblad_positive``, both false; a stable
+    point whose moments break the Heisenberg bound has NaN moments.
+
+    Each axis lies along its own dimension, so the coefficient algebra
+    broadcasts over the grid in one pass, and every cell equals what
+    ``bath_from_rates``, ``check_stability`` and ``lyapunov_moments`` give
+    for its point alone. A point that route refuses refuses the sweep:
+    the first such point in row order is run through it, and so raises
+    the route's own error.
+    """
+    shape = tuple(len(values) for _, values in axes)
+
+    def along(k, values):  # the values of axis k, laid along dimension k
+        return np.reshape(values, [-1 if i == k else 1 for i in range(len(shape))]).astype(float)
+
+    def flat(values):
+        return np.broadcast_to(values, shape).ravel()
+
+    def finite(*values):
+        return functools.reduce(np.logical_and, map(np.isfinite, values))
+
+    # the rate each axis sets, with its values: T sets n_bar, and is refused
+    # here, as at the first point, when hbar*omega_m underflows
+    fields = [("n_bar", [thermal_occupation(T, bath.omega_m) for T in values]) if name == "T"
+              else (name, values) for name, values in axes]
+    rates = {key: getattr(bath, key) for key in RATES}
+    point = dict(rates)  # each rate a float, or an array along its axis
+    sin_phi, cos_phi = math.sin(bath.phi), math.cos(bath.phi)
+    for k, (name, values) in enumerate(fields):
+        if name == "phi":
+            sin_phi = along(k, list(map(math.sin, values)))
+            cos_phi = along(k, list(map(math.cos, values)))
+        point[name] = along(k, values)
+    omega_m, gamma_m, Gamma, eta, n_bar, g, _ = point.values()
+
+    with np.errstate(all="ignore"):  # points outside a formula's domain are masked
+        valid = functools.reduce(np.logical_and, _constraints_hold(
+            omega_m, gamma_m, Gamma, eta, n_bar, g), finite(*point.values()))
+        # the damping margin is the effective damping gamma = gamma_m - g*sin(phi);
+        # stable implies gamma > 0
+        gamma, _, stable, _ = _stability_margins(omega_m, gamma_m, g, sin_phi)
+        N, m_re, m_im = _coefficients(gamma_m, Gamma, eta, n_bar, g, sin_phi, cos_phi, gamma)
+        # M = -(m_re - 1j*m_im)/gamma: its parts are finite where these quotients are
+        block_finite = finite(*_must_be_finite(omega_m, gamma_m, g, gamma, N, m_re / gamma,
+                                               m_im / gamma))
+        gap = _positivity_gap(gamma_m, Gamma, eta, n_bar, g, cos_phi, gamma)
+        (a, b), (c, d) = _drift(omega_m, gamma_m, g, sin_phi)
+        p, q, r = _noise_xx(g, eta, Gamma), _noise_xp(g, cos_phi), _noise_pp(gamma_m, n_bar, Gamma)
+        (x, y, z), denom = _long_double_terms(a, b, c, d, p, q, r)
+        x, y, z = ((v / denom).astype(float) for v in (x, y, z))
+        solved = np.asarray(stable) & (denom != 0)  # a singular system is the boundary
+        moments = solved & _physical(x, y)
+        t_eff = _t_eff(n_bar, omega_m, g)
+
+    # bath_from_rates refuses invalid rates, then a non-finite block where
+    # gamma > 0; lyapunov_moments refuses a stable point's moments past the
+    # double range
+    refused = np.broadcast_to(~valid | (gamma > 0) & ~block_finite | solved & ~finite(x, y, z),
+                              shape)
+    if refused.any():
+        index = np.unravel_index(np.flatnonzero(refused)[0], shape)
+        _one_point({**rates, **{name: values[i] for (name, values), i in zip(fields, index)}})
+        raise AssertionError(f"sweep point {index} refused by the grid, not by its bath")
+
+    stable, moments = flat(stable), flat(moments)
+    return {
+        **{name: flat(along(k, values)) for k, (name, values) in enumerate(axes)},
+        "gamma": np.where(stable, flat(gamma), math.nan),
+        "var_x": np.where(moments, flat(x), math.nan),
+        "var_p": np.where(moments, flat(y), math.nan),
+        "cov_xp_sym": np.where(moments, flat(z), math.nan),
+        "t_eff": np.where(moments, flat(t_eff), math.nan),
+        "stable": stable,
+        "lindblad_positive": stable & flat(gap > 0),
+        "positivity_gap": np.where(stable, flat(gap), math.nan),
+    }
+
+
+def _one_point(rates: dict) -> None:
+    """One sweep point through bath_from_rates, check_stability and
+    lyapunov_moments: raises where that route refuses the point."""
+    try:
+        bath = bath_module.bath_from_rates(**rates)
+    except UnstableBathError:
+        return
+    if bath_module.check_stability(bath).stable:
+        try:
+            lyapunov_moments(bath)
+        except StabilityError:  # the Heisenberg refusal: NaN moments, not a refused sweep
+            pass

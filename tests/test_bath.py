@@ -15,7 +15,7 @@ from mirrorcool import (
 )
 
 from mirrorcool import bath as bath_module
-from mirrorcool.bath import EffectiveBath, _positivity_gap
+from mirrorcool.bath import _positivity_gap
 
 from conftest import random_stable_bath, reference_setup
 
@@ -242,47 +242,79 @@ def test_unstable_bath_error_carries_gamma_sign():
 
 
 def symbolic_block():
-    """The raw coefficient block gamma, N, M of bath_from_rates at a symbolic phase."""
+    """The raw coefficient block gamma, N, M of bath_from_rates at a symbolic
+    phase: sin(phi) and cos(phi) are the free real symbols s and c."""
     import sympy as sp
 
     gm, Gamma, eta, n_bar, g = sp.symbols("gamma_m Gamma eta n_bar g", positive=True)
-    phi = sp.Symbol("phi", real=True)
-    gamma = gm - g * sp.sin(phi)
+    s, c = sp.symbols("s c", real=True)
+    gamma = gm - g * s
     fb_noise = g**2 / (4 * eta * Gamma)
-    N = (gm * (n_bar - sp.Rational(1, 2)) + Gamma / 4 + fb_noise + g * sp.sin(phi) / 2) / gamma
-    M = -(gm * n_bar + Gamma / 4 - fb_noise - sp.I * g * sp.cos(phi) / 2) / gamma
+    N = (gm * (n_bar - sp.Rational(1, 2)) + Gamma / 4 + fb_noise + g * s / 2) / gamma
+    M = -(gm * n_bar + Gamma / 4 - fb_noise - sp.I * g * c / 2) / gamma
     return SimpleNamespace(gamma=gamma, N=N, M=M, gamma_m=gm, Gamma=Gamma, eta=eta,
-                           n_bar=n_bar, g=g, phi=phi)
+                           n_bar=n_bar, g=g, s=s, c=c)
+
+
+def vanishes_on_the_unit_circle(expr, s, c) -> bool:
+    """Whether the rational expression ``expr`` is 0 wherever s**2 + c**2 = 1.
+
+    The code's float constants (0.5, 0.25) are exact binary fractions and
+    are read as the rationals they are.
+    """
+    import sympy as sp
+
+    numerator = sp.numer(sp.together(sp.nsimplify(expr, rational=True)))
+    return sp.expand(sp.rem(sp.expand(numerator), c**2 + s**2 - 1, c)) == 0
 
 
 def test_symbolic_block_is_the_one_bath_from_rates_builds():
-    sym = symbolic_block()
-    rates = dict(gamma_m=1.3, Gamma=200.0, eta=0.7, n_bar=100.0, g=40.0, phi=-1.1)
-    b = bath_from_rates(omega_m=62.8, **rates)
-    point = {getattr(sym, name): value for name, value in rates.items()}
-    assert float(sym.gamma.subs(point)) == pytest.approx(b.gamma, rel=1e-14)
-    assert float(sym.N.subs(point)) == pytest.approx(b.N, rel=1e-13)
-    assert complex(sym.M.subs(point)) == pytest.approx(b.M, rel=1e-13)
-
-
-def test_reduced_noise_and_gap_equal_their_raw_forms_at_every_phase(monkeypatch):
-    # the reductions of gamma(2N+1 +- 2Re M)/4, gamma*Im M/2 and
-    # N(N+1) - |M|^2, checked on symbols: phi, the gain and the rates are
-    # all free, so the identities hold at every phase, not only at -pi/2
     import sympy as sp
 
     sym = symbolic_block()
-    monkeypatch.setattr(bath_module, "math", SimpleNamespace(cos=sp.cos))
-    gamma, N, M = sym.gamma, sym.N, sym.M
+    rates = dict(gamma_m=1.3, Gamma=200.0, eta=0.7, n_bar=100.0, g=40.0)
+    phi = -1.1
+    b = bath_from_rates(omega_m=62.8, phi=phi, **rates)
+    point = {getattr(sym, name): value for name, value in rates.items()}
+    point.update({sym.s: math.sin(phi), sym.c: math.cos(phi)})
+    assert float(sym.gamma.subs(point)) == pytest.approx(b.gamma, rel=1e-14)
+    assert float(sym.N.subs(point)) == pytest.approx(b.N, rel=1e-13)
+    assert complex(sym.M.subs(point)) == pytest.approx(b.M, rel=1e-13)
+    # and the shared coefficient function builds the same block on symbols
+    N, m_re, m_im = bath_module._coefficients(sym.gamma_m, sym.Gamma, sym.eta, sym.n_bar,
+                                              sym.g, sym.s, sym.c, sym.gamma)
+    assert sp.simplify(sp.nsimplify(N - sym.N, rational=True)) == 0
+    M = -(m_re - sp.I * m_im) / sym.gamma
+    assert sp.simplify(sp.nsimplify(M - sym.M, rational=True)) == 0
+
+
+def test_reduced_noise_and_gap_equal_their_raw_forms_at_every_phase():
+    # the reductions of gamma(2N+1 +- 2Re M)/4, gamma*Im M/2 and
+    # N(N+1) - |M|^2 that the one-point route and the sweep's arrays share,
+    # checked on symbols: sin(phi) and cos(phi) are free on the unit
+    # circle, and the gain and the rates are free, so the identities hold
+    # at every phase, not only at -pi/2
+    import sympy as sp
+
+    sym = symbolic_block()
+    gamma, N, M, s, c = sym.gamma, sym.N, sym.M, sym.s, sym.c
     raw = {
-        "noise_xx": gamma * (2 * N + 1 + 2 * sp.re(M)) / 4,
-        "noise_pp": gamma * (2 * N + 1 - 2 * sp.re(M)) / 4,
-        "noise_xp": gamma * sp.im(M) / 2,
+        "noise_xx": (bath_module._noise_xx(sym.g, sym.eta, sym.Gamma),
+                     gamma * (2 * N + 1 + 2 * sp.re(M)) / 4),
+        "noise_pp": (bath_module._noise_pp(sym.gamma_m, sym.n_bar, sym.Gamma),
+                     gamma * (2 * N + 1 - 2 * sp.re(M)) / 4),
+        "noise_xp": (bath_module._noise_xp(sym.g, c), gamma * sp.im(M) / 2),
+        "positivity_gap": (_positivity_gap(sym.gamma_m, sym.Gamma, sym.eta, sym.n_bar, sym.g, c,
+                                           gamma),
+                           N * (N + 1) - M * sp.conjugate(M)),
     }
-    for name, form in raw.items():
-        assert sp.simplify(getattr(EffectiveBath, name).fget(sym) - form) == 0, name
-    raw_gap = N * (N + 1) - M * sp.conjugate(M)
-    assert sp.simplify(_positivity_gap(sym) - raw_gap) == 0
+    for name, (reduced, form) in raw.items():
+        assert vanishes_on_the_unit_circle(reduced - form, s, c), name
+    # a wrong reduction is caught: the circle does not make cos^2 vanish
+    assert not vanishes_on_the_unit_circle(raw["positivity_gap"][0] - raw["positivity_gap"][1]
+                                           + c**2, s, c)
     # the g = 0 branches return the raw forms' values there
-    assert sp.simplify(raw["noise_xx"].subs(sym.g, 0)) == 0
-    assert sp.simplify(raw_gap.subs(sym.g, 0)) == sp.Rational(-1, 4)
+    assert bath_module._noise_xx(0.0, sym.eta, sym.Gamma) == 0
+    assert _positivity_gap(sym.gamma_m, sym.Gamma, sym.eta, sym.n_bar, 0.0, c, sym.gamma_m) == -0.25
+    assert sp.simplify(raw["noise_xx"][1].subs(sym.g, 0)) == 0
+    assert sp.simplify(raw["positivity_gap"][1].subs(sym.g, 0)) == sp.Rational(-1, 4)

@@ -4,6 +4,7 @@ import dataclasses
 import errno
 import gc
 import io
+import itertools
 import json
 import math
 import os
@@ -11,8 +12,10 @@ import shlex
 import subprocess
 import sys
 import tracemalloc
+import types
 import weakref
 from importlib import resources
+from unittest import mock
 from pathlib import Path
 from typing import Any
 
@@ -24,11 +27,13 @@ from hypothesis.extra import numpy as hnp
 
 import mirrorcool
 from mirrorcool import (
-    bath_from_rates, closed_form_moments, diffusion_matrix, drift_matrix, eval_spectrum,
-    optimize_gain, with_gain,
+    StabilityError, UnstableBathError, bath_from_rates, check_stability, closed_form_moments,
+    diffusion_matrix, drift_matrix, eval_spectrum, lyapunov_moments, optimize_gain,
+    thermal_occupation, with_gain,
 )
+from mirrorcool import bath as bath_mod
 from mirrorcool import fock as fock_mod
-from mirrorcool import cli
+from mirrorcool import cli, steady_state
 from mirrorcool.cli import _COMMANDS, _build_parser, main
 from mirrorcool.steady_state import _steady_covariance
 
@@ -520,6 +525,158 @@ def test_sweep_minimum_matches_optimizer(tmp_path, capsys):
     assert abs(math.log(best_row[0] / g_opt)) < math.log(gains[1] / gains[0]) * 1.5
 
 
+def per_point_sweep(config: dict) -> tuple[list, list]:
+    """The header and rows of a sweep as one bath_from_rates -> check_stability
+    -> lyapunov_moments chain per point, in row order; raises where that
+    chain refuses a point."""
+    bath = cli._resolve_bath(config)
+    axes = [(name, config["sweep"][name]) for name in cli._SWEEP_AXES if name in config["sweep"]]
+    rates = {key: getattr(bath, key) for key in bath_mod.RATES}
+    header = [name for name, _ in axes] + ["gamma", "var_x", "var_p", "cov_xp_sym", "t_eff",
+                                           "stable", "lindblad_positive", "positivity_gap"]
+    rows = []
+    for combo in itertools.product(*(values for _, values in axes)):
+        point = dict(zip((name for name, _ in axes), combo))
+        if "T" in point:
+            point["n_bar"] = thermal_occupation(point.pop("T"), bath.omega_m)
+        try:
+            bath_pt = bath_from_rates(**{**rates, **point})
+            report = check_stability(bath_pt)
+        except UnstableBathError as exc:
+            report = exc.report
+        if not report.stable:
+            rows.append([*combo, *[math.nan] * 5, False, False, math.nan])
+            continue
+        try:
+            m = lyapunov_moments(bath_pt)
+            moments = [m.var_x, m.var_p, m.cov_xp_sym, m.t_eff]
+        except StabilityError:
+            moments = [math.nan] * 4
+        rows.append([*combo, bath_pt.gamma, *moments, True, report.lindblad_positive,
+                     report.positivity_gap])
+    return header, rows
+
+
+def sweep_texts(config: dict) -> dict:
+    """The sweep's JSON and CSV text, or the error it refuses the config with."""
+    try:
+        return {fmt: written(cli.cmd_sweep(config, types.SimpleNamespace(format=fmt)), fmt)
+                for fmt in ("json", "csv")}
+    except Exception as exc:  # compared with the per-point route's error
+        return {"error": (type(exc), str(exc), getattr(exc, "field", None))}
+
+
+def per_point_texts(config: dict) -> dict:
+    try:
+        header, rows = per_point_sweep(config)
+    except Exception as exc:
+        return {"error": (type(exc), str(exc), getattr(exc, "field", None))}
+    lines = [",".join(header)] + [",".join(map(reference_cell, row)) for row in rows]
+    return {"json": json.dumps({"header": header, "rows": rows}, indent=1) + "\n",
+            "csv": "\n".join(lines) + "\n"}
+
+
+# base baths of the random grids: stable desk rates, a point whose moments
+# break the Heisenberg bound, the two rounding-level stability boundaries,
+# moments past the float range, an hbar*omega_m that underflows (T axis),
+# and a gap whose (g/gamma)^2 leaves the float range
+SWEEP_BASES = {
+    "desk": DESK_BATH["bath"],
+    "heisenberg": NON_CP_BATH["bath"],
+    **{f"boundary_{name}": rates for name, rates in BOUNDARY_BATHS.items()},
+    "lyapunov_overflow": {**DESK_BATH["bath"], "omega_m": 1e-160, "gamma_m": 0.0, "g": 1.0,
+                          "phi": -1.0},
+    "omega_underflow": {**DESK_BATH["bath"], "omega_m": 1e-300},
+    "gap_overflow": {"omega_m": 1.0, "gamma_m": 1e-10, "Gamma": 1e154, "eta": 1.0,
+                     "n_bar": 1.0, "g": 1e154, "phi": 0.0},
+}
+# axis values: each list has the bases' boundary and zero values and
+# values that turn a phase with sin(phi) > 0 unstable
+SWEEP_VALUES = {
+    "g": st.sampled_from([0.0, 0.1, 1.0 - 1e-14, 1.0, 5.0, 50.0]) | st.floats(0, 100),
+    "phi": st.sampled_from([-math.pi / 2, math.pi / 2, 0.0, -1.0, 0.4, 3.0]) | st.floats(-4, 4),
+    "Gamma": st.sampled_from([0.0, 0.1, 50.0, 200.0]) | st.floats(0, 300),
+    "eta": st.sampled_from([0.3, 1.0]) | st.floats(0.05, 1),
+    "T": st.sampled_from([0.0, 1e-9, 1e-3, 300.0]) | st.floats(0, 400),
+}
+# values one point's route refuses: invalid rates, an overflowing block
+SWEEP_BAD = {"g": [-1.0, 1e200], "phi": [1e10], "Gamma": [-0.5], "eta": [0.0, 1.5],
+             "T": [-1.0, 1e300]}
+
+
+@st.composite
+def sweep_configs(draw):
+    bad = draw(st.booleans())
+    sweep = {}
+    for name in draw(st.sets(st.sampled_from(cli._SWEEP_AXES), min_size=1)):
+        values = SWEEP_VALUES[name]
+        if bad:
+            values = values | st.sampled_from(SWEEP_BAD[name])
+        sweep[name] = draw(st.lists(values, min_size=1, max_size=3))
+    return {"bath": SWEEP_BASES[draw(st.sampled_from(sorted(SWEEP_BASES)))], "sweep": sweep}
+
+
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(config=sweep_configs())
+@example(config={"bath": SWEEP_BASES["desk"], "sweep": {"g": [1.0, 1e200, -1.0], "eta": [2.0]}})
+@example(config={"bath": SWEEP_BASES["desk"], "sweep": {"g": [0.0, 3.0], "phi": [1.0],
+                                                        "T": [300.0, 1e300]}})
+@example(config={"bath": SWEEP_BASES["lyapunov_overflow"], "sweep": {"g": [0.5, 1.0]}})
+@example(config={"bath": SWEEP_BASES["gap_overflow"], "sweep": {"g": [1e154], "eta": [1.0]}})
+@example(config={"bath": SWEEP_BASES["heisenberg"], "sweep": {"g": [0.0, 0.1], "T": [0.0, 1.0],
+                                                              "phi": [-1.0, 1.0]}})
+def test_sweep_grid_equals_the_per_point_route(config):
+    # the arrays broadcast over the grid give every cell of the per-point
+    # chain to the bit, in both formats, or refuse the config with the
+    # same error, field and message as that chain's first refused point
+    assert sweep_texts(config) == per_point_texts(config)
+
+
+def test_sweep_evaluates_its_grid_without_the_per_point_route(monkeypatch, tmp_path):
+    bath = bath_from_rates(**NON_CP_BATH["bath"])
+    calls = {"bath_from_rates": 0, "lyapunov_moments": 0}
+
+    def counted(module, name):
+        function = getattr(module, name)
+
+        def counter(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counter)
+
+    counted(bath_mod, "bath_from_rates")
+    counted(steady_state, "lyapunov_moments")
+    # 3000 points, unstable and Heisenberg-refused ones among them
+    axes = [("g", list(np.geomspace(0.01, 80.0, 30))), ("phi", [-math.pi / 2, -1.2, 0.4, 1.2, 3.0]),
+            ("Gamma", list(np.geomspace(0.05, 100.0, 10))), ("eta", [0.5, 1.0])]
+    columns = steady_state.sweep_grid(bath, axes)
+    assert len(columns["var_x"]) == 3000
+    assert not all(columns["stable"]) and any(np.isnan(columns["var_x"]) & columns["stable"])
+    assert calls == {"bath_from_rates": 0, "lyapunov_moments": 0}
+    # the refusal path runs the one point it refuses through that route once
+    with pytest.raises(mirrorcool.ValidationError, match="eta: must lie in"):
+        steady_state.sweep_grid(bath, [*axes[:3], ("eta", [0.5, 1.5])])
+    assert calls["bath_from_rates"] == 1 and calls["lyapunov_moments"] <= 1
+    # from the command line the config's own bath is the one other call
+    calls.update(bath_from_rates=0, lyapunov_moments=0)
+    config = write_config(tmp_path, {**NON_CP_BATH, "sweep": dict(axes)})
+    assert run(["sweep", "--config", config, "--out", str(tmp_path / "sweep.json")]) == 0
+    assert calls == {"bath_from_rates": 1, "lyapunov_moments": 0}
+
+
+def test_a_gap_past_the_float_range_is_written_not_raised(tmp_path, capsys):
+    # (g/gamma)^2 = 1e328 raised OverflowError out of check_stability, and so
+    # out of sweep and derive; the gap is +inf, as the sweep's arrays give it
+    rates = SWEEP_BASES["gap_overflow"]
+    assert check_stability(bath_from_rates(**rates)).positivity_gap == math.inf
+    config = {"bath": rates, "sweep": {"g": [rates["g"]]}}
+    assert run(["sweep", "--config", write_config(tmp_path, config)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    row = dict(zip(out["header"], out["rows"][0]))
+    assert row["positivity_gap"] == math.inf and row["lindblad_positive"] is True
+
+
 def test_compare_reports_agreement(tmp_path, capsys):
     config = {
         **DESK_BATH,
@@ -702,6 +859,56 @@ def test_written_arrays_are_freed_without_a_collection(tmp_path):
         assert freed() is None
     finally:
         gc.enable()
+
+
+# 20,000 points: 100 gains, 5 phases (two turn unstable), 20 Gammas, 2 etas
+SWEEP_20K = {**DESK_BATH, "sweep": {"g": list(np.geomspace(0.1, 80.0, 100)),
+                                    "phi": [-math.pi / 2, -1.2, -0.5, 0.4, 1.2],
+                                    "Gamma": list(np.geomspace(5.0, 100.0, 20)), "eta": [0.5, 1.0]}}
+
+
+def test_sweep_json_writer_does_not_hold_the_text(tmp_path):
+    # as a list of row lists, json.dumps held about 23.6 MB for this 4.2 MB document
+    doc = cli.cmd_sweep(SWEEP_20K, types.SimpleNamespace(format="json"))
+    out = tmp_path / "sweep.json"
+    tracemalloc.start()
+    try:
+        cli._write(str(out), doc, "json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < out.stat().st_size / 4
+
+
+def test_sweep_json_is_the_list_form_text(tmp_path):
+    # unstable rows carry NaN and false: json's tokens, not repr's nan
+    doc = cli.cmd_sweep(SWEEP_20K, types.SimpleNamespace(format="json"))
+    rows = [list(row) for row in zip(*(column.tolist() for column in doc["rows"].columns))]
+    assert any(math.isnan(row[5]) for row in rows) and not all(row[9] for row in rows)
+    expected = json.dumps({"header": doc["header"], "rows": rows}, indent=1) + "\n"
+    assert written(doc, "json") == expected
+
+
+TABLE_FLOATS = st.floats(width=64) | st.sampled_from(SPECIAL_FLOATS)
+
+
+@st.composite
+def row_tables(draw):
+    n = draw(st.integers(0, 5))
+    columns = draw(st.lists(hnp.arrays(np.float64, n, elements=TABLE_FLOATS)
+                            | hnp.arrays(np.bool_, n), min_size=1, max_size=4))
+    return {"a": [1.5, "\ue0000"], "rows": cli._Rows(columns), "z": {"w": np.array([0.5])}}
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(doc=row_tables())
+def test_json_row_table_is_the_list_form_text(doc):
+    table = doc["rows"]
+    rows = [list(row) for row in zip(*(column.tolist() for column in table.columns))]
+    expected = json.dumps({**doc, "rows": rows}, indent=1, default=reference_jsonable) + "\n"
+    for chunk in (1, 2, 5, cli._CHUNK):  # 1 and 2 cells a piece write one row a piece
+        with mock.patch.object(cli, "_CHUNK", chunk):
+            assert written(doc, "json") == expected
 
 
 SWEEP_CONFIG = {**DESK_BATH, "sweep": {"g": [0.0, 10.0, 50.0], "phi": [-math.pi / 2, 1.2]}}
@@ -1059,6 +1266,12 @@ MALFORMED = {
                          *failed("bath coefficients")),
     "sweep_g_overflow": ("sweep", {**DESK_BATH, "sweep": {"g": [1e200]}}, [],
                          *failed("bath coefficients")),
+    # 4*eta*Gamma underflows to 0: g^2/(4*eta*Gamma) divided by zero
+    "eta_Gamma_underflow": ("variance", with_bath(eta=1e-200, Gamma=1e-200), [],
+                            *failed("bath coefficients overflowed: float division by zero")),
+    "sweep_eta_Gamma_underflow": ("sweep", {**DESK_BATH, "sweep": {"eta": [1.0, 1e-200],
+                                                                   "Gamma": [1e-200]}}, [],
+                                  *failed("bath coefficients overflowed: float division by zero")),
     # a finite bath whose Lyapunov var_p (about 1e322) is past the float range
     "lyapunov_overflow": ("variance", with_bath(omega_m=1e-160, gamma_m=0.0, g=1.0, phi=-1.0), [],
                           *failed("steady covariance leaves the float range")),

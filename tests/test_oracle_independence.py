@@ -17,12 +17,15 @@ def _tree(module: str) -> ast.Module:
     return ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
 
 
-def _references(module: str, function: str, opaque: frozenset[str] = frozenset()) -> set[str]:
-    """Names and attributes used by ``function`` and the module functions it reaches.
+def _references(module: str | tuple[str, ...], function: str,
+                opaque: frozenset[str] = frozenset()) -> set[str]:
+    """Names and attributes used by ``function`` and the module functions it
+    reaches, in ``module`` or in each of a tuple of modules.
 
     The functions in ``opaque`` are named but not looked into.
     """
-    defs = {n.name: n for n in _tree(module).body if isinstance(n, ast.FunctionDef)}
+    modules = (module,) if isinstance(module, str) else module
+    defs = {n.name: n for m in modules for n in _tree(m).body if isinstance(n, ast.FunctionDef)}
     seen, todo, names = set(opaque), [function], set()
     while todo:
         name = todo.pop()
@@ -43,6 +46,20 @@ def test_closed_forms_use_no_oracle_code():
               "_x_spectrum"}
     for function in ("closed_form_moments", "high_gain_moments"):
         assert not _references("steady_state", function) & oracle, function
+
+
+def test_closed_forms_reach_no_lyapunov_or_array_route_code():
+    # the sweep evaluates its grid through bath's coefficient functions and
+    # the long-double Lyapunov closed form on arrays; the closed forms that
+    # check it reach none of that code, in steady_state or in bath. They do
+    # share the bath itself with every route: its noise intensities, the
+    # stability verdict (require_stable) and T_eff
+    array_route = {"sweep_grid", "_lyapunov_terms", "_long_double_terms", "_drift",
+                   "_coefficients", "_must_be_finite", "_constraints_hold", "_positivity_gap"}
+    for function in ("closed_form_moments", "high_gain_moments"):
+        reached = _references(("steady_state", "bath"), function)
+        assert "require_stable" in reached and "_t_eff" in reached, function
+        assert not reached & array_route, function
 
 
 def test_monte_carlo_noise_model_uses_no_steady_state_solve():
