@@ -42,8 +42,10 @@ def _register(name: str) -> None:
 
     On older CPython releases a lazy module's first access is not guarded
     against two threads. Every first access is made on the calling
-    thread: a module runs the modules it imports as its own body runs,
-    so all have run before ``langevin`` starts its Monte Carlo pool.
+    thread: a module runs the modules it imports names from as its own
+    body runs, so all have run before ``langevin`` starts its worker
+    threads, and ``langevin`` first touches the ``spectrum`` module it
+    binds only after they have joined.
     """
     spec = importlib.util.find_spec(f"{__name__}.{name}")
     spec.loader = importlib.util.LazyLoader(spec.loader)

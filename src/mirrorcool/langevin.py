@@ -28,20 +28,21 @@ matrix is 2x2, so the stability check and slowest rate
 ``tau_int`` and the Gauss-Legendre rule (:func:`_gauss_legendre`) are
 closed forms.
 
-The trajectories run on a thread pool with a worker per usable core, at
-most ``_MAX_WORKERS`` (:func:`_pool_size`). A worker takes one
-trajectory at a time and streams it through time chunks of at most
-``_CHUNK`` steps in its own scratch buffers: one chunk of draws, and one
-chunk of states behind the samples of the Welch segment left unfinished
-by the chunk before. The state leaving a chunk enters the next, the
-moment and Welch sums run on across chunks, and the worker writes only
-that trajectory's results. The draws are keyed by (seed, index), so
-results do not depend on the worker count, and memory grows with the
-workers, not with ``n_traj`` or ``t_sample``. The Welch transform, the
-spread of the PSD bins over the trajectories and the alias reference
-take ``_GROUP`` segments, trajectories or images at a time
-(:func:`_sum_rows`), so their transients are bounded by the group, not
-by the run; each keeps the order of the sums it replaces.
+The trajectories run on one worker per usable core, at most
+``_MAX_WORKERS`` (:func:`_pool_size`): the calling thread and a plain
+thread for each further worker, so one core starts no thread. A worker
+takes one trajectory at a time and streams it through time chunks of at
+most ``_CHUNK`` steps in its own scratch buffers: one chunk of draws,
+and one chunk of states behind the samples of the Welch segment left
+unfinished by the chunk before. The state leaving a chunk enters the
+next, the moment and Welch sums run on across chunks, and the worker
+writes only that trajectory's results. The draws are keyed by (seed,
+index), so results do not depend on the worker count, and memory grows
+with the workers, not with ``n_traj`` or ``t_sample``. The Welch
+transform, the spread of the PSD bins over the trajectories and the
+alias reference take ``_GROUP`` segments, trajectories or images at a
+time (:func:`_sum_rows`), so their transients are bounded by the group,
+not by the run; each keeps the order of the sums it replaces.
 
 Only the symmetric part of the input correlations is simulated; the
 antisymmetric i/4 cross term is a commutator artifact that no pair of
@@ -53,14 +54,15 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
+from . import spectrum
 from .bath import EffectiveBath, require_stable
 from .errors import NoiseModelError, StabilityError, ValidationError
-from .spectrum import eval_spectrum
 from .steady_state import diffusion_matrix, drift_matrix, _require_phase
 
 __all__ = ["SimConfig", "TrajectoryEnsembleStats", "ComparisonReport", "simulate", "psd_vs_analytic"]
@@ -76,9 +78,10 @@ _GEMM_ROWS = 4 * 65536 // (2 * _BLOCK * _BLOCK)
 # one thread and more when the workers contend, so shorter chunks slow a
 # run down and longer ones only add scratch
 _CHUNK = 4 * _GEMM_ROWS * _BLOCK
-# most worker threads: each holds 32 bytes of scratch per step of a chunk
-# (draws, which are also the GEMM input, and states) plus 16 per step of a
-# Welch segment, about 1.1 MB at the default segment, so 16 hold about 17 MB
+# most workers, the calling thread counted: each holds 32 bytes of scratch
+# per step of a chunk (draws, which are also the GEMM input, and states)
+# plus 16 per step of a Welch segment, about 1.1 MB at the default segment,
+# so 16 hold about 17 MB
 _MAX_WORKERS = 16
 _QUAD_NODES = 12  # Gauss-Legendre nodes of the one-step noise integral (_exact_step)
 _SERIES_S2 = 1e-6  # below this |s^2|, _expm2 sums the Taylor series of cosh(s) and sinh(s)/s
@@ -410,8 +413,8 @@ def _step_count(name: str, duration: float, dt: float) -> int:
 
 
 def _pool_size(n_traj: int) -> int:
-    """Worker threads for ``n_traj`` trajectories: one per usable core, at most
-    ``_MAX_WORKERS`` and one per trajectory.
+    """Workers for ``n_traj`` trajectories, the calling thread counted: one per
+    usable core, at most ``_MAX_WORKERS`` and one per trajectory.
 
     The usable cores are the CPU affinity; a cgroup CPU quota is not read,
     so under a quota the cap is what bounds the threads.
@@ -495,8 +498,6 @@ def _simulate_linear(
     keep_trajectories: int = 0,
 ) -> TrajectoryEnsembleStats:
     """Core integrator over an arbitrary stable 2x2 drift/diffusion pair."""
-    from concurrent.futures import ThreadPoolExecutor
-
     rate = _slowest_rate(A)
     if not rate > 0:
         raise StabilityError(f"drift not strictly stable: slowest decay rate {rate:g}")
@@ -554,10 +555,10 @@ def _simulate_linear(
     step = seg - noverlap  # Welch segment starts
 
     # each worker takes the next trajectory index from this shared iterator
-    # (next() on a range iterator is atomic under the GIL): one job per
-    # worker, not a future per trajectory, whose bookkeeping cost about
-    # 70 us per trajectory
+    # (next() on a range iterator is atomic under the GIL), so the workers
+    # share out the trajectories with no per-trajectory bookkeeping
     indices = iter(range(cfg.n_traj))
+    failures = []  # what the workers raised, in the order they raised it
 
     def work(draws: np.ndarray, states: np.ndarray) -> None:
         try:
@@ -607,15 +608,24 @@ def _simulate_linear(
                 two_sided = p_one[0] + 2 * p_one[1:half].sum() + p_one[half:].sum()
                 integ_i[j] = two_sided * (fs / seg)
                 psd_i[j] = p_one[:half]
-        except BaseException:
+        except BaseException as exc:  # a KeyboardInterrupt on the calling thread too
             for _ in indices:  # the other workers stop after their current trajectory
                 pass
-            raise
+            failures.append(exc)
 
-    with ThreadPoolExecutor(max_workers=n_workers, thread_name_prefix="mirrorcool-langevin") as pool:
-        jobs = [pool.submit(work, *buffers) for buffers in scratch]
-    for job in jobs:
-        job.result()  # raises what a worker raised
+    # the calling thread is worker 0; one worker starts no thread
+    threads = [threading.Thread(target=work, args=buffers, name=f"mirrorcool-langevin-{w}")
+               for w, buffers in enumerate(scratch[1:], 1)]
+    for thread in threads:
+        thread.start()
+    work(*scratch[0])
+    for thread in threads:
+        thread.join()
+    if failures:
+        try:
+            raise failures[0]
+        finally:
+            failures.clear()  # no cycle: the traceback holds this frame
 
     n = cfg.n_traj
     sqrt_n = math.sqrt(n)
@@ -718,7 +728,7 @@ def _sampled_spectrum(bath: EffectiveBath, omega: np.ndarray, dt: float) -> np.n
     k = np.arange(-_ALIAS_IMAGES, _ALIAS_IMAGES + 1)[:, None]
 
     def images(lo, hi, out):
-        values = eval_spectrum(bath, (omega + k[lo:hi] * (2 * math.pi / dt)).ravel())
+        values = spectrum.eval_spectrum(bath, (omega + k[lo:hi] * (2 * math.pi / dt)).ravel())
         out[...] = values.reshape(out.shape)
 
     return _sum_rows(k.size, omega.shape, images)

@@ -1112,8 +1112,9 @@ SIM = {"dt": 1.25e-3, "t_relax": 0.5, "t_sample": 4.0, "n_traj": 8, "seed": 5,
 SETUP = json.loads(REFERENCE_CONFIG.read_text())["setup"]
 
 
-# the mirrorcool modules whose body has run, and the numpy modules loaded;
-# a registered module that has not run still has the lazy module class
+# the mirrorcool modules whose body has run, the numpy modules loaded, and
+# whether an executor was imported; a registered module that has not run
+# still has the lazy module class
 _RAN_SCRIPT = """
 import json, sys, types
 
@@ -1123,16 +1124,19 @@ def ran():
 
 def numpy_modules():
     return sorted(m for m in ("numpy", "numpy.polynomial") if m in sys.modules)
+
+def executor_imported():
+    return "concurrent.futures" in sys.modules
 """
 
 _COLD_VERB = _RAN_SCRIPT + """
 import mirrorcool.cli
 code = mirrorcool.cli.main(sys.argv[1:])
-print(json.dumps([code, ran(), numpy_modules()]))
+print(json.dumps([code, ran(), numpy_modules(), executor_imported()]))
 """
 
 _BASE = ["bath", "cli", "errors", "params"]
-_MONTE_CARLO = sorted([*_BASE, "langevin", "spectrum", "steady_state"])
+_MONTE_CARLO = sorted([*_BASE, "langevin", "steady_state"])  # simulate evaluates no spectrum
 
 # verb -> (config, the modules it runs); derive alone runs without numpy
 COLD_VERBS = {
@@ -1142,7 +1146,7 @@ COLD_VERBS = {
                  sorted([*_BASE, "spectrum", "steady_state"])),
     "sweep": ({**DESK_BATH, "sweep": {"g": [10.0, 50.0]}}, sorted([*_BASE, "steady_state"])),
     "simulate": ({**DESK_BATH, "sim": SIM}, _MONTE_CARLO),
-    "compare": ({**DESK_BATH, "sim": SIM}, _MONTE_CARLO),
+    "compare": ({**DESK_BATH, "sim": SIM}, sorted([*_MONTE_CARLO, "spectrum"])),
     "fock": ({**FOCK_DESK_BATH, "fock": {"dim": 66}}, sorted([*_BASE, "fock"])),
 }
 
@@ -1150,13 +1154,15 @@ COLD_VERBS = {
 @pytest.mark.parametrize("verb", COLD_VERBS)
 def test_cold_verb_runs_only_the_modules_it_calls(tmp_path, verb):
     config, modules = COLD_VERBS[verb]
-    code, ran, numpy = _fresh_python(_COLD_VERB, verb, "--config",
-                                     write_config(tmp_path, config),
-                                     "--out", str(tmp_path / f"{verb}.out"))
+    code, ran, numpy, executor = _fresh_python(_COLD_VERB, verb, "--config",
+                                               write_config(tmp_path, config),
+                                               "--out", str(tmp_path / f"{verb}.out"))
     assert code == 0
     assert ran == modules
     # no verb loads numpy.polynomial
     assert numpy == ([] if verb == "derive" else ["numpy"])
+    # the Monte Carlo workers are plain threads, with no executor behind them
+    assert not executor
 
 
 def test_package_import_runs_no_submodule_and_registers_every_traced_layer():

@@ -534,6 +534,43 @@ def test_a_failing_trajectory_stops_the_other_workers(monkeypatch):
     assert next(calls) <= 8
 
 
+def test_one_worker_runs_on_the_calling_thread_alone(monkeypatch):
+    before, seen, welch = threading.active_count(), [], langevin._welch_density
+
+    def recording(*args, **kwargs):
+        seen.append((threading.current_thread(), threading.active_count()))
+        return welch(*args, **kwargs)
+
+    _force_workers(monkeypatch, 1)
+    monkeypatch.setattr(langevin, "_welch_density", recording)
+    simulate(desk_bath(), quick_cfg(n_traj=4, t_sample=2.0, welch_segment=512))
+    assert seen == [(threading.main_thread(), before)] * 4
+
+
+@pytest.mark.parametrize("failure", [RuntimeError, KeyboardInterrupt])
+def test_a_failure_on_the_calling_thread_stops_the_other_worker(monkeypatch, failure):
+    # the calling thread is worker 0: its first Welch call raises, the other
+    # worker finishes at most the trajectory it is on, and both are joined
+    # before the failure reaches the caller
+    before, calls, welch = threading.enumerate(), itertools.count(), langevin._welch_density
+    raised = []
+
+    def failing_welch(*args, **kwargs):
+        next(calls)
+        if threading.current_thread() is threading.main_thread() and not raised:
+            raised.append(failure)
+            raise failure("welch failed")
+        return welch(*args, **kwargs)
+
+    _force_workers(monkeypatch, 2)
+    monkeypatch.setattr(langevin, "_welch_density", failing_welch)
+    with pytest.raises(failure, match="welch failed"):
+        simulate(desk_bath(), quick_cfg(n_traj=64, t_sample=2.0, welch_segment=512))
+    assert raised == [failure]
+    assert next(calls) <= 8
+    assert threading.enumerate() == before
+
+
 def test_peak_memory_does_not_grow_with_the_trajectory_count(monkeypatch):
     # the scratch belongs to the workers: 56 more trajectories add their
     # results (three moments, the PSD integral and 256 PSD bins each) and
