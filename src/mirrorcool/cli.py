@@ -71,7 +71,7 @@ def _jsonable(value: Any) -> Any:
 
 
 _MARK = "\\ue000"  # the private-use character U+E000 as ensure_ascii writes it
-_CHUNK = 1024  # CSV rows, JSON array elements or JSON table cells, rendered per write
+_CHUNK = 4096  # floats formatted per call, and cells written per piece
 
 
 def _is_float_array(value: Any) -> bool:
@@ -88,25 +88,247 @@ class _Rows:
         self.columns = columns
 
 
-def _json_pieces(doc: Any) -> Iterator[str]:
+# ---------------------------------------------------------------------------
+# float text: repr's digits for a batch of floats at once
+#
+# A batch is formatted into cells: one column of _CELL bytes per value,
+# laid out by position (row j holds byte j of every cell), which hold the
+# value's text in order with NULs between and after its characters:
+# sign, "0." and up to three zeros, 17 digits with a slot for the point
+# after each of the first 16, a "0" after the point, and "e", the
+# exponent's sign and three digits. _assemble drops the NULs.
+
+_CELL = 45
+_DIGITS = slice(6, 39, 2)  # the digit rows; the point's slots lie between them
+_POINTS = slice(7, 38, 2)
+_M32 = 0xFFFFFFFF
+
+
+@functools.cache  # built on the first float array written, in about 0.5 ms
+def _powers() -> tuple[np.ndarray, np.ndarray]:
+    """The 32-bit limbs, least significant first, of 10**i for i in
+    -292..326 normalised to 128 bits (each in [2**127, 2**128), rounded up
+    where inexact), as a (4, 619) array; and 10**i for i in 0..17."""
+    import numpy as np
+
+    g, p = [], 10
+    for _ in range(292):
+        g.append(-(-(1 << (127 + p.bit_length())) // p))
+        p *= 10
+    g.reverse()
+    p = 1
+    for _ in range(327):
+        shift = p.bit_length() - 128
+        g.append(p << -shift if shift <= 0 else -(-p >> shift))
+        p *= 10
+    limbs = np.frombuffer(b"".join(v.to_bytes(16, "little") for v in g), dtype="<u4")
+    return limbs.reshape(-1, 4).T.copy(), 10 ** np.arange(18, dtype=np.int64)
+
+
+def _shortest(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Digits ``f`` and exponent ``k`` of the shortest decimal f * 10**k that
+    reads back as each positive finite float64 of ``x``, the closest one
+    where several are that short: the digits repr writes.
+
+    This is Schubfach (R. Giulietti, "The Schubfach way to render doubles",
+    2020), one numpy operation over the batch at a time. The products of
+    the 128-bit powers of ten with significands of up to 59 bits are summed
+    in 32-bit columns of int64; f has at most 17 digits.
+    """
+    import numpy as np
+
+    limbs, _ = _powers()
+    bits = x.view(np.int64)
+    biased = bits >> 52
+    fraction = bits & ((1 << 52) - 1)
+    c = fraction | (biased != 0).astype(np.int64) << 52  # x = c * 2**q
+    q = np.maximum(biased, 1) - 1075
+    closer = (fraction == 0) & (biased > 1)  # the next float down is nearer
+    # k = floor(log10(2**q)), or of 3/4 * 2**q; h = q + floor(log2(10**-k)) + 1
+    k = (q * 661971961083 - closer * 274743187321) >> 41
+    h = q + ((-k * 913124641741) >> 38) + 1
+    del biased, fraction, q
+    g = limbs[:, 292 - k]
+    cp = c << (h + 2)
+    # the 32-bit columns of g * cp, carries not yet propagated
+    columns = np.empty((5, x.size), dtype=np.int64)
+    part = g * (cp & _M32)  # wraps past 2**63; its bits are the product's
+    np.bitwise_and(part, _M32, out=columns[:4])
+    part.view(np.uint64)[...] >>= 32
+    columns[4] = 0
+    columns[1:] += part
+    columns[1:] += np.multiply(g, cp >> 32, out=part)
+    del cp
+
+    def scaled(step):
+        """(g * (cp + (step << h))) >> 128, its last bit set where the bits
+        below are not all 0: x, or an end of its rounding interval, in
+        units of 10**k / 4."""
+        R = np.add(columns[:4], np.multiply(g, step << h, out=part), out=part)
+        R[1] += R[0] >> 32
+        R[2] += R[1] >> 32
+        R[3] += R[2] >> 32
+        top = columns[4] + (R[3] >> 32)
+        top |= ((R[2] | R[3]) & _M32) != 0
+        return top
+
+    vbl, vb, vbr = scaled(closer - 2), scaled(0), scaled(2)
+    del columns, part, g
+    odd = c & 1  # an odd c excludes the interval's ends
+    lower, upper = vbl + odd, vbr - odd
+    s = vb >> 2
+    sp = s // 10
+    up_in = lower <= 40 * sp
+    wp_in = 40 * sp + 40 <= upper
+    u_in = lower <= 4 * s
+    w_in = 4 * s + 4 <= upper
+    mid = 4 * s + 2
+    up = np.where(u_in != w_in, w_in, (vb > mid) | ((vb == mid) & (s & 1 == 1)))
+    # one digit fewer where exactly one of sp and sp + 1 (times 10) is inside
+    f = np.where((s >= 10) & (up_in != wp_in), 10 * (sp + wp_in), s + up)
+    return f, k
+
+
+@functools.cache
+def _tokens(json_text: bool) -> np.ndarray:
+    """Cells of 0.0, NaN and infinity, unsigned, as JSON or as repr writes them."""
+    import numpy as np
+
+    words = (b"0.0", b"NaN", b"Infinity") if json_text else (b"0.0", b"nan", b"inf")
+    cells = b"".join(b"\0" + w.ljust(_CELL - 1, b"\0") for w in words)
+    return np.frombuffer(cells, dtype=np.uint8).reshape(-1, _CELL).T.copy()
+
+
+def _repr_cells(values: np.ndarray, json_text: bool = False) -> np.ndarray:
+    """The cells of ``repr(float(v))`` for each value of a float array; NaN
+    and infinities are written ``NaN`` and ``Infinity`` as JSON text."""
+    import numpy as np
+
+    x = np.asarray(values, dtype=np.float64).ravel()  # float16 and float32 widen exactly
+    n = x.size
+    _, powers = _powers()
+    regular = np.isfinite(x) & (x != 0)
+    special = not regular.all()
+    ax = np.abs(x)
+    if special:
+        ax[~regular] = 1.0
+    f, k = _shortest(ax)
+    length = np.searchsorted(powers, f, side="right")
+    point = length + k  # the digits are 0.ddd * 10**point
+    f *= powers[17 - length]
+    # the 17 digits, zero-padded: halves of 8, quarters of 4, pairs, digits
+    digits = np.empty((17, n), dtype=np.uint8)
+    digits[0] = f // powers[16]
+    f -= digits[0] * powers[16]
+    halves = np.empty((2, n), dtype=np.uint32)
+    np.floor_divide(f, powers[8], out=halves[0], casting="unsafe")
+    halves[1] = f - halves[0] * powers[8]
+    quarters = np.empty((2, 2, n), dtype=np.uint16)
+    np.floor_divide(halves, 10000, out=quarters[:, 0], casting="unsafe")
+    np.subtract(halves, quarters[:, 0] * np.uint32(10000), out=quarters[:, 1], casting="unsafe")
+    pairs = np.empty((2, 2, 2, n), dtype=np.uint8)
+    np.floor_divide(quarters, 100, out=pairs[:, :, 0], casting="unsafe")
+    np.subtract(quarters, pairs[:, :, 0] * np.uint16(100), out=pairs[:, :, 1], casting="unsafe")
+    ones = digits[1:].reshape(2, 2, 2, 2, n)
+    np.floor_divide(pairs, 10, out=ones[..., 0, :])
+    np.subtract(pairs, ones[..., 0, :] * np.uint8(10), out=ones[..., 1, :])
+    significant = (digits != 0).view(np.uint8)
+    significant *= np.arange(1, 18, dtype=np.uint8)[:, None]
+    significant = significant.max(axis=0)  # digits up to the last nonzero one
+    digits += 48
+
+    cells = np.zeros((_CELL, n), dtype=np.uint8)
+    cells[0] = np.signbit(x) & ~np.isnan(x)
+    cells[0] *= 45
+    fixed = (point >= -3) & (point <= 16)  # repr's fixed-point range
+    whole = np.where(fixed, point, 0)  # digits before the point
+    cells[_DIGITS] = digits
+    cells[_DIGITS] *= np.arange(17)[:, None] < np.maximum(significant, whole)
+    dot = np.where(whole > 0, whole - 1, np.where(fixed | (significant == 1), -1, 0))
+    cells[_POINTS] = np.arange(16)[:, None] == dot
+    cells[_POINTS] *= 46
+    cells[39] = significant <= whole  # "1e3" is written "1000.0"
+    cells[39] *= 48
+    lead = fixed & (point <= 0)  # "0.00ddd"
+    if lead.any():
+        cells[1] = lead * 48
+        cells[2] = lead * 46
+        cells[3:6] = lead & (point <= -np.arange(1, 4)[:, None])
+        cells[3:6] *= 48
+    if not fixed.all():  # "d.ddde-XX"
+        exponent = np.where(fixed, 0, point - 1)
+        magnitude = np.abs(exponent)
+        cells[40] = ~fixed
+        cells[40] *= 101
+        cells[41] = np.where(fixed, 0, np.where(exponent < 0, 45, 43))
+        cells[42] = (magnitude >= 100) * (magnitude // 100 + 48)
+        cells[43] = ~fixed * (magnitude // 10 % 10 + 48)
+        cells[44] = ~fixed * (magnitude % 10 + 48)
+    if special:
+        at = np.flatnonzero(~regular)
+        kind = np.where(x[at] == 0, 0, np.where(np.isnan(x[at]), 1, 2))
+        sign = cells[0, at]
+        cells[:, at] = _tokens(json_text)[:, kind]
+        cells[0, at] = sign
+    return cells
+
+
+def _bool_cells(column: np.ndarray, words: tuple[bytes, bytes]) -> np.ndarray:
+    """Cells of a boolean array: the false word or the true one, NUL-padded."""
+    import numpy as np
+
+    table = np.frombuffer(b"".join(w.ljust(5, b"\0") for w in words), dtype=np.uint8)
+    return table.reshape(2, 5).T[:, column.astype(np.uint8)]
+
+
+def _text_cells(cells: Iterable[str]) -> np.ndarray:
+    """Cells of text, which holds no NUL."""
+    import numpy as np
+
+    encoded = [cell.encode("utf-8") for cell in cells]
+    if b"\0" in b"".join(encoded):
+        raise ValueError("a text cell holds NUL, which the writer cannot write")
+    return np.array(encoded, dtype=bytes).view(np.uint8).reshape(len(encoded), -1).T
+
+
+def _assemble(fields: list, rows: int) -> np.ndarray:
+    """The bytes of ``rows`` rows of text, each the concatenation of
+    ``fields``: bytes written on every row, or a column of cells. The
+    fields are laid side by side and the NULs dropped.
+
+    The text stays a numpy array, which a file writes as it stands: as a
+    ``bytes`` object it left the heap fragmented enough to raise the peak
+    resident size of a long-running process."""
+    import numpy as np
+
+    # the rows that are NUL in every cell of a field are left out
+    parts = [np.frombuffer(f, dtype=np.uint8)[:, None] if isinstance(f, bytes)
+             else f[f.any(axis=1)] for f in fields]
+    buf = np.empty((rows, sum(map(len, parts))), dtype=np.uint8)
+    at = 0
+    for part in parts:
+        buf[:, at:at + len(part)] = part.T
+        at += len(part)
+    return buf[buf != 0]  # np.compress would hold 8 bytes of index per byte
+
+
+def _json_pieces(doc: Any) -> Iterator[bytes | np.ndarray]:
     """``json.dumps(doc, indent=1, default=_jsonable) + "\\n"``, in pieces.
 
     ``json.dumps`` lays out the document with a placeholder string for each
-    nonempty, finite 1-D float array and each ``_Rows`` table: a run of
-    U+E000 characters and the value's index, made longer until no string
-    of the document holds the run. The text between placeholders is
-    yielded as it stands, each array as the same ``indent=1`` block of
-    shortest round-trip floats, ``_CHUNK`` elements at a time, and each
-    table as the ``indent=1`` list of its rows, about ``_CHUNK`` cells at
-    a time. Other values, non-finite arrays among them (``NaN``,
-    ``Infinity``), go through ``_jsonable``.
+    nonempty 1-D float array and each ``_Rows`` table: a run of U+E000
+    characters and the value's index, made longer until no string of the
+    document holds the run. The text between placeholders is yielded as it
+    stands, each array as the same ``indent=1`` block of shortest
+    round-trip floats (``NaN`` and ``Infinity`` as json writes them), and
+    each table as the ``indent=1`` list of its rows, ``_CHUNK`` cells at a
+    time. Other values go through ``_jsonable``.
     """
     arrays = []
 
     def placeholder(value):
         if isinstance(value, _Rows) or (
-                _is_float_array(value) and value.ndim == 1 and value.size
-                and sys.modules["numpy"].isfinite(value).all()):
+                _is_float_array(value) and value.ndim == 1 and value.size):
             arrays.append(value)
             return "\ue000" * run + str(len(arrays) - 1)
         return _jsonable(value)
@@ -123,65 +345,89 @@ def _json_pieces(doc: Any) -> Iterator[str]:
     arrays.clear()
     pos = 0
     for match in re.finditer(f'"(?:{re.escape(_MARK)}){{{run}}}(\\d+)"', text):
-        yield text[pos:match.start()]
+        yield text[pos:match.start()].encode()
         pos = match.end()
         line = text[text.rfind("\n", 0, match.start()) + 1:match.start()]
         value = found[int(match[1])]
         block = _rows_block if isinstance(value, _Rows) else _float_block
         yield from block(value, line[:len(line) - len(line.lstrip(" "))])
-    yield text[pos:] + "\n"
+    yield (text[pos:] + "\n").encode()
 
 
-def _float_block(values: np.ndarray, indent: str) -> Iterator[str]:
+def _float_block(values: np.ndarray, indent: str) -> Iterator[bytes | np.ndarray]:
     """The ``indent=1`` JSON list of ``values`` on a line indented by ``indent``,
     ``_CHUNK`` floats at a time."""
-    sep = ",\n" + indent + " "
-    yield "[\n" + indent + " "
+    sep = (",\n" + indent + " ").encode()
+    yield b"[\n" + indent.encode() + b" "
     for lo in range(0, values.size, _CHUNK):
-        yield (sep if lo else "") + sep.join(map(repr, values[lo:lo + _CHUNK].tolist()))
-    yield "\n" + indent + "]"
+        cells = _repr_cells(values[lo:lo + _CHUNK], json_text=True)
+        text = _assemble([sep, cells], cells.shape[1])
+        yield text if lo else text[len(sep):]
+    yield b"\n" + indent.encode() + b"]"
 
 
-def _rows_block(table: _Rows, indent: str) -> Iterator[str]:
+def _rows_block(table: _Rows, indent: str) -> Iterator[bytes | np.ndarray]:
     """The ``indent=1`` JSON list of ``table``'s rows on a line indented by
-    ``indent``, about ``_CHUNK`` cells at a time.
-
-    json's own encoder writes each group of rows as a list of rows, cells
-    as it writes them (``NaN`` and ``Infinity`` for non-finite floats,
-    ``true`` and ``false``), and the separators are then laid out on their
-    lines.
-    """
+    ``indent``, about ``_CHUNK`` cells at a time, cells as json writes them."""
     rows = len(table.columns[0]) if table.columns else 0
     if not rows:
-        yield "[]"
+        yield b"[]"
         return
     step = max(1, _CHUNK // len(table.columns))
-    cell = indent + "  "
-    row = "\n" + indent + " ],\n" + indent + " [\n" + cell
-    yield "[\n" + indent + " [\n" + cell
+    cell = (",\n" + indent + "  ").encode()
+    fields = [(",\n" + indent + " [\n" + indent + "  ").encode()]
+    for column in table.columns:
+        fields += [column, cell]
+    fields[-1] = ("\n" + indent + " ]").encode()
+    yield b"["
     for lo in range(0, rows, step):
-        text = json.dumps(list(zip(*(c[lo:lo + step].tolist() for c in table.columns))))
-        # "[[a, b], [c, d]]": no cell holds "], [" or ", "
-        yield (row if lo else "") + text[2:-2].replace("], [", row).replace(", ", ",\n" + cell)
-    yield "\n" + indent + " ]\n" + indent + "]"
+        hi = min(lo + step, rows)
+        text = _assemble(_cells(fields, lo, hi, True), hi - lo)
+        yield text if lo else text[1:]
+    yield b"\n" + indent.encode() + b"]"
 
 
-def _csv_column(column) -> Iterable[str]:
-    """The cells of one CSV column; a float or text array is rendered in one pass."""
-    if _is_float_array(column):
-        return map(repr, column.tolist())
-    if isinstance(column, _numpy_types("ndarray")) and column.dtype.kind == "U":
-        return column.tolist()
-    return map(_csv_cell, column)
+def _cells(fields: list, lo: int, hi: int, json_text: bool) -> list:
+    """``fields`` with each column replaced by the cells of its rows ``lo``
+    to ``hi``: the floats of every float column in one formatter call;
+    booleans as JSON writes them, or as ``str`` writes a numpy bool in CSV;
+    other cells as text."""
+    import numpy as np
+
+    floats = [f[lo:hi] for f in fields if _is_float_array(f)]
+    if floats:
+        split = iter(np.split(_repr_cells(np.concatenate(floats), json_text), len(floats), axis=1))
+    words = (b"false", b"true") if json_text else (b"False", b"True")
+    cells = []
+    for field in fields:
+        kind = field.dtype.kind if isinstance(field, np.ndarray) else None
+        if isinstance(field, bytes):
+            cells.append(field)
+        elif _is_float_array(field):
+            cells.append(next(split))
+        elif kind == "b":
+            cells.append(_bool_cells(field[lo:hi], words))
+        elif kind == "U":
+            cells.append(_text_cells(field[lo:hi].tolist()))
+        else:
+            cells.append(_text_cells(map(_csv_cell, field[lo:hi])))
+    return cells
 
 
-def _csv_pieces(doc: dict) -> Iterator[str]:
-    """The ``#`` lines and the header, then the rows, ``_CHUNK`` at a time."""
-    yield "".join(f"# {c}\n" for c in doc.get("comments", ())) + ",".join(doc["header"]) + "\n"
+def _csv_pieces(doc: dict) -> Iterator[bytes | np.ndarray]:
+    """The ``#`` lines and the header, then the rows, about ``_CHUNK`` float
+    cells at a time: every float column of a chunk is formatted in one call."""
+    text = "".join(f"# {c}\n" for c in doc.get("comments", ())) + ",".join(doc["header"]) + "\n"
+    yield text.encode("utf-8")
     columns = doc["columns"]
-    for lo in range(0, min(map(len, columns), default=0), _CHUNK):
-        rows = zip(*(_csv_column(c[lo:lo + _CHUNK]) for c in columns))
-        yield "\n".join(map(",".join, rows)) + "\n"
+    rows = min(map(len, columns), default=0)
+    step = max(1, _CHUNK // max(1, sum(map(_is_float_array, columns))))
+    fields = [b","] * (2 * len(columns))
+    fields[::2] = columns
+    fields[-1] = b"\n"
+    for lo in range(0, rows, step):
+        hi = min(lo + step, rows)
+        yield _assemble(_cells(fields, lo, hi, False), hi - lo)
 
 
 def _write(out: str | None, doc: dict, fmt: str = "json") -> None:
@@ -191,20 +437,22 @@ def _write(out: str | None, doc: dict, fmt: str = "json") -> None:
     floats (``repr``), ``NaN`` and ``Infinity`` included. A CSV document
     is a table given by columns: ``header``, ``columns`` and optional
     ``comments``, which lead the file as ``#`` lines; float cells are
-    ``repr`` floats and booleans ``true``/``false``. The text is written
-    as it is rendered, a piece at a time, so the whole of it is never
-    held. A file or stdout that cannot be written is refused as a bad
-    ``out``; the file may then hold part of the text.
+    ``repr`` floats and booleans ``true``/``false``. The floats of an array
+    are rendered by the vectorised formatter (``_repr_cells``), byte for
+    byte as ``repr`` writes them, in batches of ``_CHUNK`` cells. The text
+    is written as it is rendered, a piece at a time, so the whole of it is
+    never held. A file or stdout that cannot be written is refused as a
+    bad ``out``; the file may then hold part of the text.
     """
     pieces = _json_pieces(doc) if fmt == "json" else _csv_pieces(doc)
     if out:
         with _opened(out) as file:
             for piece in pieces:
-                file.write(piece.encode("utf-8"))
+                file.write(piece)
         return
     try:
         for piece in pieces:
-            sys.stdout.write(piece)
+            sys.stdout.write(bytes(piece).decode("utf-8"))
         sys.stdout.flush()
     except OSError as exc:
         raise ValidationError("out", f"cannot write to stdout: {exc}") from exc

@@ -306,6 +306,9 @@ def optimize_gain(
     ``eta`` 0.93269, ``n_bar`` 1.00755 over (0, 15.128), the interior root
     g = 6.106 gives var_x*var_p = 0.0443. Such a bath has no physical
     optimum to report, so the bound is enforced, not skipped.
+
+    Raises NumericalError, naming the bath, when a coefficient of the
+    quartic leaves the float range.
     """
     _require_phase(bath_template)
     g_lo, g_hi = g_range
@@ -316,7 +319,14 @@ def optimize_gain(
 
     gains = {g_lo, g_hi}
     if g_lo < g_hi:
-        roots = np.roots(_gain_quartic(bath_template))
+        try:
+            quartic = _gain_quartic(bath_template)
+        except OverflowError:  # a float ** past the float range raises, where * gives inf
+            quartic = np.array([math.inf])
+        if not np.isfinite(quartic).all():  # np.roots cannot solve it
+            rates = ", ".join(f"{key}={getattr(bath_template, key)!r}" for key in RATES[:5])
+            raise NumericalError(f"the gain quartic leaves the float range for the bath {rates}")
+        roots = np.roots(quartic)
         # as floats: the candidates are re-derived on the one-point float route
         gains.update(float(r.real) for r in roots if r.imag == 0 and g_lo < r.real < g_hi)
     var_min, g_opt = min(

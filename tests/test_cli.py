@@ -818,7 +818,7 @@ def test_text_does_not_depend_on_the_chunk_size(monkeypatch, chunk):
 
 def test_long_tables_and_arrays_are_written_across_chunks():
     rng = np.random.default_rng(5)
-    rows = 3 * cli._CHUNK - 72  # 3000: two whole chunks and a part
+    rows = 3 * cli._CHUNK - 72  # two whole chunks and a part
     table = {"header": ["a", "b", "c", "d"],
              "columns": [rng.standard_normal(rows), np.arange(rows), [True, False] * (rows // 2),
                          rng.standard_normal(rows).astype(np.float32)],
@@ -829,6 +829,80 @@ def test_long_tables_and_arrays_are_written_across_chunks():
     doc = {"x": rng.standard_normal(5000), "y": [{"z": rng.uniform(size=5000)}, "\ue0000"],
            "w": rng.standard_normal(5000).astype(np.float32), "v": np.full(5000, 0.25)}
     assert written(doc, "json") == json.dumps(doc, indent=1, default=reference_jsonable) + "\n"
+
+
+# every special the formatter writes apart from Schubfach's digits, and
+# the shortest and longest cells: at the first and last cell of each batch
+BATCH_ENDS = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e16, 1e-5]
+
+
+def at_batch_ends(values, step, turn=0):
+    """``values`` with BATCH_ENDS, turned by ``turn``, at the start and the
+    end of every run of ``step`` values, the first and last cell of each run
+    special."""
+    values = values.copy()
+    ends = np.roll(np.array(BATCH_ENDS), turn)
+    for k, lo in enumerate(range(0, values.size, step)):
+        hi = min(lo + step, values.size)
+        values[lo:lo + ends.size] = np.roll(ends, 3 * k)
+        values[hi - ends.size:hi] = np.roll(ends, 3 * k)[::-1]
+    return values
+
+
+def test_batch_boundaries_hold_every_special_float():
+    # each array and table is longer than two formatter batches
+    rng = np.random.default_rng(31)
+    chunk = cli._CHUNK
+    n = 2 * chunk + chunk // 2 + 7
+    doc = {"x": at_batch_ends(rng.standard_normal(n), chunk),
+           "y": [{"z": at_batch_ends(rng.uniform(size=n) * 1e-7, chunk, 4)}],
+           "w": at_batch_ends(rng.standard_normal(n), chunk, 2).astype(np.float32)}
+    assert written(doc, "json") == json.dumps(doc, indent=1, default=reference_jsonable) + "\n"
+
+    # a CSV chunk formats its two float columns in one batch
+    rows = chunk // 2
+    n = 2 * rows + rows // 3
+    table = {"header": ["a", "b", "c", "d", "e"],
+             "columns": [at_batch_ends(rng.standard_normal(n) * 1e20, rows),
+                         rng.uniform(size=n) < 0.5,
+                         np.array(["up", "down", "ab"])[rng.integers(0, 3, n)],
+                         at_batch_ends(rng.standard_normal(n), rows, 5).astype(np.float32),
+                         [f"r{k}" for k in range(n)]]}
+    lines = ["a,b,c,d,e"] + [",".join(map(reference_cell, row)) for row in zip(*table["columns"])]
+    assert written(table, "csv") == "\n".join(lines) + "\n"
+
+    # a row table: about CHUNK cells of its three columns a batch
+    rows = chunk // 3
+    n = 2 * rows + 11
+    columns = [at_batch_ends(rng.standard_normal(n), rows), rng.uniform(size=n) < 0.5,
+               at_batch_ends(rng.standard_normal(n) * 1e-300, rows, 6)]
+    rows_doc = {"rows": cli._Rows(columns)}
+    listed = [list(row) for row in zip(*(column.tolist() for column in columns))]
+    assert written(rows_doc, "json") == json.dumps({"rows": listed}, indent=1) + "\n"
+
+
+def formatter_text(values, json_text=False):
+    """The formatter's cells of ``values``, one a line."""
+    return b"".join(cli._assemble([cli._repr_cells(values[lo:lo + cli._CHUNK], json_text), b"\n"],
+                                  values[lo:lo + cli._CHUNK].size)
+                    for lo in range(0, values.size, cli._CHUNK)).decode()
+
+
+def test_formatter_is_repr_on_raw_bit_patterns_and_powers():
+    rng = np.random.default_rng(2024)
+    # repr itself takes about 1.1 s over these, most of it on the largest exponents
+    patterns = rng.integers(0, 2**64, 600_000, dtype=np.uint64).view(np.float64)
+    powers = np.array([math.ldexp(1.0, e) for e in range(-1074, 1024)]
+                      + [float(f"1e{e}") for e in range(-323, 309)]).view(np.uint64)
+    neighbours = np.concatenate([powers - 1, powers, powers + 1]).view(np.float64)
+    f32 = np.finfo(np.float32)
+    float32 = np.array(SPECIAL_FLOAT32 + [f32.max, -f32.max, f32.tiny, f32.smallest_subnormal,
+                                          f32.eps, 16777217.0], dtype=np.float32)
+    for values in (patterns, neighbours, float32):
+        assert formatter_text(values) == "".join(repr(v) + "\n" for v in values.tolist())
+    # as JSON, the non-finite values are json's tokens
+    for values in (neighbours, float32):
+        assert formatter_text(values, True) == "".join(json.dumps(v) + "\n" for v in values.tolist())
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -1163,6 +1237,27 @@ def test_cold_verb_runs_only_the_modules_it_calls(tmp_path, verb):
     assert numpy == ([] if verb == "derive" else ["numpy"])
     # the Monte Carlo workers are plain threads, with no executor behind them
     assert not executor
+
+
+# runs each verb in one fresh process, and reports after each whether the
+# formatter's table of powers of ten has been built
+_TABLE_SCRIPT = """
+import json, sys
+from mirrorcool import cli
+built = []
+for argv in json.loads(sys.argv[1]):
+    built.append([cli.main(argv), cli._powers.cache_info().currsize])
+print(json.dumps(built))
+"""
+
+
+def test_verbs_that_write_no_float_array_build_no_power_table(tmp_path):
+    verbs = ["derive", "variance", "compare", "fock", "spectrum"]
+    argvs = [[verb, "--config", write_config(tmp_path, COLD_VERBS[verb][0], f"{verb}.json"),
+              "--out", str(tmp_path / f"{verb}.out")] for verb in verbs]
+    built = _fresh_python(_TABLE_SCRIPT, json.dumps(argvs))
+    # spectrum, last, writes float arrays: it builds the table
+    assert built == [[0, 0]] * 4 + [[0, 1]]
 
 
 def test_package_import_runs_no_submodule_and_registers_every_traced_layer():

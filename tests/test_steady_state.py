@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -331,6 +332,18 @@ def test_optimize_gain_refuses_an_unphysical_candidate():
         assert m.var_x * m.var_p >= 1 / 16
     with pytest.raises(StabilityError, match=r"Heisenberg bound violated: var_x\*var_p = 0.044349"):
         optimize_gain(bath, (0.0, g_hi))
+
+
+@pytest.mark.parametrize("rates", [
+    {"omega_m": 1e140, "gamma_m": 1.0, "Gamma": 1.0, "eta": 1.0, "n_bar": 1.0},
+    {"omega_m": 8.43, "gamma_m": 5.55e47, "Gamma": 2.82e129, "eta": 0.899, "n_bar": 9.55},
+], ids=["omega_m_squared_overflows", "quartic_coefficient_is_inf"])
+def test_optimize_gain_refuses_a_quartic_past_the_float_range(rates):
+    # squaring omega_m**2 overflows a float power, and an inf coefficient is
+    # past np.roots: each is refused as a numerical failure naming the bath
+    bath = bath_from_rates(**rates, g=1.0, phi=-math.pi / 2)
+    with pytest.raises(NumericalError, match=re.escape(f"omega_m={rates['omega_m']!r}")):
+        optimize_gain(bath, (0.0, 10.0))
 
 
 def printed_moments():
