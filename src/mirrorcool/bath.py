@@ -91,11 +91,9 @@ class StabilityReport:
 # sweep computes them with math once per phi value. One point's route
 # (bath_from_rates, check_stability) passes floats and stays on math; the
 # sweep passes arrays laid along its axes, which broadcast over its grid.
-
-def _is_array(value) -> bool:
-    """Whether ``value`` is a numpy array, not a float, numpy scalar or symbol."""
-    return getattr(value, "ndim", 0) > 0
-
+# Every square is a product, x * x: correctly rounded, and inf past the
+# float range, for a float as for an array, so both routes give the same
+# bits.
 
 def _where(condition, compute, otherwise, *args):
     """``compute(*args)`` where ``condition`` holds, ``otherwise`` elsewhere.
@@ -104,33 +102,11 @@ def _where(condition, compute, otherwise, *args):
     meets the division by zero of the branch not taken; an array condition
     computes every element, with numpy's warnings off, and selects.
     """
-    if type(condition) is bool or not _is_array(condition):
+    if type(condition) is bool or not getattr(condition, "ndim", 0):
         return compute(*args) if condition else otherwise
     np = sys.modules["numpy"]
     with np.errstate(all="ignore"):
         return np.where(condition, compute(*args), otherwise)
-
-
-def _float_square(x: float) -> float:  # x**2, inf past the float range
-    try:
-        return x**2
-    except OverflowError:
-        return math.inf
-
-
-def _square(x):
-    """``x**2`` as Python rounds a float's power: the C library's ``pow``.
-
-    numpy squares an array by multiplying, which is correctly rounded and
-    differs from ``pow`` in the last bit of about one square in 1200, so an
-    array is squared element by element through ``pow`` as well: its cells
-    keep the bits of the one-point route. An array's square past the float
-    range is inf, where a float's raises OverflowError.
-    """
-    if type(x) is float or not _is_array(x):
-        return x**2
-    squares = map(_float_square, x.ravel().tolist())
-    return sys.modules["numpy"].fromiter(squares, float, x.size).reshape(x.shape)
 
 
 # The combinations gamma*(2N+1 +/- 2 Re M)/4 and gamma*Im M/2 reduce
@@ -140,7 +116,7 @@ def _square(x):
 
 def _noise_xx(g, eta, Gamma):
     """gamma*(2N+1+2Re M)/4 == g^2/(4*eta*Gamma); feedback-injected, 0 at g = 0."""
-    return _where(g != 0, operator.truediv, 0.0, _square(g), 4 * eta * Gamma)
+    return _where(g != 0, operator.truediv, 0.0, g * g, 4 * eta * Gamma)
 
 
 def _noise_pp(gamma_m, n_bar, Gamma):
@@ -185,7 +161,8 @@ def _must_be_finite(omega_m, gamma_m, g, gamma, N, M_re, M_im):
     """gamma, N and the parts of M, and the squares of omega_m and gamma_m + g,
     which the moments, margins and spectra take: the coefficient block is
     refused unless all of them are finite."""
-    return gamma, N, M_re, M_im, _square(omega_m), _square(gamma_m + g)
+    damping = gamma_m + g
+    return gamma, N, M_re, M_im, omega_m * omega_m, damping * damping
 
 
 def build_bath(coupling: DerivedCoupling, setup: PhysicalSetup) -> EffectiveBath:
@@ -236,7 +213,8 @@ def bath_from_rates(
         if gamma = gamma_m - g*sin(phi) <= 0; its ``report`` holds the
         margins of these rates.
     InvalidSetupError
-        if the coefficient block, omega_m**2 or (gamma_m + g)**2 overflows.
+        if the coefficient block, omega_m**2 or (gamma_m + g)**2 is not
+        finite, or 4*eta*Gamma underflows to 0 under a gain.
     """
     for name, value in zip(RATES, (omega_m, gamma_m, Gamma, eta, n_bar, g, phi)):
         if not math.isfinite(value):
@@ -254,14 +232,12 @@ def bath_from_rates(
 
     try:
         N, m_re, m_im = _coefficients(gamma_m, Gamma, eta, n_bar, g, sin_phi, cos_phi, gamma)
-        M = -(m_re - 1j * m_im) / gamma
-        finite = all(map(math.isfinite, _must_be_finite(omega_m, gamma_m, g, gamma, N, M.real,
-                                                        M.imag)))
-    except (OverflowError, ZeroDivisionError) as exc:  # 4*eta*Gamma may underflow to 0
+    except ZeroDivisionError as exc:  # 4*eta*Gamma may underflow to 0
         raise InvalidSetupError(f"bath coefficients overflowed: {exc}") from exc
-    if not finite:
+    M = -(m_re - 1j * m_im) / gamma
+    if not all(map(math.isfinite, _must_be_finite(omega_m, gamma_m, g, gamma, N, M.real, M.imag))):
         raise InvalidSetupError(
-            f"non-finite bath coefficients: gamma={gamma!r}, N={N!r}, M={M!r}"
+            f"bath coefficients overflowed: gamma={gamma!r}, N={N!r}, M={M!r}"
         )
 
     # by position, in the field order: keyword matching costs about a tenth of this call
@@ -296,12 +272,9 @@ def _gained_gap(gamma_m, Gamma, eta, n_bar, g, cos_phi, gamma):
     # eta*Gamma > 0 below the float range: the thermal term is past it
     eta_Gamma = eta * Gamma
     thermal = _where(eta_Gamma > 0, operator.truediv, math.inf, gamma_m * n_bar, eta_Gamma)
-    boost = thermal + (1 / eta - _square(cos_phi)) / 4
-    try:
-        ratio2 = _square(g / gamma)
-    except OverflowError:  # a float's square past the float range, as an array's
-        ratio2 = math.inf
-    return -0.25 + ratio2 * boost
+    boost = thermal + (1 / eta - cos_phi * cos_phi) / 4
+    ratio = g / gamma
+    return -0.25 + ratio * ratio * boost
 
 
 def _stability_margins(omega_m, gamma_m, g, sin_phi):
@@ -313,10 +286,7 @@ def _stability_margins(omega_m, gamma_m, g, sin_phi):
     The verdict is returned as ``stable`` and ``bounded`` (stable or on the
     boundary): bools for floats, point by point for arrays.
     """
-    try:
-        omega2 = _square(omega_m)
-    except OverflowError:  # a refused bath's report still has its margins
-        omega2 = math.inf
+    omega2 = omega_m * omega_m
     damping, spring = gamma_m - g * sin_phi, omega2 - gamma_m * g * sin_phi
     band_damping = _BAND * (abs(g * sin_phi) + gamma_m)
     band_spring = _BAND * (abs(gamma_m * g * sin_phi) + omega2)

@@ -248,8 +248,8 @@ def _solve(bath: EffectiveBath, C: np.ndarray) -> FockSolution:
     mean_n = float(mean_n_c.real)
     # centered variances; <a> = 0 in the steady state, and keeping the
     # subtraction keeps the variances honest whatever the solve returns
-    var_x = (2 * mean_n + 1 + 2 * mean_a2.real) / 4 - mean_a.real**2
-    var_p = (2 * mean_n + 1 - 2 * mean_a2.real) / 4 - mean_a.imag**2
+    var_x = (2 * mean_n + 1 + 2 * mean_a2.real) / 4 - mean_a.real * mean_a.real
+    var_p = (2 * mean_n + 1 - 2 * mean_a2.real) / 4 - mean_a.imag * mean_a.imag
 
     min_eig = float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0])
     if min_eig < -1e-8:

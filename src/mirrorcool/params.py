@@ -123,14 +123,15 @@ def derive_coupling(setup: PhysicalSetup) -> DerivedCoupling:
         omega_0 = 2 * math.pi * setup.nu_0
         gamma_b = C * setup.T_r / (2 * setup.L)
 
-        G = math.sqrt(HBAR * omega_0**2 / (2 * setup.m * omega_m * setup.L**2))
+        G = math.sqrt(HBAR * (omega_0 * omega_0) / (2 * setup.m * omega_m * (setup.L * setup.L)))
         beta_in = math.sqrt(setup.P_in / (HBAR * omega_0))
         beta_s = math.sqrt(gamma_b) * beta_in / (gamma_b / 2 - 1j * setup.Delta)
         varphi = math.atan2(beta_s.imag, beta_s.real)
 
-        chi = -4 * G * abs(beta_s)
-        Gamma = chi**2 / gamma_b
-        x_s = HBAR * omega_0 * abs(beta_s) ** 2 / (setup.m * omega_m**2 * setup.L)
+        amplitude = abs(beta_s)
+        chi = -4 * G * amplitude
+        Gamma = chi * chi / gamma_b
+        x_s = HBAR * omega_0 * (amplitude * amplitude) / (setup.m * (omega_m * omega_m) * setup.L)
         # tau_m = 1/gamma_m; an undamped mirror has unbounded quality factor
         Q_m = omega_m / setup.gamma_m if setup.gamma_m > 0 else math.inf
         n_bar = thermal_occupation(setup.T, omega_m)

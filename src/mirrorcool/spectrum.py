@@ -69,13 +69,14 @@ def _x_spectrum(bath: EffectiveBath):
     denominator is |(i w + g)(i w + gamma_m) + omega_m^2|^2 expanded.
     """
     c_x, c_p = bath.noise_xx, bath.noise_pp
-    gm2, om2 = bath.gamma_m**2, bath.omega_m**2
-    a2 = (bath.gamma_m + bath.g) ** 2
-    b = bath.omega_m**2 + bath.gamma_m * bath.g
+    gm, om, a = bath.gamma_m, bath.omega_m, bath.gamma_m + bath.g
+    gm2, om2, a2 = gm * gm, om * om, a * a
+    b = om2 + gm * bath.g
 
     def spectrum(w):
-        w2 = w**2
-        return (c_x * (gm2 + w2) + c_p * om2) / ((b - w2) ** 2 + w2 * a2)
+        w2 = w * w
+        detuning = b - w2
+        return (c_x * (gm2 + w2) + c_p * om2) / (detuning * detuning + w2 * a2)
 
     return spectrum
 
@@ -173,7 +174,7 @@ def _mapped_sum_rule(bath: EffectiveBath):
     at t = 1, which the Gauss-Kronrod rule never evaluates.
     """
     a = bath.gamma_m + bath.g
-    b = bath.omega_m**2 + bath.gamma_m * bath.g
+    b = bath.omega_m * bath.omega_m + bath.gamma_m * bath.g
     scale = max(a, math.sqrt(b), bath.omega_m)
     resonance = math.sqrt(max(b - a * a / 2, 0.0))
     points = sorted({p / (scale + p) for p in (resonance, bath.omega_m)} - {0.0})
@@ -181,7 +182,7 @@ def _mapped_sum_rule(bath: EffectiveBath):
 
     def mapped(t):
         s = 1.0 - t
-        return spectrum(scale * t / s) * (scale / s**2)
+        return spectrum(scale * t / s) * (scale / (s * s))
 
     return scale, np.array([0.0, *points, 1.0]), mapped
 

@@ -19,7 +19,7 @@ import numpy as np
 from . import bath as bath_module
 from .bath import (
     RATES, EffectiveBath, _coefficients, _constraints_hold, _must_be_finite, _noise_pp, _noise_xp,
-    _noise_xx, _positivity_gap, _square, _stability_margins, _where, require_stable, with_gain,
+    _noise_xx, _positivity_gap, _stability_margins, _where, require_stable, with_gain,
 )
 from .errors import (
     NumericalError, StabilityBoundaryError, StabilityError, UnstableBathError,
@@ -88,9 +88,9 @@ def _t_eff(n_bar, omega_m, g):
 
 
 def _cooled(T, omega_m, g):
-    # T*(omega_m/g)^2 leaves the float range as g -> 0, where g**2 underflows
-    g2 = _square(g)
-    return _where(g2 > 0, operator.truediv, math.inf, T * _square(omega_m), g2)
+    # T*(omega_m/g)^2 leaves the float range as g -> 0, where g*g underflows to 0
+    g2 = g * g
+    return _where(g2 > 0, operator.truediv, math.inf, T * (omega_m * omega_m), g2)
 
 
 def _drift(omega_m, gamma_m, g, sin_phi):
@@ -188,8 +188,9 @@ def closed_form_moments(bath: EffectiveBath) -> SteadyMoments:
     require_stable(bath)
 
     g, gm, om = bath.g, bath.gamma_m, bath.omega_m
+    om2 = om * om
     c_x, c_p = bath.noise_xx, bath.noise_pp
-    denom = 2 * (gm + g) * (om**2 + gm * g)
+    denom = 2 * (gm + g) * (om2 + gm * g)
     if denom == 0:  # positive for a stable drift, so it has underflowed
         raise NumericalError(
             "closed-form denominator 2*(gamma_m + g)*(omega_m^2 + gamma_m*g) underflows to 0 "
@@ -198,8 +199,8 @@ def closed_form_moments(bath: EffectiveBath) -> SteadyMoments:
     # identical to the textbook form with the thermal bracket
     # (n_bar/2 + Gamma/(8*gamma_m)) multiplied through by gamma_m, which
     # keeps the gamma_m -> 0 limit finite
-    var_x = (c_x * (gm**2 + om**2 + gm * g) + c_p * om**2) / denom
-    var_p = (c_p * (g**2 + gm * g + om**2) + om**2 * c_x) / denom
+    var_x = (c_x * (gm * gm + om2 + gm * g) + c_p * om2) / denom
+    var_p = (c_p * (g * g + gm * g + om2) + om2 * c_x) / denom
     cov = om * (c_p * g - c_x * gm) / denom
 
     return SteadyMoments(
@@ -228,16 +229,17 @@ def high_gain_moments(bath: EffectiveBath) -> SteadyMoments:
     """
     _require_phase(bath)
     require_stable(bath)
-    if not bath.g**2 > 0:
-        raise ValidationError("g", "high-gain approximation requires g > 0 (g**2 > 0)")
-    if not bath.gamma_m * bath.g**2 > 0:
+    g, gm, om = bath.g, bath.gamma_m, bath.omega_m
+    g2, om2 = g * g, om * om
+    if not g2 > 0:
+        raise ValidationError("g", "high-gain approximation requires g > 0 (g*g > 0)")
+    if not gm * g2 > 0:
         raise ValidationError("gamma_m", "high-gain approximation divides by gamma_m*g^2")
 
-    g, gm, om = bath.g, bath.gamma_m, bath.omega_m
     # thermal term k_B*T_eff/(2 hbar omega_m) = (n_bar/2) * omega_m^2/g^2
     var_x = (
-        0.5 * bath.n_bar * om**2 / g**2
-        + bath.Gamma * om**2 / (8 * gm * g**2)
+        0.5 * bath.n_bar * om2 / g2
+        + bath.Gamma * om2 / (8 * gm * g2)
         + g / (8 * bath.eta * bath.Gamma)
     )
     exact = closed_form_moments(bath)
@@ -276,14 +278,15 @@ def _gain_quartic(bath: EffectiveBath) -> np.ndarray:
     Its three leading coefficients are nonnegative and its constant one
     is negative, so by Descartes' rule it has exactly one positive root.
     """
-    gm, om2, n_bar = bath.gamma_m, bath.omega_m**2, bath.n_bar
+    gm, n_bar = bath.gamma_m, bath.n_bar
+    gm2, om2 = gm * gm, bath.omega_m * bath.omega_m
     eg = bath.eta * bath.Gamma
     return np.array([
-        gm**2 / (2 * eg),
-        gm * (gm**2 + om2) / eg,
-        (gm**4 + 5 * gm**2 * om2 + om2**2) / (2 * eg),
-        -gm * om2 * (eg * bath.Gamma + 4 * eg * gm * n_bar - gm**2 - om2) / eg,
-        -om2 * (bath.Gamma + 4 * gm * n_bar) * (gm**2 + om2) / 2,
+        gm2 / (2 * eg),
+        gm * (gm2 + om2) / eg,
+        (gm2 * gm2 + 5 * gm2 * om2 + om2 * om2) / (2 * eg),
+        -gm * om2 * (eg * bath.Gamma + 4 * eg * gm * n_bar - gm2 - om2) / eg,
+        -om2 * (bath.Gamma + 4 * gm * n_bar) * (gm2 + om2) / 2,
     ])
 
 
@@ -308,7 +311,7 @@ def optimize_gain(
     optimum to report, so the bound is enforced, not skipped.
 
     Raises NumericalError, naming the bath, when a coefficient of the
-    quartic leaves the float range.
+    quartic is not finite.
     """
     _require_phase(bath_template)
     g_lo, g_hi = g_range
@@ -319,10 +322,7 @@ def optimize_gain(
 
     gains = {g_lo, g_hi}
     if g_lo < g_hi:
-        try:
-            quartic = _gain_quartic(bath_template)
-        except OverflowError:  # a float ** past the float range raises, where * gives inf
-            quartic = np.array([math.inf])
+        quartic = _gain_quartic(bath_template)
         if not np.isfinite(quartic).all():  # np.roots cannot solve it
             rates = ", ".join(f"{key}={getattr(bath_template, key)!r}" for key in RATES[:5])
             raise NumericalError(f"the gain quartic leaves the float range for the bath {rates}")
