@@ -273,11 +273,11 @@ def _repr_cells(values: np.ndarray, json_text: bool = False) -> np.ndarray:
     return cells
 
 
-def _bool_cells(column: np.ndarray, words: tuple[bytes, bytes]) -> np.ndarray:
-    """Cells of a boolean array: the false word or the true one, NUL-padded."""
+def _bool_cells(column: np.ndarray) -> np.ndarray:
+    """Cells of a boolean array: ``false`` or ``true``, NUL-padded."""
     import numpy as np
 
-    table = np.frombuffer(b"".join(w.ljust(5, b"\0") for w in words), dtype=np.uint8)
+    table = np.frombuffer(b"false" b"true\0", dtype=np.uint8)  # two 5-byte cells
     return table.reshape(2, 5).T[:, column.astype(np.uint8)]
 
 
@@ -390,14 +390,12 @@ def _rows_block(table: _Rows, indent: str) -> Iterator[bytes | np.ndarray]:
 def _cells(fields: list, lo: int, hi: int, json_text: bool) -> list:
     """``fields`` with each column replaced by the cells of its rows ``lo``
     to ``hi``: the floats of every float column in one formatter call;
-    booleans as JSON writes them, or as ``str`` writes a numpy bool in CSV;
-    other cells as text."""
+    booleans ``true``/``false``; other cells as text."""
     import numpy as np
 
     floats = [f[lo:hi] for f in fields if _is_float_array(f)]
     if floats:
         split = iter(np.split(_repr_cells(np.concatenate(floats), json_text), len(floats), axis=1))
-    words = (b"false", b"true") if json_text else (b"False", b"True")
     cells = []
     for field in fields:
         kind = field.dtype.kind if isinstance(field, np.ndarray) else None
@@ -406,7 +404,7 @@ def _cells(fields: list, lo: int, hi: int, json_text: bool) -> list:
         elif _is_float_array(field):
             cells.append(next(split))
         elif kind == "b":
-            cells.append(_bool_cells(field[lo:hi], words))
+            cells.append(_bool_cells(field[lo:hi]))
         elif kind == "U":
             cells.append(_text_cells(field[lo:hi].tolist()))
         else:
@@ -768,11 +766,6 @@ def cmd_sweep(config: dict, args) -> dict:
     columns = steady_state.sweep_grid(bath, axes)
     header = list(columns)
     if args.format == "csv":
-        import numpy as np
-
-        # a boolean cell is written true/false; a bool array's cells print as True/False
-        for name in ("stable", "lindblad_positive"):
-            columns[name] = np.where(columns[name], "true", "false")
         return {"header": header, "columns": list(columns.values())}
     return {"header": header, "rows": _Rows(list(columns.values()))}
 

@@ -716,7 +716,7 @@ def reference_jsonable(value):
 
 
 def reference_cell(v):
-    if isinstance(v, bool):
+    if isinstance(v, (bool, np.bool_)):
         return str(v).lower()
     if isinstance(v, (float, np.floating)):
         return repr(float(v))
