@@ -62,7 +62,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from . import spectrum
 from .bath import EffectiveBath, require_stable
-from .errors import NoiseModelError, StabilityError, ValidationError
+from .errors import NoiseModelError, NumericalError, StabilityError, ValidationError
 from .steady_state import diffusion_matrix, drift_matrix, _require_phase
 
 __all__ = ["SimConfig", "TrajectoryEnsembleStats", "ComparisonReport", "simulate", "psd_vs_analytic"]
@@ -702,7 +702,14 @@ def simulate(
             "t_relax", f"must be at least 10/gamma_slow = {10.0 / gamma_slow:g} s"
         )
 
-    stats = _simulate_linear(A, C, cfg, keep_trajectories=keep_trajectories)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned about
+        stats = _simulate_linear(A, C, cfg, keep_trajectories=keep_trajectories)
+    estimates = [v for v in vars(stats).values() if isinstance(v, (float, np.ndarray))]
+    if not all(np.isfinite(v).all() for v in estimates):
+        raise NumericalError(
+            f"Monte Carlo estimates leave the float range: var_x = {stats.var_x_hat:g}, "
+            f"var_x_stderr = {stats.var_x_stderr:g}"
+        )
     return replace(stats, params_snapshot=bath)
 
 

@@ -70,6 +70,12 @@ class SteadyMoments:
                 "Heisenberg bound violated: var_x*var_p = "
                 f"{self.var_x * self.var_p:g} < 1/16"
             )
+        if not all(map(math.isfinite, (self.var_x, self.var_p, self.cov_xp_sym))):
+            # a product of the closed forms past the float range
+            raise NumericalError(
+                f"{self.method} moments leave the float range: var_x = {self.var_x:g}, "
+                f"var_p = {self.var_p:g}, cov_xp_sym = {self.cov_xp_sym:g}"
+            )
 
 
 def _require_phase(bath: EffectiveBath) -> None:
