@@ -161,8 +161,8 @@ def _must_be_finite(omega_m, gamma_m, g, gamma, N, M_re, M_im):
     """gamma, N and the parts of M, and the squares of omega_m and gamma_m + g,
     which the moments, margins and spectra take: the coefficient block is
     refused unless all of them are finite."""
-    damping = gamma_m + g
-    return gamma, N, M_re, M_im, omega_m * omega_m, damping * damping
+    a = gamma_m + g
+    return gamma, N, M_re, M_im, omega_m * omega_m, a * a
 
 
 def build_bath(coupling: DerivedCoupling, setup: PhysicalSetup) -> EffectiveBath:

@@ -702,7 +702,7 @@ def simulate(
             "t_relax", f"must be at least 10/gamma_slow = {10.0 / gamma_slow:g} s"
         )
 
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite estimate is refused below
         stats = _simulate_linear(A, C, cfg, keep_trajectories=keep_trajectories)
     estimates = [v for v in vars(stats).values() if isinstance(v, (float, np.ndarray))]
     if not all(np.isfinite(v).all() for v in estimates):

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mirrorcool
@@ -101,6 +101,12 @@ def test_every_entry_point_is_in_the_gate():
 
 @pytest.mark.filterwarnings("ignore:negative eigenvalue")  # the Fock oracle on a non-CP bath
 @settings(derandomize=True, deadline=None, max_examples=150)
+# closed forms whose products overflow: var_p = inf from finite rates
+@example(omega_m=55.3, gamma_m=1.0, Gamma=4.6e138, eta=1.0, n_bar=2.9, g=4.6e138,
+         phi=-math.pi / 2, g_hi=1.0)
+# Monte Carlo estimates past the float range: var_x_stderr = inf
+@example(omega_m=22.25, gamma_m=0.0, Gamma=1e-187, eta=0.36, n_bar=1e-187, g=22.25,
+         phi=-math.pi / 2, g_hi=1.0)
 @given(omega_m=rate(1.0, 100.0), gamma_m=rate(0.1, 10.0), Gamma=rate(0.1, 1000.0),
        eta=rate(0.2, 1.0), n_bar=rate(0.0, 3.0), g=rate(0.1, 100.0), phi=PHASE,
        g_hi=rate(1.0, 1000.0))
@@ -139,13 +145,6 @@ def test_the_setup_route_returns_finite_values_or_refuses(**fields):
     call(thermal_occupation, setup.T, 2 * math.pi * setup.nu_m)
     if coupling is not None:
         call(build_bath, coupling, setup)
-
-
-def test_a_square_past_the_float_range_is_refused_by_name():
-    # omega_m^2 = 1e310 overflows to inf
-    with pytest.raises(MirrorCoolError, match="bath coefficients"):
-        bath_from_rates(omega_m=1e155, gamma_m=1.0, Gamma=1.0, eta=1.0, n_bar=1.0, g=0.0,
-                        phi=-math.pi / 2)
 
 
 def test_a_gain_whose_square_underflows_cools_to_an_infinite_temperature():
