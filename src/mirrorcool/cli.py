@@ -17,7 +17,6 @@ import functools
 import itertools
 import json
 import math
-import re
 import sys
 import typing
 import warnings
@@ -70,7 +69,6 @@ def _jsonable(value: Any) -> Any:
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
-_MARK = "\\ue000"  # the private-use character U+E000 as ensure_ascii writes it
 _CHUNK = 4096  # floats formatted per call, and cells written per piece
 
 
@@ -312,79 +310,74 @@ def _assemble(fields: list, rows: int) -> np.ndarray:
     return buf[buf != 0]  # np.compress would hold 8 bytes of index per byte
 
 
-def _json_pieces(doc: Any) -> Iterator[bytes | np.ndarray]:
-    """``json.dumps(doc, indent=1, default=_jsonable) + "\\n"``, in pieces.
+def _json_pieces(value: Any, indent: str = "") -> Iterator[bytes | np.ndarray]:
+    """``json.dumps(value, indent=1, default=_jsonable)``, in pieces, for a
+    value that starts on a line indented by ``indent``.
 
-    ``json.dumps`` lays out the document with a placeholder string for each
-    nonempty 1-D float array and each ``_Rows`` table: a run of U+E000
-    characters and the value's index, made longer until no string of the
-    document holds the run. The text between placeholders is yielded as it
-    stands, each array as the same ``indent=1`` block of shortest
-    round-trip floats (``NaN`` and ``Infinity`` as json writes them), and
-    each table as the ``indent=1`` list of its rows, ``_CHUNK`` cells at a
-    time. Other values go through ``_jsonable``.
+    The walk lays out nonempty dicts, lists and tuples item by item as
+    ``indent=1`` does, and writes each nonempty 1-D float array and each
+    ``_Rows`` table through ``_table``. ``json.dumps`` encodes every other
+    value, once ``_jsonable`` has turned a value json cannot encode into one
+    it can, as ``default=`` would.
     """
-    arrays = []
-
-    def placeholder(value):
-        if isinstance(value, _Rows) or (
-                _is_float_array(value) and value.ndim == 1 and value.size):
-            arrays.append(value)
-            return "\ue000" * run + str(len(arrays) - 1)
-        return _jsonable(value)
-
-    for run in itertools.count(1):
-        arrays.clear()
-        text = json.dumps(doc, indent=1, default=placeholder)
-        # each placeholder holds one run; more runs are the document's own
-        if text.count(_MARK * run) == len(arrays):
-            break
-    # json's encoder holds placeholder, and so its list, in a reference
-    # cycle that only a collection frees: the arrays are not left in it
-    found = arrays.copy()
-    arrays.clear()
-    pos = 0
-    for match in re.finditer(f'"(?:{re.escape(_MARK)}){{{run}}}(\\d+)"', text):
-        yield text[pos:match.start()].encode()
-        pos = match.end()
-        line = text[text.rfind("\n", 0, match.start()) + 1:match.start()]
-        value = found[int(match[1])]
-        block = _rows_block if isinstance(value, _Rows) else _float_block
-        yield from block(value, line[:len(line) - len(line.lstrip(" "))])
-    yield (text[pos:] + "\n").encode()
+    if isinstance(value, (dict, list, tuple)) and value:
+        inner = indent + " "
+        keyed = isinstance(value, dict)
+        yield b"{" if keyed else b"["
+        for n, item in enumerate(value.items() if keyed else value):
+            line = (",\n" if n else "\n") + inner
+            if keyed:  # json's text of the key: a str, or the number, bool or None it converts
+                key, item = item
+                line += (json.dumps(key) if isinstance(key, str)
+                         else json.dumps({key: None})[1:-7]) + ": "
+            yield line.encode()
+            yield from _json_pieces(item, inner)
+        yield ("\n" + indent + ("}" if keyed else "]")).encode()
+    elif value is None or isinstance(value, (str, int, float, dict, list, tuple)):
+        yield json.dumps(value).encode()
+    elif isinstance(value, _Rows):
+        yield from _rows_block(value, indent)
+    elif _is_float_array(value) and value.ndim == 1 and value.size:
+        yield from _float_block(value, indent)
+    else:
+        yield from _json_pieces(_jsonable(value), indent)
 
 
 def _float_block(values: np.ndarray, indent: str) -> Iterator[bytes | np.ndarray]:
     """The ``indent=1`` JSON list of ``values`` on a line indented by ``indent``,
     ``_CHUNK`` floats at a time."""
-    sep = (",\n" + indent + " ").encode()
-    yield b"[\n" + indent.encode() + b" "
-    for lo in range(0, values.size, _CHUNK):
-        cells = _repr_cells(values[lo:lo + _CHUNK], json_text=True)
-        text = _assemble([sep, cells], cells.shape[1])
-        yield text if lo else text[len(sep):]
-    yield b"\n" + indent.encode() + b"]"
+    return _table(b"[", [(",\n" + indent + " ").encode(), values], values.size, 1,
+                  ("\n" + indent + "]").encode(), json_text=True)
 
 
-def _rows_block(table: _Rows, indent: str) -> Iterator[bytes | np.ndarray]:
+def _rows_block(table: _Rows, indent: str) -> Iterable[bytes | np.ndarray]:
     """The ``indent=1`` JSON list of ``table``'s rows on a line indented by
     ``indent``, about ``_CHUNK`` cells at a time, cells as json writes them."""
     rows = len(table.columns[0]) if table.columns else 0
     if not rows:
-        yield b"[]"
-        return
-    step = max(1, _CHUNK // len(table.columns))
+        return [b"[]"]
     cell = (",\n" + indent + "  ").encode()
     fields = [(",\n" + indent + " [\n" + indent + "  ").encode()]
     for column in table.columns:
         fields += [column, cell]
     fields[-1] = ("\n" + indent + " ]").encode()
-    yield b"["
+    return _table(b"[", fields, rows, len(table.columns), ("\n" + indent + "]").encode(),
+                  json_text=True)
+
+
+def _table(head: bytes, fields: list, rows: int, width: int, tail: bytes,
+           json_text: bool) -> Iterator[bytes | np.ndarray]:
+    """``head``, the ``rows`` rows of ``fields`` (see ``_assemble``), then
+    ``tail``: the rows a chunk of about ``_CHUNK`` cells at a time, each row
+    counting ``width`` cells. A JSON row starts with the comma that parts it
+    from the row before, which the first row drops."""
+    yield head
+    step = max(1, _CHUNK // max(1, width))
     for lo in range(0, rows, step):
         hi = min(lo + step, rows)
-        text = _assemble(_cells(fields, lo, hi, True), hi - lo)
-        yield text if lo else text[1:]
-    yield b"\n" + indent.encode() + b"]"
+        text = _assemble(_cells(fields, lo, hi, json_text), hi - lo)
+        yield text[1:] if json_text and not lo else text
+    yield tail
 
 
 def _cells(fields: list, lo: int, hi: int, json_text: bool) -> list:
@@ -415,34 +408,32 @@ def _cells(fields: list, lo: int, hi: int, json_text: bool) -> list:
 def _csv_pieces(doc: dict) -> Iterator[bytes | np.ndarray]:
     """The ``#`` lines and the header, then the rows, about ``_CHUNK`` float
     cells at a time: every float column of a chunk is formatted in one call."""
-    text = "".join(f"# {c}\n" for c in doc.get("comments", ())) + ",".join(doc["header"]) + "\n"
-    yield text.encode("utf-8")
+    head = "".join(f"# {c}\n" for c in doc.get("comments", ())) + ",".join(doc["header"]) + "\n"
     columns = doc["columns"]
-    rows = min(map(len, columns), default=0)
-    step = max(1, _CHUNK // max(1, sum(map(_is_float_array, columns))))
     fields = [b","] * (2 * len(columns))
     fields[::2] = columns
     fields[-1] = b"\n"
-    for lo in range(0, rows, step):
-        hi = min(lo + step, rows)
-        yield _assemble(_cells(fields, lo, hi, False), hi - lo)
+    return _table(head.encode("utf-8"), fields, min(map(len, columns), default=0),
+                  sum(map(_is_float_array, columns)), b"", json_text=False)
 
 
 def _write(out: str | None, doc: dict, fmt: str = "json") -> None:
     """Write ``doc`` to the file ``out``, or to stdout, as JSON or CSV.
 
     JSON is ``json.dumps(doc, indent=1)`` text with shortest round-trip
-    floats (``repr``), ``NaN`` and ``Infinity`` included. A CSV document
-    is a table given by columns: ``header``, ``columns`` and optional
+    floats (``repr``), ``NaN`` and ``Infinity`` included, which
+    ``_json_pieces`` writes by walking the document. A CSV document is a
+    table given by columns: ``header``, ``columns`` and optional
     ``comments``, which lead the file as ``#`` lines; float cells are
-    ``repr`` floats and booleans ``true``/``false``. The floats of an array
-    are rendered by the vectorised formatter (``_repr_cells``), byte for
-    byte as ``repr`` writes them, in batches of ``_CHUNK`` cells. The text
-    is written as it is rendered, a piece at a time, so the whole of it is
-    never held. A file or stdout that cannot be written is refused as a
-    bad ``out``; the file may then hold part of the text.
+    ``repr`` floats and booleans ``true``/``false``. ``_table`` writes the
+    rows of every table and float array a chunk at a time, the floats of a
+    chunk in one call of the vectorised formatter (``_repr_cells``), byte
+    for byte as ``repr`` writes them. The text is written as it is
+    rendered, so the whole of it is never held. A file or stdout that
+    cannot be written is refused as a bad ``out``; the file may then hold
+    part of the text.
     """
-    pieces = _json_pieces(doc) if fmt == "json" else _csv_pieces(doc)
+    pieces = itertools.chain(_json_pieces(doc), [b"\n"]) if fmt == "json" else _csv_pieces(doc)
     if out:
         with _opened(out) as file:
             for piece in pieces:

@@ -183,6 +183,24 @@ def _steady_covariance(A: np.ndarray, C: np.ndarray) -> np.ndarray:
     return np.array([[x, z], [z, y]])
 
 
+def _closed_forms(g, gm, om, c_x, c_p):
+    """(var_x, var_p, cov_xp_sym) at phi = -pi/2 from the rates and the
+    noise intensities c_x = noise_xx and c_p = noise_pp."""
+    om2 = om * om
+    denom = 2 * (gm + g) * (om2 + gm * g)
+    if denom == 0:  # positive for a stable drift, so it has underflowed
+        raise NumericalError(
+            "closed-form denominator 2*(gamma_m + g)*(omega_m^2 + gamma_m*g) underflows to 0 "
+            f"(omega_m = {om:g}, gamma_m = {gm:g}, g = {g:g})"
+        )
+    # identical to the textbook form with the thermal bracket
+    # (n_bar/2 + Gamma/(8*gamma_m)) multiplied through by gamma_m, which
+    # keeps the gamma_m -> 0 limit finite
+    return ((c_x * (gm * gm + om2 + gm * g) + c_p * om2) / denom,
+            (c_p * (g * g + gm * g + om2) + om2 * c_x) / denom,
+            om * (c_p * g - c_x * gm) / denom)
+
+
 def closed_form_moments(bath: EffectiveBath) -> SteadyMoments:
     """Exact steady-state variances at phi = -pi/2.
 
@@ -193,29 +211,15 @@ def closed_form_moments(bath: EffectiveBath) -> SteadyMoments:
     _require_phase(bath)
     require_stable(bath)
 
-    g, gm, om = bath.g, bath.gamma_m, bath.omega_m
-    om2 = om * om
-    c_x, c_p = bath.noise_xx, bath.noise_pp
-    denom = 2 * (gm + g) * (om2 + gm * g)
-    if denom == 0:  # positive for a stable drift, so it has underflowed
-        raise NumericalError(
-            "closed-form denominator 2*(gamma_m + g)*(omega_m^2 + gamma_m*g) underflows to 0 "
-            f"(omega_m = {om:g}, gamma_m = {gm:g}, g = {g:g})"
-        )
-    # identical to the textbook form with the thermal bracket
-    # (n_bar/2 + Gamma/(8*gamma_m)) multiplied through by gamma_m, which
-    # keeps the gamma_m -> 0 limit finite
-    var_x = (c_x * (gm * gm + om2 + gm * g) + c_p * om2) / denom
-    var_p = (c_p * (g * g + gm * g + om2) + om2 * c_x) / denom
-    cov = om * (c_p * g - c_x * gm) / denom
-
-    return SteadyMoments(
-        var_x=var_x,
-        var_p=var_p,
-        cov_xp_sym=cov,
-        t_eff=_t_eff(bath.n_bar, bath.omega_m, bath.g),
-        method="closed_form",
-    )
+    rates = (bath.g, bath.gamma_m, bath.omega_m, bath.noise_xx, bath.noise_pp)
+    moments = _closed_forms(*rates)
+    if not all(map(math.isfinite, moments)):
+        # a product past the float range: the moments are those of every
+        # rate scaled by the same power of two, which is exact
+        e = math.frexp(max(rates))[1]
+        moments = _closed_forms(*(math.ldexp(r, -e) for r in rates))
+    return SteadyMoments(*moments, t_eff=_t_eff(bath.n_bar, bath.omega_m, bath.g),
+                         method="closed_form")
 
 
 def high_gain_moments(bath: EffectiveBath) -> SteadyMoments:

@@ -146,6 +146,16 @@ def test_variance_closed_form_vs_lyapunov(tmp_path, capsys):
     assert out["high_gain"]["method"] == "high_gain"
 
 
+def test_variance_writes_closed_forms_whose_products_overflow(tmp_path, capsys):
+    # Gamma = g = 4.6e138: c_p*g*g is past the float range, var_p about 5.75e137 is not
+    config = with_bath(omega_m=55.3, Gamma=4.6e138, n_bar=2.9, g=4.6e138)
+    assert run(["variance", "--config", write_config(tmp_path, config)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert list(out) == ["closed_form", "lyapunov", "high_gain"]
+    for name in ("var_x", "var_p", "cov_xp_sym"):
+        assert out["closed_form"][name] == pytest.approx(out["lyapunov"][name], rel=1e-12)
+
+
 def test_variance_csv(tmp_path):
     out_path = tmp_path / "var.csv"
     code = run(["variance", "--config", write_config(tmp_path, DESK_BATH),
@@ -732,7 +742,7 @@ def written(doc, fmt):
 
 SPECIAL_FLOATS = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e16, 1e-5, 0.1,
                   -1.5e300, math.nan, math.inf, -math.inf]
-# the placeholder character and the characters of its escape
+# a private-use character, the characters of its escape, a quote and a newline
 MARK_TEXT = st.text(alphabet=["\ue000", "\\", "u", "e", "0", "1", '"', "a", "\n"], max_size=6)
 # float32 has its own subnormals and rounds 1e16 and 1e-5
 SPECIAL_FLOAT32 = [0.0, -0.0, float(np.float32(1e-45)), float(np.float32(1e16)),
@@ -755,14 +765,23 @@ ARRAYS = st.one_of(
     hnp.arrays(np.complex128, st.integers(0, 3),
                elements=st.complex_numbers(allow_nan=False, allow_infinity=False)),
 )
+# np.float64 is a float to json; the others reach it through default=
+NUMPY_SCALARS = st.one_of(
+    st.floats(width=16).map(np.float16), st.floats(width=32).map(np.float32),
+    st.floats().map(np.float64), st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+)
 LEAVES = st.one_of(
     st.none(), st.booleans(), st.integers(), st.floats(), st.sampled_from(SPECIAL_FLOATS),
-    st.complex_numbers(), MARK_TEXT, st.text(max_size=4), ARRAYS,
+    st.complex_numbers(), MARK_TEXT, st.text(max_size=4), ARRAYS, NUMPY_SCALARS,
 )
+# keys json converts to strings: numbers, booleans and None
+KEYS = MARK_TEXT | st.integers() | st.floats() | st.booleans() | st.none()
 DOCS = st.dictionaries(
     MARK_TEXT | st.text(max_size=3),
     st.recursive(LEAVES, lambda inner: st.lists(inner, max_size=4)
-                 | st.dictionaries(MARK_TEXT, inner, max_size=4), max_leaves=12),
+                 | st.lists(inner, max_size=4).map(tuple)
+                 | st.dictionaries(KEYS, inner, max_size=4), max_leaves=12),
     max_size=5,
 )
 

@@ -101,7 +101,7 @@ def test_every_entry_point_is_in_the_gate():
 
 @pytest.mark.filterwarnings("ignore:negative eigenvalue")  # the Fock oracle on a non-CP bath
 @settings(derandomize=True, deadline=None, max_examples=150)
-# closed forms whose products overflow: var_p = inf from finite rates
+# closed forms whose products overflow, but not their moments (var_p about 5.75e137)
 @example(omega_m=55.3, gamma_m=1.0, Gamma=4.6e138, eta=1.0, n_bar=2.9, g=4.6e138,
          phi=-math.pi / 2, g_hi=1.0)
 # Monte Carlo estimates past the float range: var_x_stderr = inf

@@ -125,8 +125,10 @@ def test_closed_form_equals_lyapunov_over_random_draws(rng):
         assert cf.var_x * cf.var_p >= 1.0 / 16.0
     assert worst < 1e-10
     # extreme rate ratios, where a general-purpose Lyapunov solver perturbed
-    # the coefficients and returned a negative variance
-    for b in (desk_bath(g=50.0, omega_m=1e20), desk_bath(g=1e-20, gamma_m=1e-300)):
+    # the coefficients and returned a negative variance; and rates whose
+    # closed-form products overflow, evaluated again at rates scaled by a power of two
+    for b in (desk_bath(g=50.0, omega_m=1e20), desk_bath(g=1e-20, gamma_m=1e-300),
+              desk_bath(g=4.6e138, Gamma=4.6e138, n_bar=2.9, omega_m=55.3)):
         cf = closed_form_moments(b)
         ly = lyapunov_moments(b)
         assert ly.var_x == pytest.approx(cf.var_x, rel=1e-12)
