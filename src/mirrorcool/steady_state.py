@@ -213,11 +213,11 @@ def closed_form_moments(bath: EffectiveBath) -> SteadyMoments:
 
     rates = (bath.g, bath.gamma_m, bath.omega_m, bath.noise_xx, bath.noise_pp)
     moments = _closed_forms(*rates)
-    if not all(map(math.isfinite, moments)):
-        # a product past the float range: the moments are those of every
-        # rate scaled by the same power of two, which is exact
-        e = math.frexp(max(rates))[1]
-        moments = _closed_forms(*(math.ldexp(r, -e) for r in rates))
+    if not (moments[0] > 0 and moments[1] > 0 and all(map(math.isfinite, moments))):
+        # a product left the double range (an overflowed denominator turns a
+        # variance into 0): evaluate once more in long double, whose range
+        # holds every product of three doubles, and round each moment to double
+        moments = [float(m) for m in _closed_forms(*map(np.longdouble, rates))]
     return SteadyMoments(*moments, t_eff=_t_eff(bath.n_bar, bath.omega_m, bath.g),
                          method="closed_form")
 

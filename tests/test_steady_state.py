@@ -28,7 +28,7 @@ from mirrorcool import (
     with_gain,
 )
 
-from mirrorcool.steady_state import _lyapunov_terms, _steady_covariance
+from mirrorcool.steady_state import _closed_forms, _lyapunov_terms, _steady_covariance
 
 from conftest import BOUNDARY_BATHS, random_stable_bath, reference_bath, reference_setup
 
@@ -126,14 +126,42 @@ def test_closed_form_equals_lyapunov_over_random_draws(rng):
     assert worst < 1e-10
     # extreme rate ratios, where a general-purpose Lyapunov solver perturbed
     # the coefficients and returned a negative variance; and rates whose
-    # closed-form products overflow, evaluated again at rates scaled by a power of two
+    # double-precision closed forms leave the range and are evaluated again
+    # in long double: c_p*g*g overflows (Gamma = g = 4.6e138), rates 1e319
+    # apart (omega_m 3.3e150, gamma_m = g = 3.3e-169), an overflowed
+    # denominator turns var_x into 0 (Gamma 9.4e196), and 200 random draws
     for b in (desk_bath(g=50.0, omega_m=1e20), desk_bath(g=1e-20, gamma_m=1e-300),
-              desk_bath(g=4.6e138, Gamma=4.6e138, n_bar=2.9, omega_m=55.3)):
+              desk_bath(g=4.6e138, Gamma=4.6e138, n_bar=2.9, omega_m=55.3),
+              desk_bath(g=3.3e-169, gamma_m=3.3e-169, Gamma=6.7e7, n_bar=2.9, omega_m=3.3e150),
+              desk_bath(g=1.2319506190576426e63, gamma_m=8.088074167768017e-49,
+                        Gamma=9.407399166749923e196, eta=0.09577272571979892,
+                        n_bar=0.280704938825995, omega_m=4.1111638296075316e-104),
+              *_past_the_double_range(np.random.default_rng(33), 200)):
         cf = closed_form_moments(b)
         ly = lyapunov_moments(b)
         assert ly.var_x == pytest.approx(cf.var_x, rel=1e-12)
         assert ly.var_p == pytest.approx(cf.var_p, rel=1e-12)
         assert ly.cov_xp_sym == pytest.approx(cf.cov_xp_sym, abs=1e-12 * max(cf.var_x, cf.var_p))
+
+
+def _past_the_double_range(rng, count):
+    """``count`` stable baths with finite Lyapunov moments, rates log-uniform
+    over most of the float range, whose double-precision closed forms leave
+    the range: a non-finite moment, or a variance that an overflowed
+    denominator turned into 0."""
+    while count:
+        rates = dict(omega_m=10 ** rng.uniform(-150, 150), gamma_m=10 ** rng.uniform(-300, 300),
+                     Gamma=10 ** rng.uniform(-300, 300), eta=10 ** rng.uniform(-3, 0),
+                     n_bar=10 ** rng.uniform(-3, 3), g=10 ** rng.uniform(-300, 300))
+        try:
+            b = bath_from_rates(**rates, phi=-math.pi / 2)
+            lyapunov_moments(b)
+            var_x, var_p, cov = _closed_forms(b.g, b.gamma_m, b.omega_m, b.noise_xx, b.noise_pp)
+        except (NumericalError, StabilityError):
+            continue
+        if not (var_x > 0 and var_p > 0 and all(map(math.isfinite, (var_x, var_p, cov)))):
+            yield b
+            count -= 1
 
 
 def test_lyapunov_closed_form_solves_the_equation_identically():
