@@ -12,7 +12,8 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -184,8 +185,8 @@ def _steady_covariance(A: np.ndarray, C: np.ndarray) -> np.ndarray:
 
 
 def _closed_forms(g, gm, om, c_x, c_p):
-    """(var_x, var_p, cov_xp_sym) at phi = -pi/2 from the rates and the
-    noise intensities c_x = noise_xx and c_p = noise_pp."""
+    """((var_x, var_p, cov_xp_sym), denominator) at phi = -pi/2 from the rates
+    and the noise intensities c_x = noise_xx and c_p = noise_pp."""
     om2 = om * om
     denom = 2 * (gm + g) * (om2 + gm * g)
     if denom == 0:  # positive for a stable drift, so it has underflowed
@@ -198,7 +199,7 @@ def _closed_forms(g, gm, om, c_x, c_p):
     # keeps the gamma_m -> 0 limit finite
     return ((c_x * (gm * gm + om2 + gm * g) + c_p * om2) / denom,
             (c_p * (g * g + gm * g + om2) + om2 * c_x) / denom,
-            om * (c_p * g - c_x * gm) / denom)
+            om * (c_p * g - c_x * gm) / denom), denom
 
 
 def closed_form_moments(bath: EffectiveBath) -> SteadyMoments:
@@ -212,12 +213,13 @@ def closed_form_moments(bath: EffectiveBath) -> SteadyMoments:
     require_stable(bath)
 
     rates = (bath.g, bath.gamma_m, bath.omega_m, bath.noise_xx, bath.noise_pp)
-    moments = _closed_forms(*rates)
-    if not (moments[0] > 0 and moments[1] > 0 and all(map(math.isfinite, moments))):
-        # a product left the double range (an overflowed denominator turns a
-        # variance into 0): evaluate once more in long double, whose range
-        # holds every product of three doubles, and round each moment to double
-        moments = [float(m) for m in _closed_forms(*map(np.longdouble, rates))]
+    moments, denom = _closed_forms(*rates)
+    if denom < sys.float_info.min or not (
+            moments[0] > 0 and moments[1] > 0 and all(map(math.isfinite, moments))):
+        # a product left the double range (an overflowed denominator turns a variance
+        # into 0, a subnormal one keeps few bits): evaluate once more in long double,
+        # whose range holds every product of three doubles, and round to double
+        moments = [float(m) for m in _closed_forms(*map(np.longdouble, rates))[0]]
     return SteadyMoments(*moments, t_eff=_t_eff(bath.n_bar, bath.omega_m, bath.g),
                          method="closed_form")
 
@@ -252,14 +254,7 @@ def high_gain_moments(bath: EffectiveBath) -> SteadyMoments:
         + bath.Gamma * om2 / (8 * gm * g2)
         + g / (8 * bath.eta * bath.Gamma)
     )
-    exact = closed_form_moments(bath)
-    return SteadyMoments(
-        var_x=var_x,
-        var_p=exact.var_p,
-        cov_xp_sym=exact.cov_xp_sym,
-        t_eff=_t_eff(bath.n_bar, bath.omega_m, bath.g),
-        method="high_gain",
-    )
+    return replace(closed_form_moments(bath), var_x=var_x, method="high_gain")
 
 
 def lyapunov_moments(bath: EffectiveBath) -> SteadyMoments:
@@ -269,20 +264,15 @@ def lyapunov_moments(bath: EffectiveBath) -> SteadyMoments:
     boundary, where the Lyapunov system is singular, it refuses the bath.
     """
     require_stable(bath)
-    A = drift_matrix(bath)
-    (var_x, cov), (_, var_p) = _steady_covariance(A, diffusion_matrix(bath)).tolist()
-    return SteadyMoments(
-        var_x=var_x,
-        var_p=var_p,
-        cov_xp_sym=cov,
-        t_eff=_t_eff(bath.n_bar, bath.omega_m, bath.g),
-        method="lyapunov",
-    )
+    (var_x, cov), (_, var_p) = _steady_covariance(drift_matrix(bath),
+                                                  diffusion_matrix(bath)).tolist()
+    return SteadyMoments(var_x, var_p, cov, t_eff=_t_eff(bath.n_bar, bath.omega_m, bath.g),
+                         method="lyapunov")
 
 
-def _gain_quartic(bath: EffectiveBath) -> np.ndarray:
-    """Coefficients, highest power first, of the quartic in g whose roots
-    are the stationary points of var_x at phi = -pi/2.
+def _gain_quartic(bath: EffectiveBath) -> tuple:
+    """Coefficients, highest power first, of the quartic in g that has the
+    sign of d var_x/dg at phi = -pi/2.
 
     It is the numerator of d var_x/dg divided by 2*eta*Gamma (Gamma > 0).
     Its three leading coefficients are nonnegative and its constant one
@@ -291,13 +281,24 @@ def _gain_quartic(bath: EffectiveBath) -> np.ndarray:
     gm, n_bar = bath.gamma_m, bath.n_bar
     gm2, om2 = gm * gm, bath.omega_m * bath.omega_m
     eg = bath.eta * bath.Gamma
-    return np.array([
+    return (
         gm2 / (2 * eg),
         gm * (gm2 + om2) / eg,
         (gm2 * gm2 + 5 * gm2 * om2 + om2 * om2) / (2 * eg),
         -gm * om2 * (eg * bath.Gamma + 4 * eg * gm * n_bar - gm2 - om2) / eg,
         -om2 * (bath.Gamma + 4 * gm * n_bar) * (gm2 + om2) / 2,
-    ])
+    )
+
+
+def _falling(quartic, g) -> bool:
+    """Whether the quartic, highest power first, is negative at g; summed again
+    in long double, whose range holds every term, where the double sum overflows."""
+    a, b, c, d, e = quartic
+    slope = (((a * g + b) * g + c) * g + d) * g + e
+    if not math.isfinite(slope):
+        a, b, c, d, e, g = map(np.longdouble, (*quartic, g))
+        slope = (((a * g + b) * g + c) * g + d) * g + e
+    return slope < 0
 
 
 def optimize_gain(
@@ -306,13 +307,12 @@ def optimize_gain(
 ) -> tuple[float, float]:
     """Gain minimizing the position variance over ``g_range`` at phi = -pi/2.
 
-    Returns (g_opt, var_x_min). The minimum over the closed interval is
-    the lowest variance among its two endpoints and the real roots of
-    the stationary-point quartic (:func:`_gain_quartic`, solved with
-    ``np.roots``) inside it; every candidate gain is re-derived through
-    the coefficient block, so the returned variance is exact.
+    Returns (g_opt, var_x_min). var_x falls, then rises, on g > 0, so its
+    minimum over the closed interval is the one positive root of
+    :func:`_gain_quartic` clamped to it, found to the float spacing by
+    bisection on the quartic's sign; var_x_min is the closed form there.
 
-    Raises StabilityError when a candidate's moments break the Heisenberg
+    Raises StabilityError when the optimum's moments break the Heisenberg
     bound var_x*var_p >= 1/16. That can happen on a bath whose coefficient
     block is not Lindblad-positive (``check_stability(...).positivity_gap``
     < 0): for ``omega_m`` 1.6913, ``gamma_m`` 9.8181, ``Gamma`` 26.247,
@@ -330,18 +330,17 @@ def optimize_gain(
     if g_hi > 0 and bath_template.Gamma == 0:
         raise ValidationError("g_range", "positive gains need Gamma > 0")
 
-    gains = {g_lo, g_hi}
+    g_opt = g_lo
     if g_lo < g_hi:
         quartic = _gain_quartic(bath_template)
-        if not np.isfinite(quartic).all():  # np.roots cannot solve it
+        if not all(map(math.isfinite, quartic)):
             rates = ", ".join(f"{key}={getattr(bath_template, key)!r}" for key in RATES[:5])
             raise NumericalError(f"the gain quartic leaves the float range for the bath {rates}")
-        roots = np.roots(quartic)
-        # as floats: the candidates are re-derived on the one-point float route
-        gains.update(float(r.real) for r in roots if r.imag == 0 and g_lo < r.real < g_hi)
-    var_min, g_opt = min(
-        (closed_form_moments(with_gain(bath_template, g)).var_x, g) for g in gains
-    )
+        lo, hi = g_lo, g_hi
+        while lo < (mid := lo + (hi - lo) / 2) < hi:
+            lo, hi = (mid, hi) if _falling(quartic, mid) else (lo, mid)
+        g_opt = hi if _falling(quartic, lo) else lo
+    var_min = closed_form_moments(with_gain(bath_template, g_opt)).var_x
     return float(g_opt), float(var_min)
 
 

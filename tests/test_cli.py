@@ -1171,7 +1171,8 @@ def test_fock_loads_no_scipy(tmp_path):
 
 
 def _refuse_linalg(monkeypatch):
-    """Make every numpy.linalg function raise."""
+    """Make every numpy.linalg function raise, and np.roots, which calls the
+    eigvals it imported itself."""
     def refuse(*args, **kwargs):
         raise AssertionError("numpy.linalg called")
 
@@ -1179,15 +1180,19 @@ def _refuse_linalg(monkeypatch):
         if not name.startswith("_") and callable(getattr(np.linalg, name)) \
                 and not isinstance(getattr(np.linalg, name), type):
             monkeypatch.setattr(np.linalg, name, refuse)
+    monkeypatch.setattr(np, "roots", refuse)
 
 
 def test_monte_carlo_and_lyapunov_routes_call_no_linalg(tmp_path, capsys, monkeypatch):
-    # every matrix of these routes is 2x2 and solved in closed form; only
-    # fock and optimize_gain (np.roots) keep LAPACK
+    # every matrix of these routes is 2x2 and solved in closed form, and
+    # optimize_gain bisects on the sign of its quartic; only fock keeps LAPACK
     _refuse_linalg(monkeypatch)
-    with pytest.raises(AssertionError, match="numpy.linalg called"):
-        np.linalg.eigvals(np.eye(2))
+    for solve in (np.linalg.eigvals, np.roots):
+        with pytest.raises(AssertionError, match="numpy.linalg called"):
+            solve(np.eye(2))
     bath = bath_from_rates(**DESK_BATH["bath"])
+    g_opt, var_min = optimize_gain(bath, (0.0, 1e3))
+    assert 0 < g_opt < 1e3 and var_min == closed_form_moments(with_gain(bath, g_opt)).var_x
     stats = mirrorcool.simulate(bath, mirrorcool.SimConfig(**SIM))
     assert math.isfinite(mirrorcool.psd_vs_analytic(stats).peak_rel_dev)
     assert math.isfinite(mirrorcool.lyapunov_moments(with_gain(bath, 10.0)).var_x)

@@ -104,6 +104,9 @@ def test_every_entry_point_is_in_the_gate():
 # closed forms whose products overflow, but not their moments (var_p about 5.75e137)
 @example(omega_m=55.3, gamma_m=1.0, Gamma=4.6e138, eta=1.0, n_bar=2.9, g=4.6e138,
          phi=-math.pi / 2, g_hi=1.0)
+# a gain quartic whose double sum overflows below its root g = 0.187, past g_hi
+@example(omega_m=6.495127618027929e76, gamma_m=1.0, Gamma=0.1, eta=1.0, n_bar=1.0, g=1.0,
+         phi=-math.pi / 2, g_hi=0.15)
 # Monte Carlo estimates past the float range: var_x_stderr = inf
 @example(omega_m=22.25, gamma_m=0.0, Gamma=1e-187, eta=0.36, n_bar=1e-187, g=22.25,
          phi=-math.pi / 2, g_hi=1.0)
@@ -123,7 +126,11 @@ def test_the_bath_routes_return_finite_values_or_refuse(omega_m, gamma_m, Gamma,
     if grid is not None:
         call(eval_spectrum, bath, grid[::256])
     call(with_gain, bath, g_hi)
-    call(optimize_gain, bath, (0.0, g_hi))
+    optimum = call(optimize_gain, bath, (0.0, g_hi))
+    if optimum is not None:  # no higher than the closed form at either end, where it evaluates
+        for end in (call(with_gain, bath, 0.0), call(with_gain, bath, g_hi)):
+            moments = end and call(closed_form_moments, end)
+            assert moments is None or optimum[1] <= moments.var_x * (1 + 1e-12), end
     call(build_generator, bath, 6)
     call(evolve_to_steady, bath, FockConfig(dim=24))
     if not check_stability(bath).stable:  # simulate refuses it before its config

@@ -121,7 +121,9 @@ def _dotted_names(tree: ast.AST) -> set[str]:
 
 def test_two_by_two_routes_take_nothing_from_lapack():
     # every matrix of the Monte Carlo set-up and of the Lyapunov route is
-    # 2x2 and solved in closed form: no numpy.linalg, no numpy.polynomial
-    lapack = {"linalg", "polynomial"}
+    # 2x2 and solved in closed form, and the gain optimum is bisected on the
+    # sign of its quartic: no numpy.linalg, no numpy.polynomial, no np.roots
+    lapack = {"linalg", "polynomial", "roots"}
     assert not _dotted_names(_tree("langevin")) & lapack
-    assert not _references("steady_state", "_steady_covariance") & lapack
+    for function in ("_steady_covariance", "optimize_gain", "_gain_quartic"):
+        assert not _references("steady_state", function) & lapack, function

@@ -129,13 +129,17 @@ def test_closed_form_equals_lyapunov_over_random_draws(rng):
     # double-precision closed forms leave the range and are evaluated again
     # in long double: c_p*g*g overflows (Gamma = g = 4.6e138), rates 1e319
     # apart (omega_m 3.3e150, gamma_m = g = 3.3e-169), an overflowed
-    # denominator turns var_x into 0 (Gamma 9.4e196), and 200 random draws
+    # denominator turns var_x into 0 (Gamma 9.4e196), a subnormal denominator
+    # of about 1e-323 keeps two significant bits (4.1% off in double), and
+    # 200 random draws
     for b in (desk_bath(g=50.0, omega_m=1e20), desk_bath(g=1e-20, gamma_m=1e-300),
               desk_bath(g=4.6e138, Gamma=4.6e138, n_bar=2.9, omega_m=55.3),
               desk_bath(g=3.3e-169, gamma_m=3.3e-169, Gamma=6.7e7, n_bar=2.9, omega_m=3.3e150),
               desk_bath(g=1.2319506190576426e63, gamma_m=8.088074167768017e-49,
                         Gamma=9.407399166749923e196, eta=0.09577272571979892,
                         n_bar=0.280704938825995, omega_m=4.1111638296075316e-104),
+              desk_bath(g=6.2605e-226, gamma_m=5.7762e-206, Gamma=1.7473e68, eta=0.0016559,
+                        n_bar=2.2672, omega_m=9.4364e-60),
               *_past_the_double_range(np.random.default_rng(33), 200)):
         cf = closed_form_moments(b)
         ly = lyapunov_moments(b)
@@ -156,7 +160,8 @@ def _past_the_double_range(rng, count):
         try:
             b = bath_from_rates(**rates, phi=-math.pi / 2)
             lyapunov_moments(b)
-            var_x, var_p, cov = _closed_forms(b.g, b.gamma_m, b.omega_m, b.noise_xx, b.noise_pp)
+            (var_x, var_p, cov), _ = _closed_forms(b.g, b.gamma_m, b.omega_m, b.noise_xx,
+                                                    b.noise_pp)
         except (NumericalError, StabilityError):
             continue
         if not (var_x > 0 and var_p > 0 and all(map(math.isfinite, (var_x, var_p, cov)))):
@@ -369,8 +374,9 @@ def test_optimize_gain_refuses_an_unphysical_candidate():
     {"omega_m": 8.43, "gamma_m": 5.55e47, "Gamma": 2.82e129, "eta": 0.899, "n_bar": 9.55},
 ], ids=["omega_m_squared_overflows", "quartic_coefficient_is_inf"])
 def test_optimize_gain_refuses_a_quartic_past_the_float_range(rates):
-    # squaring omega_m**2 overflows a float power, and an inf coefficient is
-    # past np.roots: each is refused as a numerical failure naming the bath
+    # squaring omega_m**2 overflows a float power, and an inf coefficient
+    # leaves no sign to bisect on: each is refused as a numerical failure
+    # naming the bath
     bath = bath_from_rates(**rates, g=1.0, phi=-math.pi / 2)
     with pytest.raises(NumericalError, match=re.escape(f"omega_m={rates['omega_m']!r}")):
         optimize_gain(bath, (0.0, 10.0))
@@ -475,6 +481,17 @@ def brent_oracle(bath, g_lo, g_hi):
     return min((var_x(g_lo), g_lo), (var_x(g_hi), g_hi), (float(result.fun), float(result.x)))
 
 
+def roots_oracle(bath, g_lo, g_hi):
+    """(var_x_min, g) of the lowest closed-form var_x at g_lo, g_hi and the real
+    roots of the gain quartic between them, found with np.roots."""
+    from mirrorcool.steady_state import _gain_quartic
+
+    gains = {g_lo, g_hi}
+    gains.update(float(r.real) for r in np.roots(_gain_quartic(bath))
+                 if r.imag == 0 and g_lo < r.real < g_hi)
+    return min((closed_form_moments(with_gain(bath, g)).var_x, g) for g in gains)
+
+
 def test_optimize_gain_never_above_the_brent_search(rng):
     cases = [(random_stable_bath(rng), (0.0, 10 ** rng.uniform(1, 3.5))) for _ in range(500)]
     cases.append((reference_bath(), (0.0, 1e7)))
@@ -484,6 +501,10 @@ def test_optimize_gain_never_above_the_brent_search(rng):
         assert g_range[0] <= g_opt <= g_range[1]
         assert var_min == closed_form_moments(with_gain(bath, g_opt)).var_x
         assert var_min <= oracle * (1 + 1e-12)
+        # the candidate minimum over the endpoints and the np.roots roots
+        var_roots, g_roots = roots_oracle(bath, *g_range)
+        assert g_opt == pytest.approx(g_roots, rel=1e-12)
+        assert var_min == pytest.approx(var_roots, rel=1e-14)
 
 
 def test_optimize_gain_as_gamma_m_vanishes():
