@@ -17,7 +17,9 @@ state is checked for residual, trace, Hermiticity and truncation tail,
 and never repaired. The solve uses only the generator, never the closed
 forms or the Lyapunov route.
 
-The module is numpy only, so the ``fock`` verb loads no scipy.
+The module is numpy only, so the ``fock`` verb loads no scipy, and it
+loads numpy on its first solve: reading or building a ``FockConfig``
+needs none.
 
 ``evolve_to_steady`` picks, grows and caps the truncation itself.
 Room-temperature occupations (~1e11) are out of numerical reach by
@@ -29,13 +31,15 @@ from __future__ import annotations
 
 import math
 import sys
+import typing
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
-
 from .bath import EffectiveBath, check_stability, require_stable
 from .errors import NumericalError, TruncationError, ValidationError
+
+if typing.TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "FockConfig",
@@ -96,6 +100,8 @@ class FockSolution:
 
 def ladder(dim: int) -> np.ndarray:
     """Truncated annihilation operator, a|n> = sqrt(n)|n-1>."""
+    import numpy as np
+
     return np.diag(np.sqrt(np.arange(1, dim)), k=1)
 
 
@@ -124,11 +130,28 @@ def build_generator(bath: EffectiveBath, dim: int) -> np.ndarray:
     outside the retained levels is zero. Signs follow the printed
     generator: the M and M* blocks enter with a minus sign, and the
     squeeze commutator carries the coefficient (g*sin(phi) + gamma_m)/4.
+    A bath whose stencil or its row sums would leave the float range is
+    refused before anything is built (NumericalError).
     """
+    import numpy as np
+
     if dim < 4:
         raise ValidationError("dim", "truncation dimension must be >= 4")
     gamma, N, M = bath.gamma, bath.N, bath.M
     s = bath.squeeze_coeff
+    # bounds, in Python floats, on every product the stencil and its row
+    # sums ||L||_inf form: summed over the nine coefficients of an entry,
+    # |Re| + |Im| is at most dim - 1 times the rate below, and the
+    # occupation sum of C[0] at most (2*dim - 2)*(|N + 1| + |N|) before
+    # gamma scales it
+    rate = (abs(gamma) * (2 * abs(N + 1) + 2 * abs(N) + 4 * (abs(M.real) + abs(M.imag)))
+            + 4 * abs(s) + abs(bath.omega_m))
+    if not ((dim - 1) * rate <= sys.float_info.max
+            and (2 * dim - 2) * (abs(N + 1) + abs(N)) <= sys.float_info.max):
+        raise NumericalError(
+            f"the generator of gamma = {gamma:g}, N = {N:g}, M = {M:g}, squeeze_coeff = "
+            f"{s:g} and omega_m = {bath.omega_m:g} leaves the float range at dim = {dim}"
+        )
     k = np.arange(dim, dtype=float)
     # ladder amplitudes onto level k from the levels below and above it,
     # <k|a^dag|k-1> = sqrt(k), <k|a^dag 2|k-2> = sqrt(k(k-1)), <k|a|k+1> =
@@ -203,6 +226,8 @@ def _solve(bath: EffectiveBath, C: np.ndarray) -> FockSolution:
     population within the 1e-10 tail guard (TruncationError: the caller
     must raise ``dim``; a negative tail is truncation error too).
     """
+    import numpy as np
+
     dim = C.shape[1]
     # a failed solve comes back singular or non-finite and is refused below
     with np.errstate(all="ignore"):
@@ -290,6 +315,8 @@ def _sweep(C: np.ndarray) -> np.ndarray:
     solved only so that a singular sector raises ``LinAlgError``; every
     odd entry is exactly 0.
     """
+    import numpy as np
+
     dim = C.shape[1]
     rho = np.zeros((dim, dim), complex)
     top = 2 * dim - 2
@@ -307,6 +334,8 @@ def _sweep(C: np.ndarray) -> np.ndarray:
 
 def _diagonal_rows(s: int, dim: int) -> np.ndarray:
     """Row indices m of the anti-diagonal m + n = s of a ``dim`` x ``dim`` matrix."""
+    import numpy as np
+
     return np.arange(max(0, s - dim + 1), min(s, dim - 1) + 1)
 
 
@@ -316,6 +345,8 @@ def _eliminate(C: np.ndarray, top: int, bottom: int, keep: bool):
     Returns ``S_bottom`` and, if ``keep``, the list of ``X_s`` from the
     top down.
     """
+    import numpy as np
+
     dim = C.shape[1]
     xs = []
     m = _diagonal_rows(top, dim)
@@ -344,6 +375,8 @@ def _band(coef: np.ndarray, shifts, offset: int, n_cols: int) -> np.ndarray:
     Coefficients whose column falls outside ``n_cols`` are dropped: the
     stencil holds 0 there.
     """
+    import numpy as np
+
     rows = np.arange(coef.shape[1])
     block = np.zeros((len(rows), n_cols + 4), complex)
     for c, (dm, _) in zip(coef, shifts):
@@ -353,6 +386,8 @@ def _band(coef: np.ndarray, shifts, offset: int, n_cols: int) -> np.ndarray:
 
 def _apply(C: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """``L rho`` with the stencil ``C``."""
+    import numpy as np
+
     dim = rho.shape[0]
     padded = np.zeros((dim + 4, dim + 4), complex)
     padded[2:-2, 2:-2] = rho

@@ -613,8 +613,16 @@ def _simulate_linear(
                 pass
             failures.append(exc)
 
+    # a new thread starts with numpy's default error state: the workers run
+    # under the calling thread's
+    errors = np.geterr()
+
+    def worker(draws: np.ndarray, states: np.ndarray) -> None:
+        with np.errstate(**errors):
+            work(draws, states)
+
     # the calling thread is worker 0; one worker starts no thread
-    threads = [threading.Thread(target=work, args=buffers, name=f"mirrorcool-langevin-{w}")
+    threads = [threading.Thread(target=worker, args=buffers, name=f"mirrorcool-langevin-{w}")
                for w, buffers in enumerate(scratch[1:], 1)]
     for thread in threads:
         thread.start()

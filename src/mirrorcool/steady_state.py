@@ -214,11 +214,12 @@ def closed_form_moments(bath: EffectiveBath) -> SteadyMoments:
 
     rates = (bath.g, bath.gamma_m, bath.omega_m, bath.noise_xx, bath.noise_pp)
     moments, denom = _closed_forms(*rates)
-    if denom < sys.float_info.min or not (
-            moments[0] > 0 and moments[1] > 0 and all(map(math.isfinite, moments))):
+    if (denom < sys.float_info.min or bath.omega_m * bath.omega_m < sys.float_info.min
+            or not (moments[0] > 0 and moments[1] > 0 and all(map(math.isfinite, moments)))):
         # a product left the double range (an overflowed denominator turns a variance
-        # into 0, a subnormal one keeps few bits): evaluate once more in long double,
-        # whose range holds every product of three doubles, and round to double
+        # into 0, a subnormal one or a subnormal omega_m^2 keeps few bits): evaluate
+        # once more in long double, whose range holds every product of three doubles,
+        # and round to double
         moments = [float(m) for m in _closed_forms(*map(np.longdouble, rates))[0]]
     return SteadyMoments(*moments, t_eff=_t_eff(bath.n_bar, bath.omega_m, bath.g),
                          method="closed_form")

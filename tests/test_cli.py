@@ -1263,6 +1263,26 @@ def test_cold_verb_runs_only_the_modules_it_calls(tmp_path, verb):
     assert not executor
 
 
+def test_a_fock_config_is_read_and_built_without_numpy():
+    # fock imports numpy in the functions that build arrays: the benchmark's
+    # set-up reads FockConfig's fields, and a script builds one, without it
+    script = _RAN_SCRIPT + """
+import dataclasses
+import mirrorcool.bath
+import mirrorcool.fock
+fields = [f.name for f in dataclasses.fields(mirrorcool.fock.FockConfig)]
+cfg = mirrorcool.fock.FockConfig(dim=30)
+read = numpy_modules()
+bath = mirrorcool.bath.bath_from_rates(**json.loads(sys.argv[1]))
+mirrorcool.fock.evolve_to_steady(bath)
+print(json.dumps([fields, cfg.dim, read, numpy_modules()]))
+"""
+    fields, dim, read, solved = _fresh_python(script, json.dumps(FOCK_DESK_BATH["bath"]))
+    assert (fields, dim) == (["dim"], 30)
+    assert read == []
+    assert solved == ["numpy"]  # the first solve loads it
+
+
 # runs each verb in one fresh process, and reports after each whether the
 # formatter's table of powers of ten has been built
 _TABLE_SCRIPT = """

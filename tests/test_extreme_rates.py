@@ -110,6 +110,15 @@ def test_every_entry_point_is_in_the_gate():
 # Monte Carlo estimates past the float range: var_x_stderr = inf
 @example(omega_m=22.25, gamma_m=0.0, Gamma=1e-187, eta=0.36, n_bar=1e-187, g=22.25,
          phi=-math.pi / 2, g_hi=1.0)
+# a Fock generator past the float range at dim 6 (N = Re M = 2.5e306), refused
+# before it is built
+@example(omega_m=1.0, gamma_m=0.0, Gamma=1.0, eta=1e-306, n_bar=0.0, g=10.0,
+         phi=-math.pi / 2, g_hi=1.0)
+# Welch power sums past the float range, in every Monte Carlo worker thread
+@example(omega_m=1.0, gamma_m=0.0, Gamma=1.0, eta=1e-305, n_bar=0.0, g=10.0,
+         phi=-math.pi / 2, g_hi=1.0)
+@example(omega_m=1.0, gamma_m=0.0, Gamma=251.0, eta=1e-309, n_bar=0.0, g=2.0,
+         phi=-math.pi / 2, g_hi=1.0)
 @given(omega_m=rate(1.0, 100.0), gamma_m=rate(0.1, 10.0), Gamma=rate(0.1, 1000.0),
        eta=rate(0.2, 1.0), n_bar=rate(0.0, 3.0), g=rate(0.1, 100.0), phi=PHASE,
        g_hi=rate(1.0, 1000.0))

@@ -295,6 +295,19 @@ def test_singular_or_nonfinite_solve_raises():
         _solve(bath, zeroed)
 
 
+def test_a_generator_past_the_float_range_is_refused_before_it_is_built():
+    # eta = 1e-306 gives N = Re M = 2.5e306, and gamma*N times the level
+    # amplitudes overflows: both routes refuse the bath by its coefficients
+    # and the dimension, where numpy warned and the solve took the blame
+    bath = bath_from_rates(omega_m=1.0, gamma_m=0.0, Gamma=1.0, eta=1e-306, n_bar=0.0, g=10.0,
+                           phi=-math.pi / 2)
+    message = r"gamma = 10, N = 2\.5e\+306, .* leaves the float range at dim = 6"
+    with pytest.raises(NumericalError, match=message):
+        build_generator(bath, 6)
+    with pytest.raises(NumericalError, match=message):
+        evolve_to_steady(bath, FockConfig(dim=6))
+
+
 def test_residual_over_bound_raises():
     # the solve drops the <0|rho|0> row, which only a trace-preserving
     # generator implies; perturbing it leaves the residual on that row

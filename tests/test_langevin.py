@@ -14,6 +14,7 @@ import scipy.signal
 
 from mirrorcool import (
     NoiseModelError,
+    NumericalError,
     SimConfig,
     TrajectoryEnsembleStats,
     ValidationError,
@@ -515,6 +516,18 @@ def test_simulate_leaves_no_threads_behind(monkeypatch):
     with pytest.raises(RuntimeError, match="welch failed"):
         simulate(desk_bath(), cfg)
     assert threading.enumerate() == before
+
+
+def test_every_worker_refuses_estimates_past_the_float_range_by_name(monkeypatch):
+    # the Welch power sums of this bath overflow; a new thread starts with
+    # numpy's default error state, so each worker must run under simulate's,
+    # or its overflow warning escapes before the refusal
+    _force_workers(monkeypatch, 2)
+    bath = bath_from_rates(omega_m=1.0, gamma_m=0.0, Gamma=251.0, eta=1e-309, n_bar=0.0, g=2.0,
+                           phi=-math.pi / 2)
+    cfg = SimConfig(dt=1e-3, t_relax=60.0, t_sample=8.0, n_traj=2, seed=3, welch_segment=64)
+    with pytest.raises(NumericalError, match="Monte Carlo estimates leave the float range"):
+        simulate(bath, cfg)
 
 
 def test_a_failing_trajectory_stops_the_other_workers(monkeypatch):

@@ -130,8 +130,9 @@ def test_closed_form_equals_lyapunov_over_random_draws(rng):
     # in long double: c_p*g*g overflows (Gamma = g = 4.6e138), rates 1e319
     # apart (omega_m 3.3e150, gamma_m = g = 3.3e-169), an overflowed
     # denominator turns var_x into 0 (Gamma 9.4e196), a subnormal denominator
-    # of about 1e-323 keeps two significant bits (4.1% off in double), and
-    # 200 random draws
+    # of about 1e-323 keeps two significant bits (4.1% off in double), an
+    # omega_m^2 that underflows to a subnormal below a normal denominator
+    # (99.95% off in double), and 200 random draws
     for b in (desk_bath(g=50.0, omega_m=1e20), desk_bath(g=1e-20, gamma_m=1e-300),
               desk_bath(g=4.6e138, Gamma=4.6e138, n_bar=2.9, omega_m=55.3),
               desk_bath(g=3.3e-169, gamma_m=3.3e-169, Gamma=6.7e7, n_bar=2.9, omega_m=3.3e150),
@@ -140,11 +141,13 @@ def test_closed_form_equals_lyapunov_over_random_draws(rng):
                         n_bar=0.280704938825995, omega_m=4.1111638296075316e-104),
               desk_bath(g=6.2605e-226, gamma_m=5.7762e-206, Gamma=1.7473e68, eta=0.0016559,
                         n_bar=2.2672, omega_m=9.4364e-60),
+              desk_bath(g=3.1768e6, gamma_m=1.3712e-6, Gamma=4.9303e263, eta=0.0028773,
+                        n_bar=0.015584, omega_m=1.1132e-254),
               *_past_the_double_range(np.random.default_rng(33), 200)):
         cf = closed_form_moments(b)
         ly = lyapunov_moments(b)
-        assert ly.var_x == pytest.approx(cf.var_x, rel=1e-12)
-        assert ly.var_p == pytest.approx(cf.var_p, rel=1e-12)
+        assert ly.var_x == pytest.approx(cf.var_x, rel=1e-12, abs=0)
+        assert ly.var_p == pytest.approx(cf.var_p, rel=1e-12, abs=0)
         assert ly.cov_xp_sym == pytest.approx(cf.cov_xp_sym, abs=1e-12 * max(cf.var_x, cf.var_p))
 
 
