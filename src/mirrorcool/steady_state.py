@@ -12,7 +12,6 @@ from __future__ import annotations
 import functools
 import math
 import operator
-import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -184,22 +183,40 @@ def _steady_covariance(A: np.ndarray, C: np.ndarray) -> np.ndarray:
     return np.array([[x, z], [z, y]])
 
 
+# The closed forms and the gain quartic's Horner sum decide their precision
+# from their operands, before they evaluate: double when every nonzero operand
+# lies in the window (low, high), where no product of operands can leave the
+# normal double range (the proofs are in closed_form_moments and _falling),
+# long double otherwise. The Lyapunov route keeps its own long double, so the oracle
+# shares none of this.
+_CLOSED_FORM_WINDOW = (2.0 ** -330, 2.0 ** 330)
+_HORNER_WINDOW = (2.0 ** -200, 2.0 ** 200)
+
+
+def _in_precision(operands, window):
+    """``operands`` as they are if each nonzero one lies in ``window``, else in long double."""
+    low, high = window
+    for v in operands:
+        if not (low <= abs(v) <= high or v == 0):
+            return tuple(map(np.longdouble, operands))
+    return operands
+
+
 def _closed_forms(g, gm, om, c_x, c_p):
-    """((var_x, var_p, cov_xp_sym), denominator) at phi = -pi/2 from the rates
-    and the noise intensities c_x = noise_xx and c_p = noise_pp."""
+    """(var_x, var_p, cov_xp_sym) at phi = -pi/2 from the rates and the noise
+    intensities c_x = noise_xx and c_p = noise_pp, in the operands' precision.
+
+    Every product has at most three operand factors, and every sum in the
+    variances and the denominator adds nonnegative terms.
+    """
     om2 = om * om
     denom = 2 * (gm + g) * (om2 + gm * g)
-    if denom == 0:  # positive for a stable drift, so it has underflowed
-        raise NumericalError(
-            "closed-form denominator 2*(gamma_m + g)*(omega_m^2 + gamma_m*g) underflows to 0 "
-            f"(omega_m = {om:g}, gamma_m = {gm:g}, g = {g:g})"
-        )
     # identical to the textbook form with the thermal bracket
     # (n_bar/2 + Gamma/(8*gamma_m)) multiplied through by gamma_m, which
     # keeps the gamma_m -> 0 limit finite
     return ((c_x * (gm * gm + om2 + gm * g) + c_p * om2) / denom,
             (c_p * (g * g + gm * g + om2) + om2 * c_x) / denom,
-            om * (c_p * g - c_x * gm) / denom), denom
+            om * (c_p * g - c_x * gm) / denom)
 
 
 def closed_form_moments(bath: EffectiveBath) -> SteadyMoments:
@@ -208,20 +225,28 @@ def closed_form_moments(bath: EffectiveBath) -> SteadyMoments:
     ``var_x`` and ``var_p`` are the printed closed-form expressions; the
     symmetrized cross moment, which has no printed form, is the closed-form
     solution of the same covariance equation, sharing no Lyapunov code.
+
+    The precision is decided once, from the five operands ``g``,
+    ``gamma_m``, ``omega_m``, ``noise_xx`` and ``noise_pp`` (all
+    nonnegative; ``gamma_m + g > 0`` on a stable bath). If each nonzero
+    operand lies in [2**-330, 2**330], the closed forms run in double. Each
+    nonzero product of up to three operands then lies in [2**-990, 2**990],
+    the variances' numerators, sums of such products, below 2**993, and the
+    denominator in [2**-989, 2**993]: no intermediate of the variances
+    leaves the normal double range, so each carries rounding errors only.
+    At most nine roundings lie on any path to a variance, so it is within
+    9 ulp of the formula's exact value; only the final quotient can leave
+    the range. Otherwise they run in long double, whose range holds every
+    product of three doubles, subnormal ones included (exponents -16382 to
+    16383, 64-bit significands), and each moment is rounded once to
+    double. A moment past the double range is refused as NumericalError
+    (exit 4), a zero or Heisenberg-breaking one as StabilityError (exit 3).
     """
     _require_phase(bath)
     require_stable(bath)
-
-    rates = (bath.g, bath.gamma_m, bath.omega_m, bath.noise_xx, bath.noise_pp)
-    moments, denom = _closed_forms(*rates)
-    if (denom < sys.float_info.min or bath.omega_m * bath.omega_m < sys.float_info.min
-            or not (moments[0] > 0 and moments[1] > 0 and all(map(math.isfinite, moments)))):
-        # a product left the double range (an overflowed denominator turns a variance
-        # into 0, a subnormal one or a subnormal omega_m^2 keeps few bits): evaluate
-        # once more in long double, whose range holds every product of three doubles,
-        # and round to double
-        moments = [float(m) for m in _closed_forms(*map(np.longdouble, rates))[0]]
-    return SteadyMoments(*moments, t_eff=_t_eff(bath.n_bar, bath.omega_m, bath.g),
+    operands = (bath.g, bath.gamma_m, bath.omega_m, bath.noise_xx, bath.noise_pp)
+    moments = _closed_forms(*_in_precision(operands, _CLOSED_FORM_WINDOW))
+    return SteadyMoments(*map(float, moments), t_eff=_t_eff(bath.n_bar, bath.omega_m, bath.g),
                          method="closed_form")
 
 
@@ -292,14 +317,20 @@ def _gain_quartic(bath: EffectiveBath) -> tuple:
 
 
 def _falling(quartic, g) -> bool:
-    """Whether the quartic, highest power first, is negative at g; summed again
-    in long double, whose range holds every term, where the double sum overflows."""
+    """Whether the quartic, highest power first, is negative at g.
+
+    The coefficients come through :func:`_in_precision` once per bisection
+    and g here, so the Horner sum runs in double only if each nonzero one
+    of the six lies in [2**-200, 2**200]. Its partial sums then stay below
+    2**1004 and each product of nonzero operands, up to the five factors
+    of the leading term, is at least 2**-1000, so nothing overflows and
+    only a partial sum that cancelled below 2**-1022 can underflow, by at
+    most 2**-1075. Its sign is then wrong only within rounding of the root,
+    where the bisection stops. In long double the range holds every term.
+    """
     a, b, c, d, e = quartic
-    slope = (((a * g + b) * g + c) * g + d) * g + e
-    if not math.isfinite(slope):
-        a, b, c, d, e, g = map(np.longdouble, (*quartic, g))
-        slope = (((a * g + b) * g + c) * g + d) * g + e
-    return slope < 0
+    (g,) = _in_precision((g,), _HORNER_WINDOW)
+    return (((a * g + b) * g + c) * g + d) * g + e < 0
 
 
 def optimize_gain(
@@ -337,6 +368,7 @@ def optimize_gain(
         if not all(map(math.isfinite, quartic)):
             rates = ", ".join(f"{key}={getattr(bath_template, key)!r}" for key in RATES[:5])
             raise NumericalError(f"the gain quartic leaves the float range for the bath {rates}")
+        quartic = _in_precision(quartic, _HORNER_WINDOW)
         lo, hi = g_lo, g_hi
         while lo < (mid := lo + (hi - lo) / 2) < hi:
             lo, hi = (mid, hi) if _falling(quartic, mid) else (lo, mid)

@@ -17,7 +17,7 @@ from mirrorcool import (
 from mirrorcool import bath as bath_module
 from mirrorcool.bath import _positivity_gap
 
-from conftest import random_stable_bath, reference_setup
+from conftest import random_stable_bath, reference_bath, reference_setup
 
 OMEGA_M = 2 * math.pi * 10.0
 NBAR_300K = 625098573699.8271  # k_B*300K/(hbar*omega_m) at nu_m = 10 Hz
@@ -78,10 +78,10 @@ def test_coefficient_table_against_independent_evaluation():
         num_n = math.fsum([NBAR_300K - 0.5, 50.0, g * g / 800.0, -g / 2])
         num_m = -math.fsum([NBAR_300K, 50.0, -g * g / 800.0])
         assert b.gamma == gamma == gamma_ref
-        assert b.N == pytest.approx(num_n / gamma, rel=1e-13)
-        assert b.M.real == pytest.approx(num_m / gamma, rel=1e-13)
-        assert b.N == pytest.approx(n_ref, rel=1e-12)
-        assert b.M.real == pytest.approx(m_ref, rel=1e-12)
+        assert b.N == pytest.approx(num_n / gamma, rel=1e-13, abs=0)
+        assert b.M.real == pytest.approx(num_m / gamma, rel=1e-13, abs=0)
+        assert b.N == pytest.approx(n_ref, rel=1e-12, abs=0)
+        assert b.M.real == pytest.approx(m_ref, rel=1e-12, abs=0)
         assert b.M.imag == pytest.approx(0.0, abs=1e-15)
 
 
@@ -98,9 +98,9 @@ def test_rederivation_is_idempotent():
 def test_build_bath_from_reference_setup():
     setup = reference_setup(g=100.0)
     bath = build_bath(derive_coupling(setup), setup)
-    assert bath.gamma == pytest.approx(101.0, rel=1e-12)
-    assert bath.Gamma == pytest.approx(207.21994643942588, rel=1e-12)
-    assert bath.n_bar == pytest.approx(NBAR_300K, rel=1e-12)
+    assert bath.gamma == pytest.approx(101.0, rel=1e-12, abs=0)
+    assert bath.Gamma == pytest.approx(207.21994643942588, rel=1e-12, abs=0)
+    assert bath.n_bar == pytest.approx(NBAR_300K, rel=1e-12, abs=0)
 
 
 def test_gamma_increases_with_gain_at_momentum_drive_phase():
@@ -157,9 +157,9 @@ def test_fock_fixture_bath_is_lindblad_positive():
     b = desk_bath(g=20.0, Gamma=40.0, n_bar=3.0, omega_m=10.0)
     report = check_stability(b)
     assert report.lindblad_positive
-    assert report.positivity_gap == pytest.approx(0.04478458049886622, rel=1e-12)
-    assert b.N == pytest.approx(5.0 / 21.0, rel=1e-14)
-    assert b.M.real == pytest.approx(-0.5, rel=1e-14)
+    assert report.positivity_gap == pytest.approx(0.04478458049886622, rel=1e-12, abs=0)
+    assert b.N == pytest.approx(5.0 / 21.0, rel=1e-14, abs=0)
+    assert b.M.real == pytest.approx(-0.5, rel=1e-14, abs=0)
 
 
 def test_noise_intensities_match_literal_combinations(rng):
@@ -187,6 +187,68 @@ def test_gap_matches_literal_products_at_moderate_occupation(rng):
         assert check_stability(b).positivity_gap == pytest.approx(
             naive, rel=1e-8, abs=1e-8
         )
+
+
+def _raw_forms_at_50_digits(gamma_m, Gamma, eta, n_bar, g, cos_phi, gamma):
+    """gamma*(2N+1 +- 2Re M)/4, gamma*Im M/2 and N(N+1) - |M|^2 of the raw
+    coefficient block, by mpmath at 50 digits on the reductions' double operands.
+
+    g*sin(phi) is read off the damping gamma = gamma_m - g*sin(phi) the
+    reductions are given, so the raw block is that of the same operands.
+    """
+    import mpmath
+
+    with mpmath.workdps(50):
+        gamma_m, Gamma, eta, n_bar, g, cos_phi, gamma = map(
+            mpmath.mpf, (gamma_m, Gamma, eta, n_bar, g, cos_phi, gamma))
+        fb_noise = g * g / (4 * eta * Gamma)
+        N = (gamma_m * (n_bar - 0.5) + Gamma / 4 + fb_noise + (gamma_m - gamma) / 2) / gamma
+        m_re, m_im = -(gamma_m * n_bar + Gamma / 4 - fb_noise) / gamma, g * cos_phi / (2 * gamma)
+        return (gamma * (2 * N + 1 + 2 * m_re) / 4, gamma * (2 * N + 1 - 2 * m_re) / 4,
+                gamma * m_im / 2, N * (N + 1) - (m_re * m_re + m_im * m_im))
+
+
+def test_reductions_match_the_raw_block_at_50_digits():
+    # the float reductions, whose raw forms cancel to ~eps*n_bar^2 at room
+    # temperature, against those raw forms at 50 digits, with no absolute
+    # floor: room-temperature chains (n_bar 6.25e11) at four gains and three
+    # phases, and random stable baths at occupations up to 6.3e11 and any
+    # phase. The noise intensities take 3, 2 and 1 roundings, so 3, 2 and
+    # 0.5 ulp. The gap -1/4 + (g/gamma)^2*(thermal + (1/eta - cos^2)/4) is
+    # checked where it is at least half the magnitude of its terms, so that
+    # neither difference cancels (921 of the 1,000 baths, every chain among
+    # them); its worst there is 3.5 ulp
+    import mpmath
+
+    rng = np.random.default_rng(50)
+    operands = []
+    for g in (1.0, 10.0, 100.0, 1000.0):
+        for phi in (-math.pi / 2, -1.0, 0.0):
+            b = reference_bath(g=g, phi=phi)
+            operands.append((b.gamma_m, b.Gamma, b.eta, b.n_bar, b.g, math.cos(b.phi), b.gamma))
+    while len(operands) < 1000:
+        gamma_m, g, phi = 10 ** rng.uniform(-1, 1), 10 ** rng.uniform(-1, 3), rng.uniform(-3, 3)
+        gamma = gamma_m - g * math.sin(phi)
+        if gamma > 0:
+            operands.append((gamma_m, 10 ** rng.uniform(-1, 3), 10 ** rng.uniform(-3, 0),
+                             10 ** rng.uniform(-3, math.log10(6.3e11)), g, math.cos(phi), gamma))
+    bounds = (3, 2, 0.5, 4)
+    worst, gaps = [0.0] * 4, []
+    for gamma_m, Gamma, eta, n_bar, g, cos_phi, gamma in operands:
+        reduced = (bath_module._noise_xx(g, eta, Gamma),
+                   bath_module._noise_pp(gamma_m, n_bar, Gamma), bath_module._noise_xp(g, cos_phi),
+                   _positivity_gap(gamma_m, Gamma, eta, n_bar, g, cos_phi, gamma))
+        raw = _raw_forms_at_50_digits(gamma_m, Gamma, eta, n_bar, g, cos_phi, gamma)
+        terms = 0.25 + (g / gamma) ** 2 * (gamma_m * n_bar / (eta * Gamma)
+                                           + (1 / eta + cos_phi * cos_phi) / 4)
+        conditioned = raw[3] >= terms / 2
+        gaps.append(conditioned)
+        for k, (value, exact) in enumerate(zip(reduced, raw)):
+            if k < 3 or conditioned:
+                error = abs(mpmath.mpf(value) - exact) / math.ulp(float(exact))
+                worst[k] = max(worst[k], float(error))
+    assert all(gaps[:12]) and sum(gaps) == 921
+    assert all(0 < w <= bound for w, bound in zip(worst, bounds)), worst
 
 
 def test_gain_without_measurement_channel_rejected():
@@ -277,9 +339,9 @@ def test_symbolic_block_is_the_one_bath_from_rates_builds():
     b = bath_from_rates(omega_m=62.8, phi=phi, **rates)
     point = {getattr(sym, name): value for name, value in rates.items()}
     point.update({sym.s: math.sin(phi), sym.c: math.cos(phi)})
-    assert float(sym.gamma.subs(point)) == pytest.approx(b.gamma, rel=1e-14)
-    assert float(sym.N.subs(point)) == pytest.approx(b.N, rel=1e-13)
-    assert complex(sym.M.subs(point)) == pytest.approx(b.M, rel=1e-13)
+    assert float(sym.gamma.subs(point)) == pytest.approx(b.gamma, rel=1e-14, abs=0)
+    assert float(sym.N.subs(point)) == pytest.approx(b.N, rel=1e-13, abs=0)
+    assert complex(sym.M.subs(point)) == pytest.approx(b.M, rel=1e-13, abs=0)
     # and the shared coefficient function builds the same block on symbols
     N, m_re, m_im = bath_module._coefficients(sym.gamma_m, sym.Gamma, sym.eta, sym.n_bar,
                                               sym.g, sym.s, sym.c, sym.gamma)

@@ -142,7 +142,7 @@ def test_variance_closed_form_vs_lyapunov(tmp_path, capsys):
     bath = bath_from_rates(**DESK_BATH["bath"])
     exact = closed_form_moments(bath)
     assert out["closed_form"]["var_x"] == exact.var_x
-    assert out["lyapunov"]["var_x"] == pytest.approx(exact.var_x, rel=1e-12)
+    assert out["lyapunov"]["var_x"] == pytest.approx(exact.var_x, rel=1e-12, abs=0)
     assert out["high_gain"]["method"] == "high_gain"
 
 
@@ -153,7 +153,19 @@ def test_variance_writes_closed_forms_whose_products_overflow(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert list(out) == ["closed_form", "lyapunov", "high_gain"]
     for name in ("var_x", "var_p", "cov_xp_sym"):
-        assert out["closed_form"][name] == pytest.approx(out["lyapunov"][name], rel=1e-12)
+        assert out["closed_form"][name] == pytest.approx(out["lyapunov"][name], rel=1e-12, abs=0)
+
+
+def test_variance_writes_closed_forms_whose_double_denominator_underflows(tmp_path, capsys):
+    # 2*(gamma_m + g)*(omega_m^2 + gamma_m*g) is about 2e-600: 0 in double, so
+    # the closed forms run in long double, as an operand is outside their window
+    config = with_bath(omega_m=1e-150, gamma_m=1e-300, Gamma=0.0, n_bar=3.0, g=0.0)
+    assert run(["variance", "--config", write_config(tmp_path, config)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert list(out) == ["closed_form", "lyapunov"]
+    for method in ("closed_form", "lyapunov"):
+        moments = out[method]
+        assert (moments["var_x"], moments["var_p"], moments["cov_xp_sym"]) == (1.5, 1.5, 0.0)
 
 
 def test_variance_csv(tmp_path):
@@ -307,7 +319,8 @@ def test_simulate_dump_trajectories(tmp_path):
     n_samp = int(round(4.0 / 1.25e-3))
     assert x.shape == (8, n_samp)
     for key, a, b in (("var_x_hat", x, x), ("var_p_hat", p, p), ("cov_xp_hat", x, p)):
-        assert stats[key] == pytest.approx(np.mean(np.sum(a * b, axis=1) / n_samp), rel=1e-13)
+        assert stats[key] == pytest.approx(np.mean(np.sum(a * b, axis=1) / n_samp),
+                                           rel=1e-13, abs=0)
 
 
 def test_fock_desk_run(tmp_path, capsys):
@@ -317,8 +330,8 @@ def test_fock_desk_run(tmp_path, capsys):
     assert code == 0
     bath = bath_from_rates(**config["bath"])
     exact = closed_form_moments(bath)
-    assert out["var_x"] == pytest.approx(exact.var_x, rel=1e-5)
-    assert out["var_p"] == pytest.approx(exact.var_p, rel=1e-5)
+    assert out["var_x"] == pytest.approx(exact.var_x, rel=1e-5, abs=0)
+    assert out["var_p"] == pytest.approx(exact.var_p, rel=1e-5, abs=0)
     assert out["tail_population"] < 1e-10
 
 
@@ -428,7 +441,7 @@ def test_fock_default_dim_grows_until_the_tail_guard_holds(tmp_path, capsys):
     assert out["tail_population"] < 1e-10
     assert out["residual"] <= out["residual_bound"]
     exact = closed_form_moments(bath_from_rates(**FOCK_DESK_BATH["bath"]))
-    assert out["var_x"] == pytest.approx(exact.var_x, rel=1e-5)
+    assert out["var_x"] == pytest.approx(exact.var_x, rel=1e-5, abs=0)
 
 
 def test_fock_default_dim_refused_past_the_ceiling(tmp_path, monkeypatch, capsys):
@@ -1420,11 +1433,9 @@ MALFORMED = {
     # a finite bath whose Lyapunov var_p (about 1e322) is past the float range
     "lyapunov_overflow": ("variance", with_bath(omega_m=1e-160, gamma_m=0.0, g=1.0, phi=-1.0), [],
                           *failed("steady covariance leaves the float range")),
-    # the closed forms' 2*(gamma_m + g)*(omega_m^2 + gamma_m*g) underflows to 0
-    "closed_form_denominator_underflow": ("variance",
-                                          with_bath(omega_m=1e-150, gamma_m=1e-300, Gamma=0.0,
-                                                    n_bar=3.0, g=0.0),
-                                          [], *failed("closed-form denominator")),
+    # a finite bath whose closed-form var_p (about 2.5e321) is past the float range
+    "closed_form_overflow": ("variance", with_bath(omega_m=1e-160, gamma_m=0.0, g=1.0), [],
+                             *failed("closed_form moments leave the float range")),
     "grid_span_overflow": ("spectrum",
                            {**DESK_BATH, "grid": {"omega_min": -1e308, "omega_max": 1e308}},
                            [], *failed("non-finite spectrum")),
@@ -1498,7 +1509,7 @@ def test_variance_omits_high_gain_outside_its_domain(tmp_path, capsys, fields):
     out = json.loads(capsys.readouterr().out)
     assert code == 0
     assert set(out) == {"closed_form", "lyapunov"}
-    assert out["lyapunov"]["var_x"] == pytest.approx(out["closed_form"]["var_x"], rel=1e-9)
+    assert out["lyapunov"]["var_x"] == pytest.approx(out["closed_form"]["var_x"], rel=1e-9, abs=0)
 
 
 # small valid configs; each fuzz draw replaces one value or block in one

@@ -131,7 +131,7 @@ def test_pure_decay_limit():
     for t in (0.1, 0.5, 1.0):
         v = expm_multiply(L * t, rho0.ravel())
         n_t = moments(v)[2].real
-        assert n_t == pytest.approx(math.exp(-2.0 * t), rel=1e-10)
+        assert n_t == pytest.approx(math.exp(-2.0 * t), rel=1e-10, abs=0)
 
 
 def test_generator_is_trace_preserving(rng):
@@ -227,15 +227,15 @@ def test_feedback_steady_state_matches_closed_forms():
     bath = desk_bath()  # n_bar=2, Gamma=40, g=20: lindblad-positive regime
     exact = closed_form_moments(bath)
     sol = evolve_to_steady(bath, FockConfig(dim=66))
-    assert sol.var_x == pytest.approx(exact.var_x, rel=1e-5)
-    assert sol.var_p == pytest.approx(exact.var_p, rel=1e-5)
+    assert sol.var_x == pytest.approx(exact.var_x, rel=1e-5, abs=0)
+    assert sol.var_p == pytest.approx(exact.var_p, rel=1e-5, abs=0)
     assert sol.residual <= sol.residual_bound
     assert sol.trace_error < 1e-10
     assert sol.hermiticity_error < 1e-12
     assert sol.tail_population < 1e-10
     # symmetrized cross moment agrees with the Lyapunov oracle
     cov = sol.mean_a2.imag / 2
-    assert cov == pytest.approx(lyapunov_moments(bath).cov_xp_sym, rel=1e-4)
+    assert cov == pytest.approx(lyapunov_moments(bath).cov_xp_sym, rel=1e-4, abs=0)
 
 
 def test_truncation_convergence():
@@ -246,8 +246,8 @@ def test_truncation_convergence():
     assert a.var_p == pytest.approx(b.var_p, abs=1e-8)
     # at dim 94 the truncation error is below 1e-12 of the variances
     exact = closed_form_moments(bath)
-    assert b.var_x == pytest.approx(exact.var_x, rel=1e-10)
-    assert b.var_p == pytest.approx(exact.var_p, rel=1e-10)
+    assert b.var_x == pytest.approx(exact.var_x, rel=1e-10, abs=0)
+    assert b.var_p == pytest.approx(exact.var_p, rel=1e-10, abs=0)
 
 
 def test_initial_state_independence():

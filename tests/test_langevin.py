@@ -186,7 +186,7 @@ def test_indefinite_noise_covariance_is_refused():
     with pytest.raises(NoiseModelError) as err:
         _simulate_linear(A, C, SimConfig(dt=1e-2, t_relax=1.0, t_sample=5.0,
                                          n_traj=4, seed=0, welch_segment=64))
-    assert err.value.min_eigenvalue == pytest.approx(-1.0, rel=1e-12)
+    assert err.value.min_eigenvalue == pytest.approx(-1.0, rel=1e-12, abs=0)
 
 
 def test_resolution_guard():
@@ -342,7 +342,7 @@ def test_psd_integral_is_the_windowed_mean_square(segment):
     x = stats.raw_trajectories["x"]
     starts = range(0, x.shape[1] - segment + 1, step)
     ms = [np.mean([np.sum((row[s:s + segment] * win) ** 2) for s in starts]) for row in x]
-    assert stats.psd_var_integral == pytest.approx(np.mean(ms) / np.sum(win**2), rel=1e-12)
+    assert stats.psd_var_integral == pytest.approx(np.mean(ms) / np.sum(win**2), rel=1e-12, abs=0)
 
 
 def _stepped_rows(A, C, cfg, n_traj):
@@ -876,7 +876,7 @@ def test_square_root_refuses_and_clips_as_eigh_does(ratio, scale):
     if refused:
         with pytest.raises(NoiseModelError) as err:
             _sqrt_psd(M, "M")
-        assert err.value.min_eigenvalue == pytest.approx(lo, rel=1e-3)
+        assert err.value.min_eigenvalue == pytest.approx(lo, rel=1e-3, abs=0)
         return
     B = _sqrt_psd(M, "M")
     if ratio < 0:
@@ -926,7 +926,7 @@ def test_slowest_rate_is_that_of_the_eigenvalues(A):
     exact = _exact_slowest_rate(A)
     assert (rate > 0) == (eigvals > 0) == (exact > 0)
     assert abs(rate - exact) <= 4 * np.spacing(abs(exact))
-    assert rate == pytest.approx(eigvals, rel=1e-7)
+    assert rate == pytest.approx(eigvals, rel=1e-7, abs=0)
 
 
 def test_slowest_rate_verdict_matches_eigvals_on_random_drifts():
@@ -936,7 +936,7 @@ def test_slowest_rate_verdict_matches_eigvals_on_random_drifts():
         eigvals = -np.linalg.eigvals(A).real.max()
         rate = _slowest_rate(A)
         assert (rate > 0) == (eigvals > 0)
-        assert rate == pytest.approx(eigvals, rel=1e-9)
+        assert rate == pytest.approx(eigvals, rel=1e-9, abs=0)
 
 
 def test_square_root_form_squares_to_the_matrix():
@@ -1065,4 +1065,5 @@ def test_n_effective_uses_the_integrated_autocorrelation_time(A, C, dt):
     sigma = _stationary_covariance(*_exact_step(A, C, dt))
     tau_int = (-np.linalg.inv(A) @ sigma)[0, 0] / sigma[0, 0]
     stats = _simulate_linear(A, C, cfg)
-    assert stats.n_effective == pytest.approx(2 * cfg.t_sample / max(2 * tau_int, dt), rel=1e-12)
+    assert stats.n_effective == pytest.approx(2 * cfg.t_sample / max(2 * tau_int, dt),
+                                              rel=1e-12, abs=0)

@@ -32,16 +32,16 @@ FROZEN = {
 
 def test_reference_chain_matches_frozen_values():
     c = derive_coupling(reference_setup())
-    assert c.omega_m == pytest.approx(FROZEN["omega_m"], rel=1e-13)
-    assert c.gamma_b == pytest.approx(FROZEN["gamma_b"], rel=1e-13)
-    assert c.G == pytest.approx(FROZEN["G"], rel=1e-12)
-    assert c.beta_in == pytest.approx(FROZEN["beta_in"], rel=1e-12)
-    assert abs(c.beta_s) == pytest.approx(FROZEN["beta_s"], rel=1e-12)
-    assert c.chi == pytest.approx(FROZEN["chi"], rel=1e-12)
-    assert c.Gamma == pytest.approx(FROZEN["Gamma"], rel=1e-12)
-    assert c.x_s == pytest.approx(FROZEN["x_s"], rel=1e-12)
-    assert c.Q_m == pytest.approx(FROZEN["Q_m"], rel=1e-13)
-    assert c.n_bar == pytest.approx(FROZEN["n_bar"], rel=1e-12)
+    assert c.omega_m == pytest.approx(FROZEN["omega_m"], rel=1e-13, abs=0)
+    assert c.gamma_b == pytest.approx(FROZEN["gamma_b"], rel=1e-13, abs=0)
+    assert c.G == pytest.approx(FROZEN["G"], rel=1e-12, abs=0)
+    assert c.beta_in == pytest.approx(FROZEN["beta_in"], rel=1e-12, abs=0)
+    assert abs(c.beta_s) == pytest.approx(FROZEN["beta_s"], rel=1e-12, abs=0)
+    assert c.chi == pytest.approx(FROZEN["chi"], rel=1e-12, abs=0)
+    assert c.Gamma == pytest.approx(FROZEN["Gamma"], rel=1e-12, abs=0)
+    assert c.x_s == pytest.approx(FROZEN["x_s"], rel=1e-12, abs=0)
+    assert c.Q_m == pytest.approx(FROZEN["Q_m"], rel=1e-13, abs=0)
+    assert c.n_bar == pytest.approx(FROZEN["n_bar"], rel=1e-12, abs=0)
 
 
 def test_reference_chain_against_independent_evaluation():
@@ -56,11 +56,11 @@ def test_reference_chain_against_independent_evaluation():
     beta_s = math.sqrt(gamma_b) * beta_in / (gamma_b / 2)
     chi = -4 * G * beta_s
     got = derive_coupling(reference_setup())
-    assert got.gamma_b == pytest.approx(gamma_b, rel=1e-14)
-    assert abs(got.beta_s) == pytest.approx(beta_s, rel=1e-13)
-    assert got.chi == pytest.approx(chi, rel=1e-13)
-    assert got.Gamma == pytest.approx(chi**2 / gamma_b, rel=1e-13)
-    assert got.n_bar == pytest.approx(k_B * p["T"] / (hbar * omega_m), rel=1e-14)
+    assert got.gamma_b == pytest.approx(gamma_b, rel=1e-14, abs=0)
+    assert abs(got.beta_s) == pytest.approx(beta_s, rel=1e-13, abs=0)
+    assert got.chi == pytest.approx(chi, rel=1e-13, abs=0)
+    assert got.Gamma == pytest.approx(chi**2 / gamma_b, rel=1e-13, abs=0)
+    assert got.n_bar == pytest.approx(k_B * p["T"] / (hbar * omega_m), rel=1e-14, abs=0)
 
 
 def test_reported_magnitudes_for_reference_set():
@@ -68,9 +68,9 @@ def test_reported_magnitudes_for_reference_set():
     assert 180 <= c.Gamma <= 230
     assert 1.0e4 <= abs(c.chi) <= 1.4e4
     # gamma_b = c*T_r/(2L); approx 3e8*0.02/8 with the rounded speed of light
-    assert c.gamma_b == pytest.approx(7.5e5, rel=1e-3)
+    assert c.gamma_b == pytest.approx(7.5e5, rel=1e-3, abs=0)
     assert c.gamma_b == codata.c * 0.02 / 8.0
-    assert c.Q_m == pytest.approx(62.8, rel=1e-3)
+    assert c.Q_m == pytest.approx(62.8, rel=1e-3, abs=0)
 
 
 def test_adiabatic_flag_ok_for_reference_set():
@@ -95,17 +95,17 @@ def test_zero_drive_gives_zero_coupling():
 def test_power_scaling():
     c1 = derive_coupling(reference_setup())
     c2 = derive_coupling(reference_setup(P_in=20.0))
-    assert abs(c2.beta_s) ** 2 == pytest.approx(2 * abs(c1.beta_s) ** 2, rel=1e-12)
-    assert c2.Gamma == pytest.approx(2 * c1.Gamma, rel=1e-12)
+    assert abs(c2.beta_s) ** 2 == pytest.approx(2 * abs(c1.beta_s) ** 2, rel=1e-12, abs=0)
+    assert c2.Gamma == pytest.approx(2 * c1.Gamma, rel=1e-12, abs=0)
 
 
 def test_detuning_rotates_steady_amplitude():
     gamma_b = derive_coupling(reference_setup()).gamma_b
     c = derive_coupling(reference_setup(Delta=gamma_b / 2))
-    assert c.varphi == pytest.approx(math.pi / 4, rel=1e-12)
+    assert c.varphi == pytest.approx(math.pi / 4, rel=1e-12, abs=0)
     # |beta_s| shrinks by sqrt(2) at Delta = gamma_b/2
     c0 = derive_coupling(reference_setup())
-    assert abs(c.beta_s) == pytest.approx(abs(c0.beta_s) / math.sqrt(2), rel=1e-12)
+    assert abs(c.beta_s) == pytest.approx(abs(c0.beta_s) / math.sqrt(2), rel=1e-12, abs=0)
     assert derive_coupling(reference_setup()).varphi == 0.0
 
 

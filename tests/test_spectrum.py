@@ -29,7 +29,7 @@ def test_zero_gain_peak_value():
         b = desk_bath(gamma_m=gamma_m)
         peak = eval_spectrum(b, np.array([b.omega_m]))[0]
         assert peak == pytest.approx(
-            (2 * b.N + 1) / (2 * gamma_m), rel=1e-12
+            (2 * b.N + 1) / (2 * gamma_m), rel=1e-12, abs=0
         )
 
 
@@ -98,15 +98,15 @@ def test_sum_rule_zero_gain_closed_form():
     # (1/2pi) integral == (2N+1)/4 == var_x exactly at g = 0
     b = desk_bath(g=0.0, Gamma=200.0, n_bar=100.0)
     integral, var_x, rel = sum_rule_check(b)
-    assert var_x == pytest.approx((2 * b.N + 1) / 4, rel=1e-13)
+    assert var_x == pytest.approx((2 * b.N + 1) / 4, rel=1e-13, abs=0)
     assert rel < 1e-9
 
 
 def test_sum_rule_pure_thermal():
     b = desk_bath(g=0.0, Gamma=0.0, n_bar=80.0)
     integral, var_x, rel = sum_rule_check(b)
-    assert var_x == pytest.approx(40.0, rel=1e-13)
-    assert integral == pytest.approx(40.0, rel=1e-8)
+    assert var_x == pytest.approx(40.0, rel=1e-13, abs=0)
+    assert integral == pytest.approx(40.0, rel=1e-8, abs=0)
 
 
 def test_sum_rule_random_sets(rng):
@@ -133,7 +133,7 @@ def test_gauss_kronrod_matches_quadpack_on_the_mapped_line(rng):
         value, err = spectrum._integrate(f, edges)
         oracle, _ = integrate.quad(f, 0.0, 1.0, points=edges[1:-1].tolist() or None,
                                    limit=400, epsabs=0.0, epsrel=1e-11)
-        assert value == pytest.approx(oracle, rel=1e-12)
+        assert value == pytest.approx(oracle, rel=1e-12, abs=0)
         assert err <= 1e-11 * value
 
 
@@ -142,7 +142,7 @@ def test_mapped_integrand_is_finite_towards_the_end_of_the_line():
     b = desk_bath(g=50.0)
     scale, edges, f = spectrum._mapped_sum_rule(b)
     assert edges[0] == 0.0 and edges[-1] == 1.0 and np.all(np.diff(edges) > 0)
-    assert f(np.array([1 - 1e-9]))[0] == pytest.approx(b.noise_xx / scale, rel=1e-6)
+    assert f(np.array([1 - 1e-9]))[0] == pytest.approx(b.noise_xx / scale, rel=1e-6, abs=0)
 
 
 def test_sum_rule_refuses_an_integrand_that_does_not_converge(monkeypatch):

@@ -1,5 +1,7 @@
 import math
 import re
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from scipy import constants as codata
 from mirrorcool import (
     EffectiveBath,
     FockConfig,
+    MirrorCoolError,
     NumericalError,
     StabilityBoundaryError,
     StabilityError,
@@ -28,9 +31,12 @@ from mirrorcool import (
     with_gain,
 )
 
-from mirrorcool.steady_state import _closed_forms, _lyapunov_terms, _steady_covariance
+from mirrorcool.steady_state import (
+    _CLOSED_FORM_WINDOW, _closed_forms, _lyapunov_terms, _steady_covariance,
+)
 
 from conftest import BOUNDARY_BATHS, random_stable_bath, reference_bath, reference_setup
+from test_oracle_independence import _references
 
 # closed-form position variance at the reference chain with g = 1000,
 # frozen from an independent straight-line evaluation (12 significant digits)
@@ -45,23 +51,23 @@ def desk_bath(g=0.0, Gamma=200.0, n_bar=100.0, gamma_m=1.0, eta=1.0, omega_m=62.
 def test_zero_gain_variance_formula():
     b = desk_bath(g=0.0, Gamma=200.0, n_bar=100.0)
     m = closed_form_moments(b)
-    assert m.var_x == pytest.approx(100.0 / 2 + 200.0 / 8, rel=1e-14)
-    assert m.var_p == pytest.approx(m.var_x, rel=1e-14)
+    assert m.var_x == pytest.approx(100.0 / 2 + 200.0 / 8, rel=1e-14, abs=0)
+    assert m.var_p == pytest.approx(m.var_x, rel=1e-14, abs=0)
     assert m.cov_xp_sym == 0.0
 
 
 def test_pure_thermal_equipartition():
     b = desk_bath(g=0.0, Gamma=0.0, n_bar=37.5)
     m = closed_form_moments(b)
-    assert m.var_x == pytest.approx(37.5 / 2, rel=1e-14)
-    assert m.var_p == pytest.approx(37.5 / 2, rel=1e-14)
+    assert m.var_x == pytest.approx(37.5 / 2, rel=1e-14, abs=0)
+    assert m.var_p == pytest.approx(37.5 / 2, rel=1e-14, abs=0)
 
 
 def test_teff_equals_bath_temperature_without_feedback():
     setup = reference_setup()
     bath = build_bath(derive_coupling(setup), setup)
     m = closed_form_moments(bath)
-    assert m.t_eff == pytest.approx(300.0, rel=1e-12)
+    assert m.t_eff == pytest.approx(300.0, rel=1e-12, abs=0)
 
 
 def test_teff_identity_with_feedback():
@@ -69,14 +75,14 @@ def test_teff_identity_with_feedback():
     bath = build_bath(derive_coupling(setup), setup)
     m = closed_form_moments(bath)
     T = bath.n_bar * codata.hbar * bath.omega_m / codata.k
-    assert m.t_eff * bath.g**2 == pytest.approx(T * bath.omega_m**2, rel=1e-14)
+    assert m.t_eff * bath.g**2 == pytest.approx(T * bath.omega_m**2, rel=1e-14, abs=0)
 
 
 def test_reference_g1000_frozen_fixture():
     m = closed_form_moments(reference_bath(g=1000.0))
-    assert m.var_x == pytest.approx(VAR_X_G1000, rel=1e-12)
+    assert m.var_x == pytest.approx(VAR_X_G1000, rel=1e-12, abs=0)
     ly = lyapunov_moments(reference_bath(g=1000.0))
-    assert ly.var_x == pytest.approx(VAR_X_G1000, rel=1e-12)
+    assert ly.var_x == pytest.approx(VAR_X_G1000, rel=1e-12, abs=0)
 
 
 def test_drift_matrix_momentum_drive():
@@ -89,8 +95,8 @@ def test_drift_matrix_momentum_drive():
 def test_diffusion_matrix_entries():
     b = desk_bath(g=50.0)
     C = diffusion_matrix(b)
-    assert C[0, 0] == pytest.approx(50.0**2 / 800.0, rel=1e-14)
-    assert C[1, 1] == pytest.approx(100.0 + 50.0, rel=1e-14)
+    assert C[0, 0] == pytest.approx(50.0**2 / 800.0, rel=1e-14, abs=0)
+    assert C[1, 1] == pytest.approx(100.0 + 50.0, rel=1e-14, abs=0)
     assert abs(C[0, 1]) < 1e-14
 
 
@@ -104,8 +110,8 @@ def test_lyapunov_isotropic_synthetic_fixed_point():
     np.testing.assert_allclose(drift_matrix(b), -np.eye(2), atol=1e-16)
     np.testing.assert_allclose(diffusion_matrix(b), 2 * np.eye(2), atol=1e-15)
     m = lyapunov_moments(b)
-    assert m.var_x == pytest.approx(1.0, rel=1e-12)
-    assert m.var_p == pytest.approx(1.0, rel=1e-12)
+    assert m.var_x == pytest.approx(1.0, rel=1e-12, abs=0)
+    assert m.var_p == pytest.approx(1.0, rel=1e-12, abs=0)
     assert m.cov_xp_sym == pytest.approx(0.0, abs=1e-12)
 
 
@@ -163,13 +169,89 @@ def _past_the_double_range(rng, count):
         try:
             b = bath_from_rates(**rates, phi=-math.pi / 2)
             lyapunov_moments(b)
-            (var_x, var_p, cov), _ = _closed_forms(b.g, b.gamma_m, b.omega_m, b.noise_xx,
-                                                    b.noise_pp)
-        except (NumericalError, StabilityError):
+            var_x, var_p, cov = _closed_forms(b.g, b.gamma_m, b.omega_m, b.noise_xx, b.noise_pp)
+        except (NumericalError, StabilityError, ZeroDivisionError):
             continue
         if not (var_x > 0 and var_p > 0 and all(map(math.isfinite, (var_x, var_p, cov)))):
             yield b
             count -= 1
+
+
+def test_long_double_has_the_range_the_precision_rules_rely_on():
+    # the closed forms and optimize_gain's Horner sum leave their double
+    # windows for long double because it holds every product of up to five
+    # doubles: x87 extended, 64-bit significand, exponents -16382 to 16383.
+    # Where long double is plain double this fails by name, not with wrong
+    # moments outside the windows
+    info = np.finfo(np.longdouble)
+    assert (info.nmant, info.maxexp, info.minexp) == (63, 16384, -16382)
+
+
+def _exit_code(route, bath):
+    """The CLI's exit code for ``route(bath)``: 0, or that of its refusal."""
+    try:
+        route(bath)
+    except ValidationError:
+        return 2
+    except StabilityError:
+        return 3
+    except MirrorCoolError:
+        return 4
+    return 0
+
+
+def _exact_closed_forms(g, gm, om, c_x, c_p):
+    """The printed var_x and var_p of the double operands, in exact rationals."""
+    g, gm, om, c_x, c_p = map(Fraction, (g, gm, om, c_x, c_p))
+    denom = 2 * (gm + g) * (om * om + gm * g)
+    return ((c_x * (gm * gm + om * om + gm * g) + c_p * om * om) / denom,
+            (c_p * (g * g + gm * g + om * om) + om * om * c_x) / denom)
+
+
+def _ulps(value, exact):
+    return abs(Fraction(value) - exact) / Fraction(math.ulp(float(exact)))
+
+
+def test_closed_forms_answer_where_lyapunov_does_within_their_ulp_bounds():
+    # baths log-uniform over the float range (and a band inside the double
+    # window): both routes answer, or both refuse with the same exit code.
+    # Answered variances are within the closed forms' proved bounds of the
+    # exact formula on the same double operands: nine roundings of at most
+    # 1 ulp each in double; in long double nine of at most 2**-11 ulp each,
+    # then 0.5 ulp for the one rounding to double. The worst here are 2.1
+    # and 0.5001 ulp (253 and 1,031 baths), and 2.6 and 0.5004 ulp over
+    # numpy seeds 7 and 8 with 20,000 draws each
+    rng = np.random.default_rng(36)
+    low, high = _CLOSED_FORM_WINDOW
+    codes, worst = Counter(), {True: 0, False: 0}
+    for exponent, draws in ((300, 3000), (99, 600)):
+        for _ in range(draws):
+            rates = {key: 10 ** rng.uniform(-exponent, exponent)
+                     for key in ("omega_m", "gamma_m", "Gamma", "g")}
+            try:
+                b = bath_from_rates(**rates, eta=10 ** rng.uniform(-3, 0),
+                                    n_bar=10 ** rng.uniform(-3, 3), phi=-math.pi / 2)
+            except MirrorCoolError:
+                continue
+            pair = _exit_code(lyapunov_moments, b), _exit_code(closed_form_moments, b)
+            codes[pair] += 1
+            if pair == (0, 0):
+                m = closed_form_moments(b)
+                operands = (b.g, b.gamma_m, b.omega_m, b.noise_xx, b.noise_pp)
+                var_x, var_p = _exact_closed_forms(*operands)
+                double = all(low <= v <= high or v == 0 for v in operands)
+                worst[double] = max(worst[double], _ulps(m.var_x, var_x), _ulps(m.var_p, var_p))
+    assert set(codes) == {(0, 0), (3, 3), (4, 4)}, codes
+    assert 0 < worst[True] <= 9
+    assert 0 < worst[False] <= Fraction(1, 2) + 9 * Fraction(1, 2 ** 11)
+
+
+def test_the_lyapunov_route_takes_no_precision_rule_from_the_closed_forms():
+    # the oracle keeps its own long double; the windows are the closed forms'
+    rule = {"_in_precision", "_CLOSED_FORM_WINDOW", "_HORNER_WINDOW"}
+    for function in ("lyapunov_moments", "sweep_grid"):
+        assert not _references("steady_state", function) & rule, function
+    assert rule <= _references("steady_state", "optimize_gain")
 
 
 def test_lyapunov_closed_form_solves_the_equation_identically():
@@ -200,8 +282,8 @@ def _exact_steady_covariance(A, C):
 
 def _assert_exact_moments(m, exact, rel):
     x, y, z = exact
-    assert m.var_x == pytest.approx(x, rel=rel)
-    assert m.var_p == pytest.approx(y, rel=rel)
+    assert m.var_x == pytest.approx(x, rel=rel, abs=0)
+    assert m.var_p == pytest.approx(y, rel=rel, abs=0)
     assert m.cov_xp_sym == pytest.approx(z, rel=rel, abs=rel * max(x, y) if z == 0 else 0)
 
 
@@ -287,7 +369,7 @@ def test_both_quadratures_cooled_at_moderate_gain():
 def test_high_gain_asymptote_linear_in_gain():
     b = desk_bath(g=1e9, Gamma=200.0, n_bar=100.0)
     m = high_gain_moments(b)
-    assert m.var_x == pytest.approx(1e9 / (8 * 200.0), rel=1e-6)
+    assert m.var_x == pytest.approx(1e9 / (8 * 200.0), rel=1e-6, abs=0)
     assert m.method == "high_gain"
 
 
@@ -352,7 +434,7 @@ def test_optimizer_matches_grid_scan_oracle():
     values = [closed_form_moments(with_gain(bath, g)).var_x for g in grid]
     g_grid = grid[int(np.argmin(values))]
     g_opt, v_min = optimize_gain(bath, (1.0, 1e5))
-    assert g_opt == pytest.approx(g_grid, rel=5e-3)
+    assert g_opt == pytest.approx(g_grid, rel=5e-3, abs=0)
     assert v_min <= min(values)
 
 
@@ -418,7 +500,7 @@ def test_gain_quartic_is_the_stationarity_numerator():
     symbols, (var_x, _, _) = printed_moments()
     g, gm, om, Gamma, eta, n_bar = symbols
     exact = closed_form_moments(desk_bath(**SYMBOLIC_POINT)).var_x
-    assert at_point(var_x, symbols) == pytest.approx(exact, rel=1e-14)
+    assert at_point(var_x, symbols) == pytest.approx(exact, rel=1e-14, abs=0)
 
     numerator = sp.fraction(sp.together(sp.diff(var_x, g)))[0]
     symbols = SimpleNamespace(gamma_m=gm, omega_m=om, Gamma=Gamma, eta=eta, n_bar=n_bar)
@@ -446,7 +528,7 @@ def test_printed_moments_solve_the_lyapunov_equation():
 
     m = closed_form_moments(desk_bath(**SYMBOLIC_POINT))
     for value, form in zip((m.var_x, m.var_p, m.cov_xp_sym), printed):
-        assert at_point(form, symbols) == pytest.approx(value, rel=1e-14)
+        assert at_point(form, symbols) == pytest.approx(value, rel=1e-14, abs=0)
 
 
 def test_high_gain_error_bound_holds_for_every_positive_parameter_set():
@@ -458,7 +540,7 @@ def test_high_gain_error_bound_holds_for_every_positive_parameter_set():
     approx = n_bar * om**2 / (2 * g**2) + Gamma * om**2 / (8 * gm * g**2) + g / (8 * eta * Gamma)
     bound = (1 + gm / g) * (1 + om**2 / (gm * g)) - 1  # omega_m*Q_m = omega_m^2/gamma_m
     assert at_point(approx, symbols) == pytest.approx(
-        high_gain_moments(desk_bath(**SYMBOLIC_POINT)).var_x, rel=1e-14)
+        high_gain_moments(desk_bath(**SYMBOLIC_POINT)).var_x, rel=1e-14, abs=0)
 
     def positive_coefficients(poly):
         return all(c > 0 for c in sp.Poly(poly, *symbols).coeffs())
@@ -506,8 +588,8 @@ def test_optimize_gain_never_above_the_brent_search(rng):
         assert var_min <= oracle * (1 + 1e-12)
         # the candidate minimum over the endpoints and the np.roots roots
         var_roots, g_roots = roots_oracle(bath, *g_range)
-        assert g_opt == pytest.approx(g_roots, rel=1e-12)
-        assert var_min == pytest.approx(var_roots, rel=1e-14)
+        assert g_opt == pytest.approx(g_roots, rel=1e-12, abs=0)
+        assert var_min == pytest.approx(var_roots, rel=1e-14, abs=0)
 
 
 def test_optimize_gain_as_gamma_m_vanishes():
@@ -520,8 +602,8 @@ def test_optimize_gain_as_gamma_m_vanishes():
         g_opt, var_min = optimize_gain(bath, (1e-3, 1e3))
         assert var_min <= brent_oracle(bath, 1e-3, 1e3)[0] * (1 + 1e-12)
         if gamma_m <= 1e-200:
-            assert g_opt == pytest.approx(Gamma * math.sqrt(eta), rel=1e-9)
-            assert var_min == pytest.approx(1 / (4 * math.sqrt(eta)), rel=1e-12)
+            assert g_opt == pytest.approx(Gamma * math.sqrt(eta), rel=1e-9, abs=0)
+            assert var_min == pytest.approx(1 / (4 * math.sqrt(eta)), rel=1e-12, abs=0)
 
 
 def test_optimal_gain_grows_with_measurement_rate():
